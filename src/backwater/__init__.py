@@ -86,8 +86,6 @@ from .losses import (
     MIN_DEPTH,
     STRATEGIES,
     VTS_ONLY_STRATEGIES,
-    LossBreakdown,
-    combine,
     loss_bc,
     loss_en,
     loss_fr,
@@ -203,8 +201,6 @@ __all__ = [
     "MIN_DEPTH",
     "STRATEGIES",
     "VTS_ONLY_STRATEGIES",
-    "LossBreakdown",
-    "combine",
     "loss_bc",
     "loss_en",
     "loss_fr",

@@ -411,12 +411,20 @@ def save(ds: ProfileDataset, path) -> None:
 
 
 def load(path) -> ProfileDataset:
-    """Load a corpus saved by :func:`save`, verifying version and checksum."""
+    """Load a corpus saved by :func:`save`, verifying version and checksum.
+
+    A missing manifest key, or a per-profile manifest list whose length is not
+    the CSV's row count, raises a ``ValueError`` that names the key.
+    """
     path = Path(path)
     with open(_manifest_path(path)) as fh:
         manifest = json.load(fh)
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported dataset format version")
+    required = ("csv_sha256", "dx", "length", "split", "regimes", "jump_indices")
+    missing = [k for k in required if k not in manifest]
+    if missing:
+        raise ValueError(f"dataset manifest lacks {', '.join(map(repr, missing))}")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     if digest != manifest["csv_sha256"]:
         raise ValueError("dataset CSV checksum mismatch (truncated or edited file)")
@@ -429,7 +437,8 @@ def load(path) -> ProfileDataset:
         header = next(reader)
         if header[:5] != list(PARAM_NAMES) or len(header) != 5 + n_pts:
             raise ValueError("dataset CSV header does not match its manifest")
-        for row, regime, jump in zip(reader, manifest["regimes"], manifest["jump_indices"]):
+        # the reader comes last so that zip stops without consuming an unpaired row
+        for regime, jump, row in zip(manifest["regimes"], manifest["jump_indices"], reader):
             s, b, n, zd, q = (float(v) for v in row[:5])
             depths = np.array([float(v) for v in row[5:]])
             profiles.append(
@@ -441,6 +450,10 @@ def load(path) -> ProfileDataset:
                     jump,
                 )
             )
+        n_rows = len(profiles) + sum(1 for _ in reader)
+    for key in ("split", "regimes", "jump_indices"):
+        if len(manifest[key]) != n_rows:
+            raise ValueError(f"dataset manifest {key!r} needs one entry per CSV row ({n_rows})")
     split = list(manifest["split"])
     # eval-only corpora (e.g. extrapolation sets) carry no train profiles;
     # their scaler is never consulted, so fit it on everything

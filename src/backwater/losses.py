@@ -1,4 +1,4 @@
-"""Physics-based loss terms and the λ-composition with the data term.
+"""Physics-based loss terms.
 
 Each term compares predicted depths with targets through a hydraulic
 quantity (specific energy, Froude number, water volume, boundary depth) or
@@ -6,11 +6,12 @@ penalizes the discrete energy-equation residual, and returns both the scalar
 loss and its analytic gradient with respect to the predicted depths.
 Pointwise predictions (shape (B,)) carry per-sample aux values; whole-profile
 predictions (shape (B, N)) carry per-profile aux values.
+
+The energy, Froude and residual terms evaluate depths clamped to a
+per-sample floor and return a third value: how many predictions they clamped.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,33 +43,6 @@ STRATEGIES = ("dd", "en", "fr", "vol", "bc", "pde")
 VTS_ONLY_STRATEGIES = ("vol", "bc", "pde")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """One batch's data term, physics term, and their λ-weighted combination."""
-
-    data_term: float
-    physics_term: float
-    combined: float
-    lam: float
-    strategy: str
-
-
-def combine(data_term: float, physics_term: float, lam: float, strategy: str = "dd") -> LossBreakdown:
-    """Weighted composition: combined = λ·data + (1−λ)·physics.
-
-    For the purely data-driven strategy the physics term is zero by
-    definition and λ is treated as 1, whatever was passed.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    if strategy == "dd":
-        lam, physics_term = 1.0, 0.0
-    combined = lam * data_term + (1.0 - lam) * physics_term
-    return LossBreakdown(float(data_term), float(physics_term), float(combined), lam, strategy)
-
-
 def clamp_depths(pred: np.ndarray, floor=MIN_DEPTH) -> tuple[np.ndarray, int]:
     """Clamp depths below the floor, returning the count of clamped entries.
 
@@ -95,7 +69,7 @@ def depth_floor(aux: dict, pred: np.ndarray) -> np.ndarray:
 
 
 def loss_en(pred, true, aux):
-    """Mean squared mismatch of specific energy, and d/d_pred.
+    """Mean squared mismatch of specific energy, d/d_pred, and the clamp count.
 
     The gradient chains through dE/dh = 1 − Q²/(g b² h³) at the clamped
     predicted depths and is zero for entries under the floor, where the
@@ -104,43 +78,38 @@ def loss_en(pred, true, aux):
     pred, true = np.asarray(pred, dtype=float), np.asarray(true, dtype=float)
     q, b = _per_sample(aux, "Q", pred), _per_sample(aux, "b", pred)
     floor = depth_floor(aux, pred)
-    h_eff, _ = clamp_depths(pred, floor)
+    h_eff, n_clamped = clamp_depths(pred, floor)
     diff = specific_energy(true, q, b) - specific_energy(h_eff, q, b)
     value = float(np.mean(diff * diff))
     grad = np.where(pred < floor, 0.0, -2.0 * diff * denergy_dh(h_eff, q, b) / pred.size)
-    return value, grad
+    return value, grad, n_clamped
 
 
 def loss_fr(pred, true, aux):
-    """Mean squared mismatch of the Froude number, and d/d_pred."""
+    """Mean squared mismatch of the Froude number, d/d_pred, and the clamp count."""
     pred, true = np.asarray(pred, dtype=float), np.asarray(true, dtype=float)
     q, b = _per_sample(aux, "Q", pred), _per_sample(aux, "b", pred)
     floor = depth_floor(aux, pred)
-    h_eff, _ = clamp_depths(pred, floor)
+    h_eff, n_clamped = clamp_depths(pred, floor)
     diff = froude(true, q, b) - froude(h_eff, q, b)
     value = float(np.mean(diff * diff))
     grad = np.where(pred < floor, 0.0, -2.0 * diff * dfroude_dh(h_eff, q, b) / pred.size)
-    return value, grad
+    return value, grad, n_clamped
 
 
-def loss_vol(pred, true, signed: bool = False):
+def loss_vol(pred, true):
     """Water-volume mismatch per profile, |Σh − Σĥ|, averaged over the batch.
 
     The subgradient is ±1/B per element by the sign of the profile's volume
-    difference.  ``signed=True`` keeps the raw signed difference instead
-    (unbounded below when minimized; kept for study only).
+    difference.
     """
     pred, true = np.atleast_2d(np.asarray(pred, dtype=float)), np.atleast_2d(np.asarray(true, dtype=float))
     if pred.shape != true.shape:
         raise ValueError("pred and true shapes differ")
     batch = pred.shape[0]
     diff = np.sum(true, axis=1) - np.sum(pred, axis=1)
-    if signed:
-        value = float(np.mean(diff))
-        grad = np.full_like(pred, -1.0 / batch)
-    else:
-        value = float(np.mean(np.abs(diff)))
-        grad = np.repeat(-np.sign(diff)[:, None], pred.shape[1], axis=1) / batch
+    value = float(np.mean(np.abs(diff)))
+    grad = np.repeat(-np.sign(diff)[:, None], pred.shape[1], axis=1) / batch
     return value, grad
 
 
@@ -157,15 +126,14 @@ def loss_bc(pred, true):
     return value, grad
 
 
-def loss_pde(pred, aux, squared: bool = True):
+def loss_pde(pred, aux):
     """Discrete energy-equation residual over interior stations.
 
     The residual at interior station i is
         r_i = (E(ĥ_{i+1}) − E(ĥ_{i−1})) / (2Δx) + s − J(ĥ_i),
     which vanishes (to scheme order) on profiles of the marching solver,
-    whose x axis points upstream.  The default loss is the mean of r_i²
-    over interior stations and the batch; ``squared=False`` keeps the raw
-    per-profile residual sum (study flag).
+    whose x axis points upstream.  The loss is the mean of r_i² over
+    interior stations and the batch; the clamp count comes back with it.
     """
     pred = np.atleast_2d(np.asarray(pred, dtype=float))
     if pred.shape[1] < 3:
@@ -177,7 +145,7 @@ def loss_pde(pred, aux, squared: bool = True):
     dx = float(aux["dx"])
 
     floor = depth_floor(aux, pred)
-    h_eff, _ = clamp_depths(pred, floor)
+    h_eff, n_clamped = clamp_depths(pred, floor)
     energy = specific_energy(h_eff, q, b)
     slope = friction_slope(h_eff, q, b, n)
     r = (energy[:, 2:] - energy[:, :-2]) / (2.0 * dx) + s - slope[:, 1:-1]
@@ -186,14 +154,10 @@ def loss_pde(pred, aux, squared: bool = True):
     de = denergy_dh(h_eff, q, b)
     dj = dfriction_slope_dh(h_eff, q, b, n)
     grad = np.zeros_like(pred)
-    if squared:
-        value = float(np.mean(r * r))
-        w = 2.0 * r / (batch * interior)
-    else:
-        value = float(np.mean(np.sum(r, axis=1)))
-        w = np.full_like(r, 1.0 / batch)
+    value = float(np.mean(r * r))
+    w = 2.0 * r / (batch * interior)
     grad[:, 2:] += w * de[:, 2:] / (2.0 * dx)
     grad[:, :-2] -= w * de[:, :-2] / (2.0 * dx)
     grad[:, 1:-1] -= w * dj[:, 1:-1]
     grad[pred < floor] = 0.0
-    return value, grad
+    return value, grad, n_clamped

@@ -22,9 +22,6 @@ from .losses import (
     MIN_DEPTH,
     STRATEGIES,
     VTS_ONLY_STRATEGIES,
-    clamp_depths,
-    combine,
-    depth_floor,
     loss_bc,
     loss_en,
     loss_fr,
@@ -137,23 +134,15 @@ def _slice_aux(aux: dict, sl: slice, n: int) -> dict:
 
 def _physics_term(strategy, pred, true, aux):
     """Dispatch one strategy's loss; returns (value, gradient, clamp count)."""
-    if strategy in ("en", "fr", "pde"):
-        n_clamped = clamp_depths(pred, depth_floor(aux, pred))[1]
-    else:
-        n_clamped = 0
     if strategy == "en":
-        value, grad = loss_en(pred, true, aux)
-    elif strategy == "fr":
-        value, grad = loss_fr(pred, true, aux)
-    elif strategy == "vol":
-        value, grad = loss_vol(pred, true)
-    elif strategy == "bc":
-        value, grad = loss_bc(pred, true)
-    elif strategy == "pde":
-        value, grad = loss_pde(pred, aux)
-    else:  # pragma: no cover - ModelSpec already vets the vocabulary
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return value, grad, n_clamped
+        return loss_en(pred, true, aux)
+    if strategy == "fr":
+        return loss_fr(pred, true, aux)
+    if strategy == "pde":
+        return loss_pde(pred, aux)
+    if strategy == "vol":
+        return (*loss_vol(pred, true), 0)
+    return (*loss_bc(pred, true), 0)
 
 
 def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None) -> TrainedModel:
@@ -212,18 +201,19 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
                 aux_b = _slice_aux(shuffled.aux, sl, n)
                 phys, d_phys, n_clamped = _physics_term(spec.strategy, out, yb, aux_b)
                 clamp_events += n_clamped
-                total = combine(data_term, phys, spec.lam, spec.strategy).combined
+                total = spec.lam * data_term + (1.0 - spec.lam) * phys
                 d_out = spec.lam * d_out + (1.0 - spec.lam) * d_phys
             else:
                 total = data_term
             if not np.isfinite(total):
                 diverged = True
                 break
-            d_w, d_b = backward(params, cache, d_out)
-            if not all(np.all(np.isfinite(g)) for g in (*d_w, *d_b)):
+            grad = backward(params, cache, d_out)
+            try:
+                adam_step(adam, params, grad)
+            except ValueError:  # non-finite gradient; adam_step updated nothing
                 diverged = True
                 break
-            params, adam = adam_step(adam, params, d_w, d_b)
             batch_losses.append(total)
         if diverged and not batch_losses:
             break
@@ -391,14 +381,29 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """Read a checkpoint written by :func:`save_model`.
+
+    Raises:
+        ValueError: naming the first missing or malformed field.
+    """
     payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != CHECKPOINT_VERSION:
+    if not isinstance(payload, dict) or payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint version")
-    return TrainedModel(
-        spec=ModelSpec(**payload["spec"]),
-        params=NetworkParams.from_dict(payload["network"]),
-        scaler=Scaler(mean=payload["scaler"]["mean"], std=payload["scaler"]["std"]),
-        grid=GridSpec(**payload["grid"]),
-        history=payload["history"],
-        diagnostics=payload["diagnostics"],
+    readers = (  # in TrainedModel's field order
+        ("spec", dict, lambda d: ModelSpec(**d)),
+        ("network", dict, NetworkParams.from_dict),
+        ("scaler", dict, lambda d: Scaler(mean=d["mean"], std=d["std"])),
+        ("grid", dict, lambda d: GridSpec(**d)),
+        ("history", list, lambda d: d),
+        ("diagnostics", dict, lambda d: d),
     )
+    fields = {}
+    for name, kind, read in readers:
+        value = payload.get(name)
+        if not isinstance(value, kind):
+            raise ValueError(f"checkpoint field {name!r} is missing or not a JSON {kind.__name__}")
+        try:
+            fields[name] = read(value)
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"malformed checkpoint field {name!r}: {exc}") from exc
+    return TrainedModel(*fields.values())

@@ -13,21 +13,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class NetworkParams:
-    """Layer sizes plus one (weights, bias) pair per affine layer."""
+    """Layer sizes plus every weight and bias in one flat float64 buffer.
+
+    The buffer holds W0, b0, W1, b1, ... in order, each weight matrix
+    row-major.  ``weights[i]`` (fan_in, fan_out) and ``biases[i]`` (fan_out,)
+    are views into it, so editing a view edits the buffer and whole-network
+    updates are single array operations on ``flat``.
+    """
 
     layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sizes = self.layer_sizes
+        size = _n_params(sizes)
+        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ValueError(f"expected a flat float64 buffer of {size} values")
+        self.weights, self.biases = [], []
+        start = 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            stop = start + fan_in * fan_out
+            self.weights.append(self.flat[start:stop].reshape(fan_in, fan_out))
+            self.biases.append(self.flat[stop : stop + fan_out])
+            start = stop + fan_out
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return NetworkParams(list(self.layer_sizes), self.flat.copy())
 
     def to_dict(self) -> dict:
         return {
@@ -39,24 +60,32 @@ class NetworkParams:
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkParams":
         sizes = [int(v) for v in d["layer_sizes"]]
-        weights = [
-            np.array(flat, dtype=float).reshape(sizes[i], sizes[i + 1])
-            for i, flat in enumerate(d["weights"])
-        ]
-        biases = [np.array(b, dtype=float) for b in d["biases"]]
-        return cls(sizes, weights, biases)
+        params = cls(sizes, np.zeros(_n_params(sizes)))
+        for key, views in (("weights", params.weights), ("biases", params.biases)):
+            if len(d[key]) != len(views):
+                raise ValueError(f"expected {len(views)} {key} arrays, got {len(d[key])}")
+            for layer, (view, values) in enumerate(zip(views, d[key])):
+                values = np.asarray(values, dtype=float)
+                if values.size != view.size:
+                    raise ValueError(f"{key}[{layer}] has {values.size} values, expected {view.size}")
+                view[...] = values.reshape(view.shape)
+        return params
+
+
+def _n_params(layer_sizes: list[int]) -> int:
+    """Weights plus biases of a dense network with these layer widths."""
+    if len(layer_sizes) < 2 or any(w < 1 for w in layer_sizes):
+        raise ValueError("layer_sizes needs >= 2 entries, all widths >= 1")
+    return sum(a * b + b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
 def init(layer_sizes: list[int], seed: int) -> NetworkParams:
     """He-scaled random weights (variance 2/fan_in), zero biases."""
-    if len(layer_sizes) < 2 or any(w < 1 for w in layer_sizes):
-        raise ValueError("layer_sizes needs >= 2 entries, all widths >= 1")
+    params = NetworkParams(list(layer_sizes), np.zeros(_n_params(layer_sizes)))
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(list(layer_sizes), weights, biases)
+    for w in params.weights:
+        w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), w.shape)
+    return params
 
 
 def forward(params: NetworkParams, inputs: np.ndarray):
@@ -86,7 +115,7 @@ def forward(params: NetworkParams, inputs: np.ndarray):
     return a, {"activations": activations, "pre_acts": pre_acts}
 
 
-def backward(params: NetworkParams, cache: dict, d_outputs: np.ndarray):
+def backward(params: NetworkParams, cache: dict, d_outputs: np.ndarray) -> np.ndarray:
     """Exact gradients of (loss composed with the network) w.r.t. parameters.
 
     Args:
@@ -95,21 +124,21 @@ def backward(params: NetworkParams, cache: dict, d_outputs: np.ndarray):
         d_outputs: dLoss/dOutputs, shape (batch, layer_sizes[-1]).
 
     Returns:
-        (d_weights, d_biases), lists shaped like params.weights / params.biases.
+        One flat gradient laid out like ``params.flat``;
+        ``NetworkParams(params.layer_sizes, grad)`` views it per layer.
     """
     delta = np.asarray(d_outputs, dtype=float)
     activations = cache["activations"]
     pre_acts = cache["pre_acts"]
     if delta.shape != pre_acts[-1].shape:
         raise ValueError("d_outputs shape does not match the cached forward pass")
-    d_weights = [np.empty(0)] * len(params.weights)
-    d_biases = [np.empty(0)] * len(params.biases)
+    grad = NetworkParams(params.layer_sizes, np.empty_like(params.flat))
     for layer in range(len(params.weights) - 1, -1, -1):
-        d_weights[layer] = activations[layer].T @ delta
-        d_biases[layer] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=grad.weights[layer])
+        np.sum(delta, axis=0, out=grad.biases[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer].T) * (pre_acts[layer - 1] > 0.0)
-    return d_weights, d_biases
+    return grad.flat
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -152,49 +181,32 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam accumulators mirroring a NetworkParams instance."""
+    """Adam moment estimates, flat like ``NetworkParams.flat``."""
 
     def __init__(self, params: NetworkParams, lr: float):
-        self.m_w = [np.zeros_like(w) for w in params.weights]
-        self.v_w = [np.zeros_like(w) for w in params.weights]
-        self.m_b = [np.zeros_like(b) for b in params.biases]
-        self.v_b = [np.zeros_like(b) for b in params.biases]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.step = 0
         self.lr = lr
 
 
-def adam_step(
-    state: AdamState,
-    params: NetworkParams,
-    d_weights: list[np.ndarray],
-    d_biases: list[np.ndarray],
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
-    """One in-place Adam update with bias correction.
+def adam_step(state: AdamState, params: NetworkParams, grad: np.ndarray) -> None:
+    """One in-place Adam update with bias correction on the flat buffer.
 
     Raises:
-        ValueError: on non-finite gradients, naming the offending layer.
+        ValueError: on a non-finite gradient, before anything is updated.
     """
-    for layer, g in enumerate(d_weights):
-        if not np.all(np.isfinite(g)) or not np.all(np.isfinite(d_biases[layer])):
-            raise ValueError(f"non-finite gradient in layer {layer}")
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradient")
     state.step += 1
     t = state.step
-    corr1 = 1.0 - beta1 ** t
-    corr2 = 1.0 - beta2 ** t
-    for pairs in (
-        zip(params.weights, d_weights, state.m_w, state.v_w),
-        zip(params.biases, d_biases, state.m_b, state.v_b),
-    ):
-        for value, grad, m, v in pairs:
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            value -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-    return params, state
+    corr1 = 1.0 - BETA1 ** t
+    corr2 = 1.0 - BETA2 ** t
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grad
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * grad * grad
+    params.flat -= state.lr * (state.m / corr1) / (np.sqrt(state.v / corr2) + EPS)
 
 
 class ReduceLROnPlateau:

@@ -41,6 +41,9 @@ class GridSpec:
             raise ValueError("dx must be positive and finite")
         if not (np.isfinite(self.length) and self.length >= self.dx):
             raise ValueError("length must be at least one station spacing")
+        steps = self.length / self.dx
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"length {self.length} is not a whole number of dx = {self.dx} steps")
 
     @property
     def n_points(self) -> int:

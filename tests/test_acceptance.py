@@ -224,7 +224,8 @@ def test_backward_matches_finite_differences_100_trials():
             continue  # a unit sits on the ReLU kink; finite differences
             # would straddle it, so this draw cannot be checked
         done += 1
-        d_w, d_b = backward(params, cache, c)
+        grad = NetworkParams(params.layer_sizes, backward(params, cache, c))
+        d_w, d_b = grad.weights, grad.biases
 
         def loss():
             return float(np.sum(forward(params, x)[0] * c))
@@ -267,24 +268,19 @@ def test_physics_loss_gradients_match_finite_differences_100_trials():
 def test_adam_first_step_identity():
     params = init([3, 4, 1], seed=11)
     before = params.copy()
-    rng = np.random.default_rng(1)
-    d_w = [rng.normal(0.0, 1.0, w.shape) for w in params.weights]
-    d_b = [rng.normal(0.0, 1.0, b.shape) for b in params.biases]
+    g = np.random.default_rng(1).normal(0.0, 1.0, params.flat.shape)
     state = AdamState(params, lr=0.01)
-    adam_step(state, params, d_w, d_b)
+    adam_step(state, params, g)
     # bias correction cancels on the first step: delta = -lr * g / (|g| + eps)
-    for old, new, g in zip(
-        before.weights + before.biases, params.weights + params.biases, d_w + d_b
-    ):
-        np.testing.assert_allclose(new, old - 0.01 * g / (np.abs(g) + 1e-8), rtol=1e-12)
+    np.testing.assert_allclose(params.flat, before.flat - 0.01 * g / (np.abs(g) + 1e-8), rtol=1e-12)
 
 
 def test_adam_converges_on_scalar_quadratic():
-    params = NetworkParams([1, 1], [np.array([[0.0]])], [np.array([0.0])])
+    params = NetworkParams([1, 1], np.array([0.0, 0.0]))
     state = AdamState(params, lr=0.1)
     for _ in range(200):
         w = params.weights[0][0, 0]
-        adam_step(state, params, [np.array([[2.0 * (w - 3.0)]])], [np.zeros(1)])
+        adam_step(state, params, np.array([2.0 * (w - 3.0), 0.0]))
     assert abs(params.weights[0][0, 0] - 3.0) < 0.05
 
 

@@ -191,6 +191,22 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv):
         main(["gen-data", "--config", str(bad_cfg), "--out", str(tmp_path / "z.csv")])
     assert exc.value.code == 2
 
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format_version": 1, "spec": {}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--model", str(model), "--dataset", str(dataset_csv),
+              "--out", str(tmp_path / "m.csv")])
+    assert exc.value.code == 2
+
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(dataset_csv.read_bytes())
+    manifest = json.loads(dataset_csv.with_suffix(".manifest.json").read_text())
+    del manifest["regimes"]
+    corpus.with_suffix(".manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exc:
+        main(["extrapolate", "--dataset", str(corpus), "--out", str(tmp_path / "ext.csv")])
+    assert exc.value.code == 2
+
 
 def test_report_with_no_records_errors(tmp_path):
     (tmp_path / "empty").mkdir()

@@ -310,6 +310,32 @@ def test_load_rejects_version_mismatch(tmp_path, small_ds):
         load(path)
 
 
+def saved_manifest(tmp_path, small_ds):
+    """Save the corpus; returns (csv path, manifest path, manifest dict)."""
+    path = tmp_path / "corpus.csv"
+    save(small_ds, path)
+    mpath = tmp_path / "corpus.manifest.json"
+    return path, mpath, json.loads(mpath.read_text())
+
+
+def test_load_names_a_missing_manifest_key(tmp_path, small_ds):
+    path, mpath, manifest = saved_manifest(tmp_path, small_ds)
+    for key in ("regimes", "jump_indices", "split", "csv_sha256"):
+        mpath.write_text(json.dumps({k: v for k, v in manifest.items() if k != key}))
+        with pytest.raises(ValueError, match=f"lacks '{key}'"):
+            load(path)
+
+
+def test_load_rejects_per_profile_lists_of_the_wrong_length(tmp_path, small_ds):
+    path, mpath, manifest = saved_manifest(tmp_path, small_ds)
+    rows = len(small_ds.profiles)
+    for key in ("regimes", "jump_indices", "split"):
+        for entries in (manifest[key][:-1], manifest[key] + manifest[key][:1]):
+            mpath.write_text(json.dumps({**manifest, key: entries}))
+            with pytest.raises(ValueError, match=rf"'{key}' needs one entry per CSV row \({rows}\)"):
+                load(path)
+
+
 def test_csv_header_contract(tmp_path, small_ds):
     path = tmp_path / "corpus.csv"
     save(small_ds, path)

@@ -1,4 +1,4 @@
-"""Tests for the physics loss terms, their gradients, and λ-composition."""
+"""Tests for the physics loss terms and their gradients."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from backwater.hydraulics import (
 from backwater.losses import (
     MIN_DEPTH,
     clamp_depths,
-    combine,
     depth_floor,
     loss_bc,
     loss_en,
@@ -65,7 +64,7 @@ def random_profile_batch(seed, batch=3, n_pts=7):
 
 
 def check_gradient(loss_fn, pred, tol=1e-5):
-    value, grad = loss_fn(pred)
+    value, grad = loss_fn(pred)[:2]
     flat = pred.ravel()
     for k in range(flat.size):
         # Relative step keeps the central difference out of roundoff noise.
@@ -81,59 +80,23 @@ def check_gradient(loss_fn, pred, tol=1e-5):
 
 
 # ---------------------------------------------------------------- #
-#  λ-composition
-# ---------------------------------------------------------------- #
-
-
-def test_combine_identities():
-    assert combine(2.0, 4.0, 1.0, "en").combined == 2.0
-    assert combine(2.0, 4.0, 0.0, "en").combined == 4.0
-    assert combine(2.0, 4.0, 0.5, "en").combined == 3.0
-
-
-def test_combine_dd_forces_pure_data_term():
-    out = combine(2.0, 123.0, 0.3, "dd")
-    assert out.physics_term == 0.0
-    assert out.lam == 1.0
-    assert out.combined == 2.0
-
-
-def test_combine_validation():
-    with pytest.raises(ValueError):
-        combine(1.0, 1.0, 1.5, "en")
-    with pytest.raises(ValueError):
-        combine(1.0, 1.0, -0.1, "en")
-    with pytest.raises(ValueError):
-        combine(1.0, 1.0, 0.5, "energy")
-
-
-def test_combine_is_linear_in_both_terms():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        d1, d2, p1, p2 = rng.uniform(0.0, 5.0, 4)
-        lam = rng.uniform(0.0, 1.0)
-        a = combine(d1 + d2, p1 + p2, lam, "fr").combined
-        b = combine(d1, p1, lam, "fr").combined + combine(d2, p2, lam, "fr").combined
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-# ---------------------------------------------------------------- #
 #  Energy and Froude terms
 # ---------------------------------------------------------------- #
 
 
 def test_loss_en_zero_at_exact_prediction():
     pred, true, aux = random_pointwise_batch(0)
-    value, grad = loss_en(true, true, aux)
+    value, grad, n_clamped = loss_en(true, true, aux)
     assert value == 0.0
     assert np.all(grad == 0.0)
+    assert n_clamped == 0
 
 
 def test_loss_en_reduces_to_mse_for_still_water():
     pred, true, aux = random_pointwise_batch(2)
     aux = dict(aux)
     aux["Q"] = np.zeros_like(aux["Q"])
-    value, grad = loss_en(pred, true, aux)
+    value, grad, _ = loss_en(pred, true, aux)
     assert value == pytest.approx(mse(pred, true), rel=1e-12)
     np.testing.assert_allclose(grad, dmse_dpred(pred, true), atol=1e-15)
 
@@ -147,7 +110,7 @@ def test_loss_en_gradient_pointwise_and_profile():
 
 def test_loss_fr_zero_at_exact_prediction():
     pred, true, aux = random_pointwise_batch(5)
-    value, _ = loss_fr(true, true, aux)
+    value = loss_fr(true, true, aux)[0]
     assert value == 0.0
 
 
@@ -161,8 +124,8 @@ def test_loss_fr_gradient_pointwise_and_profile():
 def test_loss_fr_not_scale_invariant():
     # Fr ~ h^(-3/2): scaling both depth sets by one factor changes the loss.
     pred, true, aux = random_pointwise_batch(8)
-    base, _ = loss_fr(pred, true, aux)
-    scaled, _ = loss_fr(2.0 * pred, 2.0 * true, aux)
+    base = loss_fr(pred, true, aux)[0]
+    scaled = loss_fr(2.0 * pred, 2.0 * true, aux)[0]
     assert base > 0.0
     assert scaled != pytest.approx(base, rel=1e-6)
 
@@ -197,15 +160,6 @@ def test_loss_vol_gradient_sign():
     np.testing.assert_allclose(grad[1], -0.5, atol=1e-15)
 
 
-def test_loss_vol_signed_study_form():
-    rng = np.random.default_rng(11)
-    true = rng.uniform(0.5, 5.0, (3, 11))
-    pred = true + 0.1
-    value, grad = loss_vol(pred, true, signed=True)
-    assert value == pytest.approx(float(np.mean(true.sum(axis=1) - pred.sum(axis=1))), rel=1e-12)
-    np.testing.assert_allclose(grad, -1.0 / 3.0, atol=1e-15)
-
-
 def test_loss_bc_identities_and_gradient_support():
     rng = np.random.default_rng(12)
     true = rng.uniform(0.5, 5.0, (2, 9))
@@ -229,7 +183,7 @@ def test_loss_pde_matches_independent_residual_on_solver_profile():
     grid = GridSpec(dx=10.0, length=1000.0)
     depths = solve_profile(scen, grid).depths[None, :]
     aux = {"Q": [scen.Q], "b": [scen.b], "n": [scen.n], "s": [scen.s], "dx": grid.dx}
-    value, _ = loss_pde(depths, aux)
+    value = loss_pde(depths, aux)[0]
 
     # Independent central difference of the solver's own energy series.
     E = specific_energy(depths[0], scen.Q, scen.b)
@@ -245,26 +199,13 @@ def test_loss_pde_zero_on_uniform_flow():
     h_n = normal_depth(scen)
     profile = np.full((1, 51), h_n)
     aux = {"Q": [scen.Q], "b": [scen.b], "n": [scen.n], "s": [scen.s], "dx": 10.0}
-    value, _ = loss_pde(profile, aux)
+    value = loss_pde(profile, aux)[0]
     assert value <= 1e-10
 
 
 def test_loss_pde_gradient():
     pred, _, aux = random_profile_batch(13)
     check_gradient(lambda p: loss_pde(p, aux), pred)
-
-
-def test_loss_pde_literal_study_form():
-    pred, _, aux = random_profile_batch(14)
-    value, grad = loss_pde(pred, aux, squared=False)
-    q = aux["Q"][:, None]
-    b = aux["b"][:, None]
-    n = aux["n"][:, None]
-    E = specific_energy(pred, q, b)
-    J = friction_slope(pred, q, b, n)
-    r = (E[:, 2:] - E[:, :-2]) / (2.0 * aux["dx"]) + aux["s"][:, None] - J[:, 1:-1]
-    assert value == pytest.approx(float(np.mean(r.sum(axis=1))), rel=1e-12)
-    check_gradient(lambda p: loss_pde(p, aux, squared=False), pred)
 
 
 def test_loss_pde_needs_interior_stations():
@@ -311,10 +252,12 @@ def test_losses_treat_clamped_depths_as_the_floor():
     floored[3] = floor[3]
     others = np.arange(pred.size) != 3
     for fn in (lambda p: loss_en(p, true, aux), lambda p: loss_fr(p, true, aux)):
-        v_bad, g_bad = fn(bad)
-        v_floor, g_floor = fn(floored)
+        v_bad, g_bad, n_bad = fn(bad)
+        v_floor, g_floor, n_floor = fn(floored)
         # The loss value is evaluated at the floor ...
         assert v_bad == v_floor
+        # ... the one entry under it is counted as clamped ...
+        assert (n_bad, n_floor) == (1, 0)
         # ... but below the floor the clamped loss is flat, so its true
         # gradient is zero; a finite difference there agrees.
         assert g_bad[3] == 0.0

@@ -324,3 +324,24 @@ def test_checkpoint_version_guard(tmp_path, sp_model):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="version"):
         load_model(path)
+
+
+def test_load_model_names_the_bad_field(tmp_path, sp_model):
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(sp_model, path)
+    good = json.loads(path.read_text())
+    network = dict(good["network"], weights=good["network"]["weights"][:-1])
+    cases = (
+        ({"format_version": 1, "spec": {}}, "malformed checkpoint field 'spec'"),
+        ({k: v for k, v in good.items() if k != "grid"}, "'grid' is missing"),
+        ({**good, "network": network}, "field 'network': expected 4 weights arrays, got 3"),
+        ({**good, "scaler": {"mean": {}}}, "malformed checkpoint field 'scaler'"),
+        ({**good, "grid": {"dx": 10.0, "length": 305.0}}, "malformed checkpoint field 'grid'"),
+        ({**good, "history": {}}, "'history' is missing or not a JSON list"),
+    )
+    for payload, message in cases:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)

@@ -42,6 +42,11 @@ def test_grid_point_count_and_stations():
         GridSpec(dx=0.0, length=100.0)
     with pytest.raises(ValueError):
         GridSpec(dx=10.0, length=5.0)
+    # a length between stations would stop short of, or run past, the channel
+    for length in (105.0, 115.0):
+        with pytest.raises(ValueError, match="whole number"):
+            GridSpec(dx=10.0, length=length)
+    assert GridSpec(0.1, 1000.0).n_points == 10001
 
 
 # ---------------------------------------------------------------- #
