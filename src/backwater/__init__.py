@@ -137,6 +137,7 @@ from .solver import (
     WaterProfile,
     classify_regime,
     solve_profile,
+    solve_profiles,
     step_upstream,
 )
 
@@ -164,6 +165,7 @@ __all__ = [
     "WaterProfile",
     "classify_regime",
     "solve_profile",
+    "solve_profiles",
     "step_upstream",
     # data
     "DESK_GRID",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .hydraulics import ChannelScenario, ConvergenceError, InsufficientEnergyError
-from .solver import GridSpec, WaterProfile, solve_profile
+from .solver import GridSpec, WaterProfile, solve_profiles
 
 FORMAT_VERSION = 1
 PARAM_NAMES = ("s", "b", "n", "zd", "Q")
@@ -179,7 +179,7 @@ def split_sizes(n: int) -> tuple[int, int, int]:
 
 
 def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDataset:
-    """Solve the full scenario grid, split it, and fit the scaler.
+    """Solve the full scenario grid in one batched march, split it, and fit the scaler.
 
     Scenarios whose subcritical march fails are rejected and logged in the
     manifest; more than 10% rejections means the ranges are poorly chosen
@@ -187,10 +187,11 @@ def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDatas
     """
     profiles: list[WaterProfile] = []
     rejected: list[dict] = []
-    for scen in ranges.scenarios():
-        try:
-            profiles.append(solve_profile(scen, grid))
-        except (InsufficientEnergyError, ConvergenceError) as err:
+    scenarios = list(ranges.scenarios())
+    for scen, outcome in zip(scenarios, solve_profiles(scenarios, grid)):
+        if isinstance(outcome, WaterProfile):
+            profiles.append(outcome)
+        elif isinstance(outcome, (InsufficientEnergyError, ConvergenceError)):
             rejected.append(
                 {
                     "s": scen.s,
@@ -198,9 +199,11 @@ def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDatas
                     "n": scen.n,
                     "zd": scen.z_d,
                     "Q": scen.Q,
-                    "reason": str(err),
+                    "reason": str(outcome),
                 }
             )
+        else:
+            raise outcome
     total = ranges.n_combinations
     if len(rejected) > 0.10 * total:
         raise ValueError(

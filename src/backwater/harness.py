@@ -36,7 +36,7 @@ from .metrics import (
 )
 from .models import ModelSpec, train
 from .network import TrainConfig
-from .solver import GridSpec, solve_profile
+from .solver import GridSpec, WaterProfile, solve_profiles
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (1.0, 0.5, 0.25, 0.1, 0.05)
@@ -188,31 +188,31 @@ def _draw_scenario(rng, ranges: ParameterRanges) -> ChannelScenario:
 def make_extrapolation_set(ranges: ParameterRanges, grid: GridSpec, count: int, seed: int):
     """Solve `count` scenarios that step 10% outside the training ranges.
 
-    Scenarios the solver rejects are redrawn; sustained rejection above 25%
-    means the ranges hug an infeasible corner and is a configuration error.
+    All draws are solved in one batched march.  Scenarios the solver rejects
+    are redrawn; sustained rejection above 25% means the ranges hug an
+    infeasible corner and is a configuration error.
     """
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
     max_attempts = max(40, math.ceil(count / 0.75) + 10)
+    # the draws do not depend on solve outcomes, so drawing every attempt up
+    # front and keeping the first `count` successes is the draw-one, solve-one loop
+    scenarios = [_draw_scenario(rng, ranges) for _ in range(max_attempts)]
     profiles = []
     attempts = 0
-    while len(profiles) < count:
-        if attempts >= max_attempts:
-            raise ValueError(
-                f"extrapolation sampling rejected too often "
-                f"({attempts - len(profiles)}/{attempts} draws failed, >25%)"
-            )
-        scen = _draw_scenario(rng, ranges)
+    for outcome in solve_profiles(scenarios, grid):
+        if len(profiles) == count:
+            break
         attempts += 1
-        try:
-            profiles.append(solve_profile(scen, grid))
-        except (InsufficientEnergyError, ConvergenceError):
-            continue
-    if (attempts - count) > 0.25 * attempts:
+        if isinstance(outcome, WaterProfile):
+            profiles.append(outcome)
+        elif not isinstance(outcome, (InsufficientEnergyError, ConvergenceError)):
+            raise outcome
+    if len(profiles) < count or (attempts - count) > 0.25 * attempts:
         raise ValueError(
             f"extrapolation sampling rejected too often "
-            f"({attempts - count}/{attempts} draws failed, >25%)"
+            f"({attempts - len(profiles)}/{attempts} draws failed, >25%)"
         )
     return profiles
 
@@ -401,6 +401,19 @@ def replay(record: RunRecord, ds: ProfileDataset) -> RunRecord:
 # ---------------------------------------------------------------------- #
 
 HISTORY_HEADER = ("epoch", "train_loss", "val_loss", "lr")
+#: RunRecord fields stored in a run directory's manifest.json
+MANIFEST_KEYS = (
+    "arch",
+    "strategy",
+    "lam",
+    "width",
+    "axis",
+    "axis_value",
+    "seed",
+    "dataset_checksum",
+    "config",
+    "wall_time",
+)
 
 
 def record_dir_name(record: RunRecord) -> str:
@@ -414,18 +427,7 @@ def record_dir_name(record: RunRecord) -> str:
 def save_record(record: RunRecord, run_dir) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "arch": record.arch,
-        "strategy": record.strategy,
-        "lam": record.lam,
-        "width": record.width,
-        "axis": record.axis,
-        "axis_value": record.axis_value,
-        "seed": record.seed,
-        "dataset_checksum": record.dataset_checksum,
-        "config": record.config,
-        "wall_time": record.wall_time,
-    }
+    manifest = {key: getattr(record, key) for key in MANIFEST_KEYS}
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     with open(run_dir / "history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -437,8 +439,22 @@ def save_record(record: RunRecord, run_dir) -> None:
 
 
 def load_record(run_dir) -> RunRecord:
+    """Read a run directory written by :func:`save_record`.
+
+    A manifest that is not an object of exactly :data:`MANIFEST_KEYS` raises
+    a ``ValueError`` naming the missing or unexpected keys.
+    """
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"run manifest {path} is not a JSON object")
+    missing = [k for k in MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise ValueError(f"run manifest {path} lacks {', '.join(map(repr, missing))}")
+    unexpected = sorted(set(manifest) - set(MANIFEST_KEYS))
+    if unexpected:
+        raise ValueError(f"run manifest {path} has unexpected {', '.join(map(repr, unexpected))}")
     history = []
     with open(run_dir / "history.csv", newline="") as fh:
         reader = csv.reader(fh)

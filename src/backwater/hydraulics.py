@@ -4,7 +4,11 @@ All quantities are SI: depths and widths in metres, discharge in m^3/s,
 slopes dimensionless, Manning coefficient in s/m^(1/3).  Point relations
 (specific energy, friction slope, Froude number, momentum function and
 their depth derivatives) accept scalars or numpy arrays; the root-finding
-routines (normal depth, depth from energy) are scalar.
+routines here (normal depth, depth from energy) take one scenario at a time.
+:func:`backwater.solver.solve_profiles` carries array versions of them, of
+the weir depth and of the jump test for its batched march; those round
+exactly like the scalar routines because every fractional or cubic power
+goes through libm's ``pow``, as a Python float's ``**`` does.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ physics term is picked by the strategy tag.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -196,6 +197,10 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
             yb = shuffled.targets[sl]
             out, cache = forward(params, xb)
             data_term = mse(out, yb)
+            # a non-finite prediction would fail the physics terms' depth checks
+            if not math.isfinite(data_term):
+                diverged = True
+                break
             d_out = dmse_dpred(out, yb)
             if use_physics:
                 aux_b = _slice_aux(shuffled.aux, sl, n)

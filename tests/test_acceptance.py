@@ -12,12 +12,20 @@ physics-aware models.
 """
 
 import time
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from backwater.data import DESK_GRID, ParameterRanges, desk_ranges, generate
+from backwater.data import (
+    DESK_GRID,
+    FULL_GRID,
+    ParameterRanges,
+    desk_ranges,
+    full_ranges,
+    generate,
+)
 from backwater.harness import (
     PlanCell,
     aggregate,
@@ -97,37 +105,65 @@ def test_conjugate_depth_is_an_involution_over_1000_cases():
     assert np.max(np.abs(back - h) / h) <= 1e-9
 
 
+def jump_placement(p) -> str:
+    """Assert the momentum bracket of a mixed profile's jump; say how it sits.
+
+    Returns "forced" when the subcritical branch ends inside the jump's
+    interval, "dam_face" for a jump one station above the dam, and
+    "bracketed" otherwise.
+    """
+    scen, j = p.scenario, p.jump_index
+    h_n = p.depths[-1]
+    m_n = momentum_function(h_n, scen.Q, scen.b)
+    assert froude(h_n, scen.Q, scen.b) > 1.0
+    if j >= 2:
+        # one station below the jump the backwater still holds more
+        # momentum than the uniform inflow, so the jump cannot sit lower
+        m_below = momentum_function(p.depths[j - 1], scen.Q, scen.b)
+        assert m_below >= m_n * (1.0 - 1e-12)
+    try:
+        h_sub = step_upstream(p.depths[j - 1], scen, p.grid.dx)
+    except InsufficientEnergyError:
+        # the subcritical branch ends inside this interval: the jump had
+        # to be placed here, which is the balance check for this class
+        return "forced"
+    m_at = momentum_function(h_sub, scen.Q, scen.b)
+    assert m_at <= m_n * (1.0 + 1e-12)
+    return "dam_face" if j == 1 else "bracketed"
+
+
 def test_jump_momentum_balance_within_one_station(wide_corpus):
     started = time.perf_counter()
-    bracketed = dam_face = forced = 0
-    for p in wide_corpus.profiles:
-        if p.regime != MIXED:
-            continue
-        scen, j = p.scenario, p.jump_index
-        h_n = p.depths[-1]
-        m_n = momentum_function(h_n, scen.Q, scen.b)
-        assert froude(h_n, scen.Q, scen.b) > 1.0
-        if j >= 2:
-            # one station below the jump the backwater still holds more
-            # momentum than the uniform inflow, so the jump cannot sit lower
-            m_below = momentum_function(p.depths[j - 1], scen.Q, scen.b)
-            assert m_below >= m_n * (1.0 - 1e-12)
-        try:
-            h_sub = step_upstream(p.depths[j - 1], scen, p.grid.dx)
-        except InsufficientEnergyError:
-            # the subcritical branch ends inside this interval: the jump had
-            # to be placed here, which is the balance check for this class
-            forced += 1
-            continue
-        m_at = momentum_function(h_sub, scen.Q, scen.b)
-        assert m_at <= m_n * (1.0 + 1e-12)
-        if j == 1:
-            dam_face += 1
-        else:
-            bracketed += 1
-    assert bracketed > 0 and forced > 0
-    assert bracketed + dam_face + forced >= 100
+    placements = Counter(jump_placement(p) for p in wide_corpus.profiles if p.regime == MIXED)
+    assert placements["bracketed"] > 0 and placements["forced"] > 0
+    assert sum(placements.values()) >= 100
     assert time.perf_counter() - started < 60.0
+
+
+def test_full_box_rejections_energy_balance_and_jumps():
+    ds = generate(full_ranges(), FULL_GRID, seed=0)
+    counts = ds.manifest["counts"]
+    assert counts["grid"] == 10_290
+    assert len(ds.manifest["rejected"]) < 0.10 * counts["grid"]
+
+    worst = 0.0
+    pairs = 0
+    placements = Counter()
+    for p in ds.profiles:
+        scen, dx = p.scenario, p.grid.dx
+        marched = p.depths[: p.jump_index] if p.regime == MIXED else p.depths
+        e = specific_energy(marched, scen.Q, scen.b)
+        j = friction_slope(marched, scen.Q, scen.b, scen.n)
+        resid = np.abs(e[1:] - e[:-1] - dx * (j[:-1] - scen.s))
+        if resid.size:
+            worst = max(worst, float(resid.max()))
+            pairs += resid.size
+        if p.regime == MIXED:
+            placements[jump_placement(p)] += 1
+    assert worst <= 1e-12
+    assert pairs > 1_000_000
+    assert placements["bracketed"] > 0 and placements["forced"] > 0
+    assert sum(placements.values()) > 1000
 
 
 def test_energy_balance_residual_on_subcritical_pairs(wide_corpus):

@@ -207,6 +207,16 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv):
         main(["extrapolate", "--dataset", str(corpus), "--out", str(tmp_path / "ext.csv")])
     assert exc.value.code == 2
 
+    runs = tmp_path / "runs"
+    main(train_args(dataset_csv, runs))
+    run_manifest = next(runs.iterdir()) / "manifest.json"
+    stored = json.loads(run_manifest.read_text())
+    for broken in ({k: v for k, v in stored.items() if k != "seed"}, dict(stored, extra=1)):
+        run_manifest.write_text(json.dumps(broken))
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+
 
 def test_report_with_no_records_errors(tmp_path):
     (tmp_path / "empty").mkdir()

@@ -1,11 +1,14 @@
 """Tests for experiment plans, run records, extrapolation sets, and reports."""
 
+import math
+
 import numpy as np
 import pytest
 
-from backwater.data import ParameterRanges, generate
+from backwater.data import DESK_GRID, ParameterRanges, desk_ranges, generate
 from backwater.harness import (
     ExperimentPlan,
+    _draw_scenario,
     PlanCell,
     aggregate,
     discover_records,
@@ -19,8 +22,9 @@ from backwater.harness import (
     save_record,
     write_report,
 )
+from backwater.hydraulics import ConvergenceError, InsufficientEnergyError
 from backwater.network import TrainConfig
-from backwater.solver import GridSpec
+from backwater.solver import GridSpec, solve_profile
 
 RANGES = ParameterRanges(
     s=(1e-3, 5e-3, 3),
@@ -30,6 +34,10 @@ RANGES = ParameterRanges(
     Q=(30.0, 120.0, 2),
 )
 GRID = GridSpec(dx=10.0, length=300.0)
+#: both regimes, jumps, and a few scenarios the march rejects
+WIDE_RANGES = ParameterRanges(
+    s=(5e-4, 2e-2, 5), b=(5.0, 50.0, 5), n=(0.01, 0.05, 5), zd=(1.0, 5.0, 2), Q=(100.0, 300.0, 2)
+)
 FAST = TrainConfig(max_epochs=4, batch_size=64)
 
 
@@ -126,6 +134,66 @@ def test_extrapolation_set_rejection_gate():
     )
     with pytest.raises(ValueError, match="rejected"):
         make_extrapolation_set(bad, GridSpec(10.0, 600.0), count=40, seed=0)
+
+
+def draw_one_solve_one(ranges, grid, count, seed):
+    """Reference extrapolation set: draw a scenario, solve it, repeat."""
+    rng = np.random.default_rng(seed)
+    max_attempts = max(40, math.ceil(count / 0.75) + 10)
+    profiles = []
+    attempts = 0
+    while len(profiles) < count:
+        if attempts >= max_attempts:
+            raise ValueError(
+                f"extrapolation sampling rejected too often "
+                f"({attempts - len(profiles)}/{attempts} draws failed, >25%)"
+            )
+        scen = _draw_scenario(rng, ranges)
+        attempts += 1
+        try:
+            profiles.append(solve_profile(scen, grid))
+        except (InsufficientEnergyError, ConvergenceError):
+            continue
+    if (attempts - count) > 0.25 * attempts:
+        raise ValueError(
+            f"extrapolation sampling rejected too often "
+            f"({attempts - count}/{attempts} draws failed, >25%)"
+        )
+    return profiles
+
+
+@pytest.mark.parametrize("ranges,seed", [(desk_ranges(), 7919), (WIDE_RANGES, 11)], ids=["desk", "wide"])
+def test_extrapolation_set_matches_draw_one_solve_one(ranges, seed):
+    batched = make_extrapolation_set(ranges, DESK_GRID, count=75, seed=seed)
+    reference = draw_one_solve_one(ranges, DESK_GRID, count=75, seed=seed)
+    assert len(batched) == len(reference) == 75
+    for got, want in zip(batched, reference):
+        assert got.scenario == want.scenario
+        assert np.array_equal(got.depths, want.depths)
+        assert (got.regime, got.jump_index) == (want.regime, want.jump_index)
+
+
+@pytest.mark.parametrize(
+    "s_range,seed,message",
+    [
+        # successes run out before the attempt budget does
+        ((0.015, 0.0153, 2), 0, r"\(38/50 draws failed"),
+        # enough successes, but more than a quarter of the draws failed
+        ((0.013, 0.01326, 2), 2, r"\(12/42 draws failed"),
+    ],
+    ids=["exhausted", "over_quarter"],
+)
+def test_extrapolation_rejection_errors_match_draw_one_solve_one(s_range, seed, message):
+    # near-critical corner: h_n just above h_c, so many subcritical marches
+    # step across the critical energy
+    corner = ParameterRanges(
+        s=s_range, b=(16.0, 50.0, 2), n=(0.039, 0.041, 2), zd=(1.0, 5.0, 2), Q=(95.0, 105.0, 2)
+    )
+    with pytest.raises(ValueError, match=message) as want:
+        draw_one_solve_one(corner, DESK_GRID, count=30, seed=seed)
+    with pytest.raises(ValueError, match=message) as got:
+        make_extrapolation_set(corner, DESK_GRID, count=30, seed=seed)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------- #

@@ -285,6 +285,17 @@ def test_train_aborts_on_divergence(small_ds):
     assert np.all(np.isfinite(profile))
 
 
+@pytest.mark.parametrize("arch,strategy", [("sp", "en"), ("int", "fr"), ("vts", "pde")])
+def test_physics_runs_diverge_without_raising(small_ds, arch, strategy):
+    # a non-finite prediction ends the run before the physics terms' depth checks
+    spec = ModelSpec(arch, strategy=strategy, lam=0.5, width=8)
+    config = TrainConfig(initial_lr=1e80, max_epochs=50, batch_size=64, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = train(spec, small_ds, config)
+    assert model.diagnostics["diverged"] is True
+    assert model.diagnostics["epochs_run"] < 50
+
+
 def test_best_weights_reproduce_best_val_loss(small_ds):
     from backwater.data import view_sp as _view
     from backwater.network import forward, mse

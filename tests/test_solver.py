@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
+from backwater.data import (
+    DESK_GRID,
+    FULL_GRID,
+    ParameterRanges,
+    ProfileDataset,
+    assign_splits,
+    desk_ranges,
+    fit_scaler,
+    full_ranges,
+    generate,
+)
 from backwater.hydraulics import (
     ChannelScenario,
+    ConvergenceError,
     InsufficientEnergyError,
     conjugate_depth,
     critical_depth,
@@ -20,12 +32,24 @@ from backwater.solver import (
     WaterProfile,
     classify_regime,
     solve_profile,
+    solve_profiles,
     step_upstream,
 )
 
 MILD = ChannelScenario(s=1e-3, b=10.0, n=0.02, z_d=3.0, Q=44.29)
 STEEP = ChannelScenario(s=0.02, b=5.0, n=0.01, z_d=1.0, Q=10.0)
 GRID = GridSpec(dx=10.0, length=1000.0)
+#: The benchmark's wide box: both regimes, jumps, and scenarios whose
+#: subcritical march runs out of energy.
+WIDE_RANGES = ParameterRanges.from_dict(
+    {
+        "s": (5e-4, 2e-2, 5),
+        "b": (5.0, 50.0, 5),
+        "n": (0.01, 0.05, 5),
+        "zd": (1.0, 5.0, 2),
+        "Q": (100.0, 300.0, 2),
+    }
+)
 
 
 # ---------------------------------------------------------------- #
@@ -191,3 +215,101 @@ def test_water_profile_validation():
         WaterProfile(MILD, GRID, np.ones(7))
     with pytest.raises(ValueError):
         WaterProfile(MILD, GRID, np.ones(GRID.n_points), regime="mixed")
+
+
+# ---------------------------------------------------------------- #
+#  Batched march against the scalar one
+# ---------------------------------------------------------------- #
+
+
+def scalar_outcomes(scenarios, grid):
+    """What solve_profile returns or raises, scenario by scenario."""
+    outcomes = []
+    for scen in scenarios:
+        try:
+            outcomes.append(solve_profile(scen, grid))
+        except (InsufficientEnergyError, ConvergenceError, ValueError) as err:
+            outcomes.append(err)
+    return outcomes
+
+
+def assert_same_outcomes(batched, reference):
+    assert len(batched) == len(reference)
+    for got, want in zip(batched, reference):
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+        else:
+            assert isinstance(got, WaterProfile)
+            assert got.scenario == want.scenario and got.grid == want.grid
+            assert np.array_equal(got.depths, want.depths)
+            assert got.regime == want.regime
+            assert got.jump_index == want.jump_index
+
+
+@pytest.fixture(scope="module")
+def wide_reference():
+    scenarios = list(WIDE_RANGES.scenarios())
+    return scenarios, scalar_outcomes(scenarios, DESK_GRID)
+
+
+def test_batched_march_is_bitwise_the_scalar_march_on_the_desk_box():
+    scenarios = list(desk_ranges().scenarios())[::2]
+    assert_same_outcomes(
+        solve_profiles(scenarios, DESK_GRID), scalar_outcomes(scenarios, DESK_GRID)
+    )
+
+
+def test_batched_march_is_bitwise_the_scalar_march_on_the_wide_box(wide_reference):
+    scenarios, reference = wide_reference
+    kinds = {o.regime if isinstance(o, WaterProfile) else type(o) for o in reference}
+    assert kinds == {"subcritical", "mixed", InsufficientEnergyError}
+    assert_same_outcomes(solve_profiles(scenarios, DESK_GRID), reference)
+
+
+def test_batched_march_is_bitwise_the_scalar_march_on_the_full_box():
+    scenarios = list(full_ranges().scenarios())[::97]
+    assert_same_outcomes(
+        solve_profiles(scenarios, FULL_GRID), scalar_outcomes(scenarios, FULL_GRID)
+    )
+
+
+def test_batched_march_reports_failures_per_scenario():
+    # J(1e4 m) still exceeds this slope: no normal depth inside the bracket
+    flat = ChannelScenario(s=1e-12, b=1.0, n=0.05, z_d=1.0, Q=300.0)
+    scenarios = [MILD, flat, STEEP]
+    assert_same_outcomes(solve_profiles(scenarios, GRID), scalar_outcomes(scenarios, GRID))
+    # a 1 km step drives the steep channel's energy below zero (a ValueError)
+    coarse = GridSpec(dx=1000.0, length=5000.0)
+    reference = scalar_outcomes(scenarios, coarse)
+    assert [type(o) for o in reference] == [WaterProfile, ConvergenceError, ValueError]
+    assert_same_outcomes(solve_profiles(scenarios, coarse), reference)
+    assert solve_profiles([], GRID) == []
+
+
+def test_generate_matches_the_per_scenario_loop(wide_reference):
+    scenarios, reference = wide_reference
+    profiles, rejected = [], []
+    for scen, outcome in zip(scenarios, reference):
+        if isinstance(outcome, WaterProfile):
+            profiles.append(outcome)
+        else:
+            rejected.append(
+                {"s": scen.s, "b": scen.b, "n": scen.n, "zd": scen.z_d, "Q": scen.Q,
+                 "reason": str(outcome)}
+            )
+    split = assign_splits(len(profiles), 3)
+    train = [p for p, tag in zip(profiles, split) if tag == "train"]
+    expected = ProfileDataset(profiles, split, fit_scaler(train), DESK_GRID, {})
+
+    ds = generate(WIDE_RANGES, DESK_GRID, seed=3)
+    assert ds.content_hash() == expected.content_hash()
+    assert ds.manifest["rejected"] == rejected
+    assert ds.manifest["counts"] == {
+        "grid": len(scenarios),
+        "retained": len(profiles),
+        "train": len(train),
+        "val": split.count("val"),
+        "test": split.count("test"),
+    }
+    assert ds.scaler == expected.scaler
