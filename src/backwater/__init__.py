@@ -111,10 +111,8 @@ from .models import (
     ModelSpec,
     TrainedModel,
     load_model,
+    predict,
     reconstruct,
-    reconstruct_int,
-    reconstruct_sp,
-    reconstruct_vts,
     save_model,
     train,
 )
@@ -215,10 +213,8 @@ __all__ = [
     "ModelSpec",
     "TrainedModel",
     "load_model",
+    "predict",
     "reconstruct",
-    "reconstruct_int",
-    "reconstruct_sp",
-    "reconstruct_vts",
     "save_model",
     "train",
     # metrics

@@ -34,7 +34,7 @@ from .metrics import (
     read_metrics_csv,
     write_metrics_csv,
 )
-from .models import ModelSpec, train
+from .models import ModelSpec, predict, train
 from .network import TrainConfig
 from .solver import GridSpec, WaterProfile, solve_profiles
 
@@ -293,28 +293,27 @@ def run_one(
     if model_sink is not None:
         model_sink.append(model)
 
+    splits = [(s, ds_run.profiles_in(s), ds_run.indices(s)) for s in ("val", "test")]
+    if ext_profiles is not None:
+        splits.append(("extrapolation", ext_profiles, None))
     all_records: list[ProfileMetrics] = []
     summaries: dict = {}
-    for split in ("val", "test"):
-        out = evaluate_set(
-            model, ds_run.profiles_in(split), ids=ds_run.indices(split), split=split
-        )
+    for split, profiles, ids in splits:
+        counters: dict = {}
+        pred = predict(model, [prof.scenario for prof in profiles], counters=counters)
+        out = evaluate_set(pred, profiles, ids=ids, split=split)
         all_records.extend(out.records)
         summaries[split] = {
             "nmae": out.nmae_summary.to_dict(),
             "nnse": out.nnse_summary.to_dict(),
             "excluded": out.excluded,
         }
-    if ext_profiles is not None:
-        out = evaluate_set(model, ext_profiles, split="extrapolation")
-        all_records.extend(out.records)
-        summaries["extrapolation"] = {
-            "nmae": out.nmae_summary.to_dict(),
-            "nnse": out.nnse_summary.to_dict(),
-            "excluded": out.excluded,
-        }
+        if spec.arch == "int":
+            summaries[split]["clamped"] = counters.get("clamped", 0)
+            summaries[split]["capped"] = counters.get("capped", 0)
+            if split == "test":
+                curve = per_station_mae(pred, profiles)
     if spec.arch == "int":
-        curve = per_station_mae(model, ds_run.profiles_in("test"))
         summaries["station_mae"] = [float(v) for v in curve]
     summaries["diagnostics"] = model.diagnostics
 

@@ -181,19 +181,24 @@ def depth_from_energy(E, Q, b, branch="subcritical", h0=None):
         The depth h with specific_energy(h, Q, b) == E on the requested branch.
 
     Raises:
-        InsufficientEnergyError: if E falls below the critical energy 1.5 h_c.
-        ValueError: on invalid arguments.
+        InsufficientEnergyError: if E falls below the critical energy 1.5 h_c
+            (a finite E <= 0 included, when Q > 0).
+        ValueError: on invalid arguments: a non-finite E, or E <= 0 in still
+            water (Q = 0).
         ConvergenceError: if the safeguarded Newton iteration stalls.
     """
     if branch not in ("subcritical", "supercritical"):
         raise ValueError(f"unknown branch {branch!r}")
-    if not math.isfinite(E) or E <= 0.0:
+    if not math.isfinite(E):
         raise ValueError("specific energy must be positive and finite")
     if Q < 0.0 or b <= 0.0:
         raise ValueError("discharge must be non-negative and width positive")
 
     if Q == 0.0:
-        # E(h) = h: only the subcritical (deep) branch survives.
+        # E(h) = h: only the subcritical (deep) branch survives, and there is
+        # no critical minimum to fall below.
+        if E <= 0.0:
+            raise ValueError("specific energy must be positive and finite")
         if branch == "supercritical":
             raise ValueError("still water has no supercritical branch")
         return E

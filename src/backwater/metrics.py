@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import TrainedModel, reconstruct
+from .models import TrainedModel, predict
 
 
 class UndefinedMetricError(ValueError):
@@ -135,31 +135,35 @@ class SetEvaluation:
     excluded: int
 
 
-def _predictor(model):
-    if callable(model):
-        return model
-    return lambda scen, grid: reconstruct(model, scen, grid)
+def _predictions(model, profiles) -> np.ndarray:
+    """The (P, n_points) predictions for ``profiles``: a model's, or a given array."""
+    if not profiles:
+        raise ValueError("need at least one profile")
+    if isinstance(model, TrainedModel):
+        if any(prof.grid != model.grid for prof in profiles):
+            raise ValueError("evaluation profiles must share the model grid")
+        return predict(model, [prof.scenario for prof in profiles])
+    pred = np.asarray(model, dtype=float)
+    expected = (len(profiles), profiles[0].grid.n_points)
+    if pred.shape != expected:
+        raise ValueError(f"prediction array has shape {pred.shape}, expected {expected}")
+    return pred
 
 
 def evaluate_set(model, profiles, ids=None, split: str = "") -> SetEvaluation:
-    """Reconstruct every profile and score it; summaries over the whole set.
+    """Score every profile's prediction; summaries over the whole set.
 
-    ``model`` is a TrainedModel or any ``f(scenario, grid) -> depths``
-    callable (which lets exact oracles and baselines share this path).
-    Profiles whose metrics are undefined are dropped from the summaries and
-    counted in ``excluded``.
+    ``model`` is a TrainedModel (one :func:`~.models.predict` call) or a
+    (P, n_points) prediction array in profile order, e.g. an exact oracle or a
+    prediction shared with :func:`per_station_mae`.  Profiles whose metrics
+    are undefined are dropped from the summaries and counted in ``excluded``.
     """
-    if isinstance(model, TrainedModel):
-        for prof in profiles:
-            if prof.grid != model.grid:
-                raise ValueError("evaluation profiles must share the model grid")
-    predict = _predictor(model)
+    preds = _predictions(model, profiles)
     if ids is None:
         ids = list(range(len(profiles)))
     records = []
     excluded = 0
-    for pid, prof in zip(ids, profiles):
-        pred = predict(prof.scenario, prof.grid)
+    for pid, prof, pred in zip(ids, profiles, preds):
         try:
             score_nnse = nnse(pred, prof.depths)
         except UndefinedMetricError:
@@ -185,13 +189,14 @@ def evaluate_set(model, profiles, ids=None, split: str = "") -> SetEvaluation:
 
 
 def per_station_mae(model, profiles) -> np.ndarray:
-    """Mean absolute depth error per station index (error-growth curve)."""
-    if not profiles:
-        raise ValueError("need at least one profile")
-    predict = _predictor(model)
-    errors = np.zeros(profiles[0].grid.n_points)
-    for prof in profiles:
-        errors += np.abs(predict(prof.scenario, prof.grid) - prof.depths)
+    """Mean absolute depth error per station index (error-growth curve).
+
+    ``model`` is a TrainedModel or a prediction array, as in :func:`evaluate_set`.
+    """
+    preds = _predictions(model, profiles)
+    errors = np.zeros(preds.shape[1])
+    for pred, prof in zip(preds, profiles):
+        errors += np.abs(pred - prof.depths)
     return errors / len(profiles)
 
 

@@ -6,6 +6,9 @@ vector.  All three train on the combined objective
 ``lam * data_mse + (1 - lam) * physics_term`` with Adam, plateau-driven
 learning-rate decay, and early stopping on the validation data MSE; the
 physics term is picked by the strategy tag.
+
+:func:`predict` reconstructs a batch of scenarios as one (P, n_points) depth
+array, with one branch per architecture; :func:`reconstruct` is its batch of one.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ProfileDataset, SampleBatch, Scaler, view_int, view_sp, view_vts
-from .hydraulics import ChannelScenario, normal_depth, weir_depth
+from .data import PARAM_NAMES, ProfileDataset, SampleBatch, Scaler, view_int, view_sp, view_vts
+from .hydraulics import ChannelScenario, ConvergenceError, weir_depth
 from .losses import (
     MIN_DEPTH,
     STRATEGIES,
@@ -42,7 +45,7 @@ from .network import (
     init,
     mse,
 )
-from .solver import GridSpec
+from .solver import GridSpec, _normal_depths
 
 ARCHITECTURES = ("sp", "int", "vts")
 DEFAULT_WIDTHS = {"sp": 30, "int": 30, "vts": 40}
@@ -266,90 +269,73 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
 # ---------------------------------------------------------------------- #
 
 
-def _scaled_param_row(scaler: Scaler, scen: ChannelScenario) -> list[float]:
-    pairs = (("s", scen.s), ("b", scen.b), ("n", scen.n), ("zd", scen.z_d), ("Q", scen.Q))
-    return [float(scaler.scale(name, value)) for name, value in pairs]
-
-
-def closed_loop_profile(step_fn, scen: ChannelScenario, grid: GridSpec) -> np.ndarray:
-    """March upstream from the weir boundary applying ``step_fn`` per station.
-
-    ``step_fn(h_i) -> h_{i+1}`` supplies each next depth; wrapping the exact
-    hydraulic stepper here reproduces the reference solver, wrapping a trained
-    step net gives the INT reconstruction.
-    """
-    depths = np.empty(grid.n_points)
-    depths[0] = weir_depth(scen)
-    for i in range(1, grid.n_points):
-        depths[i] = step_fn(depths[i - 1])
-    return depths
-
-
-def reconstruct_sp(model: TrainedModel, scen: ChannelScenario, grid: GridSpec | None = None) -> np.ndarray:
-    """Predict a profile station-by-station; any station grid is legal."""
-    if model.spec.arch != "sp":
-        raise ValueError("model is not an sp architecture")
-    grid = grid or model.grid
-    x = model.scaler.scale("x", grid.stations)
-    row = _scaled_param_row(model.scaler, scen)
-    inputs = np.column_stack([x] + [np.full(grid.n_points, v) for v in row])
-    return forward(model.params, inputs)[0][:, 0]
-
-
-def reconstruct_int(
+def predict(
     model: TrainedModel,
-    scen: ChannelScenario,
+    scenarios: list[ChannelScenario],
     grid: GridSpec | None = None,
     counters: dict | None = None,
 ) -> np.ndarray:
-    """Closed-loop profile: analytic weir depth, then the step net recursively.
+    """Reconstruct one depth profile per scenario: a (P, n_points) array.
 
-    Fed-back depths are clamped into a physical band: at least 1e-3 m and at
-    most twice the larger of the boundary pool depth and the normal depth.  A
-    correct backwater curve stays strictly inside the band, but the recursive
-    march would otherwise amplify a single off-manifold prediction through the
-    step net's extrapolating linear pieces and overflow within a few stations.
-    Floor and ceiling hits are tallied under ``counters["clamped"]`` and
-    ``counters["capped"]``.
+    ``sp`` queries the network at every station of ``grid`` (any grid is
+    legal), one forward per profile.  ``vts`` maps all scenarios in one
+    forward; its output stations are fixed to the training grid.  ``int``
+    marches all profiles upstream together from the analytic weir depth, one
+    forward per station, at the training ``dx`` (any length).
+
+    Fed-back ``int`` depths are clamped into a physical band: at least 1e-3 m
+    and at most twice the larger of the boundary pool depth and the normal
+    depth.  A correct backwater curve stays strictly inside the band, but the
+    recursive march would otherwise amplify a single off-manifold prediction
+    through the step net's extrapolating linear pieces and overflow within a
+    few stations.  Floor and ceiling hits are added to ``counters["clamped"]``
+    and ``counters["capped"]``.
     """
-    if model.spec.arch != "int":
-        raise ValueError("model is not an int architecture")
     grid = grid or model.grid
-    row = np.array(_scaled_param_row(model.scaler, scen))
-    inputs = np.empty((1, 6))
-    inputs[0, 1:] = row
-    cap = 2.0 * max(weir_depth(scen), normal_depth(scen))
+    values = np.array([(sc.s, sc.b, sc.n, sc.z_d, sc.Q) for sc in scenarios], dtype=float)
+    values = values.reshape(-1, len(PARAM_NAMES))
+    params = np.column_stack(
+        [model.scaler.scale(name, values[:, k]) for k, name in enumerate(PARAM_NAMES)]
+    )
+    if model.spec.arch == "vts":
+        if grid != model.grid:
+            raise ValueError("vts output stations are fixed to the training grid")
+        return forward(model.params, params)[0]
+    depths = np.empty((len(values), grid.n_points))
+    if model.spec.arch == "sp":
+        inputs = np.empty((grid.n_points, INPUT_WIDTHS["sp"]))
+        inputs[:, 0] = model.scaler.scale("x", grid.stations)
+        for k, row in enumerate(params):
+            inputs[:, 1:] = row
+            depths[k] = forward(model.params, inputs)[0][:, 0]
+        return depths
 
-    def step(h_prev: float) -> float:
-        inputs[0, 0] = model.scaler.scale("h", h_prev)
-        h_next = float(forward(model.params, inputs)[0][0, 0])
-        if h_next < MIN_DEPTH:
-            if counters is not None:
-                counters["clamped"] = counters.get("clamped", 0) + 1
-            return MIN_DEPTH
-        if h_next > cap:
-            if counters is not None:
-                counters["capped"] = counters.get("capped", 0) + 1
-            return cap
-        return h_next
-
-    return closed_loop_profile(step, scen, grid)
-
-
-def reconstruct_vts(model: TrainedModel, scen: ChannelScenario, grid: GridSpec | None = None) -> np.ndarray:
-    """Predict the whole profile in one pass; only the training grid is valid."""
-    return reconstruct_vts_batch(model, [scen], grid)[0]
-
-
-def reconstruct_vts_batch(
-    model: TrainedModel, scens: list[ChannelScenario], grid: GridSpec | None = None
-) -> np.ndarray:
-    if model.spec.arch != "vts":
-        raise ValueError("model is not a vts architecture")
-    if grid is not None and grid != model.grid:
-        raise ValueError("vts output stations are fixed to the training grid")
-    rows = np.array([_scaled_param_row(model.scaler, s) for s in scens])
-    return forward(model.params, rows.reshape(len(scens), 5))[0]
+    if grid.dx != model.grid.dx:
+        raise ValueError(
+            f"int step net was trained for dx = {model.grid.dx:g} m, not dx = {grid.dx:g} m"
+        )
+    s, b, n, _, q = values.T
+    h_n, status = _normal_depths(s, b, n * n * q * q)
+    if status.any():  # a nonzero status names the failure
+        raise ConvergenceError(f"no normal depth for scenario {np.flatnonzero(status)[0]}")
+    depths[:, 0] = [weir_depth(sc) for sc in scenarios]
+    cap = 2.0 * np.maximum(depths[:, 0], h_n)
+    inputs = np.empty((len(values), INPUT_WIDTHS["int"]))
+    inputs[:, 1:] = params
+    hits = {"clamped": 0, "capped": 0}
+    for i in range(1, grid.n_points):
+        inputs[:, 0] = model.scaler.scale("h", depths[:, i - 1])
+        h = forward(model.params, inputs)[0][:, 0]
+        low = h < MIN_DEPTH
+        high = ~low & (h > cap)  # NaN is neither, and passes through
+        depths[:, i] = np.where(low, MIN_DEPTH, np.where(high, cap, h))
+        hits["clamped"] += int(low.sum())
+        hits["capped"] += int(high.sum())
+    if counters is not None:
+        for key, count in hits.items():
+            if count:
+                counters[key] = counters.get(key, 0) + count
+    return depths
 
 
 def reconstruct(
@@ -358,12 +344,8 @@ def reconstruct(
     grid: GridSpec | None = None,
     counters: dict | None = None,
 ) -> np.ndarray:
-    """Architecture-dispatching profile prediction."""
-    if model.spec.arch == "sp":
-        return reconstruct_sp(model, scen, grid)
-    if model.spec.arch == "int":
-        return reconstruct_int(model, scen, grid, counters)
-    return reconstruct_vts(model, scen, grid)
+    """One scenario's profile: :func:`predict` for a batch of one."""
+    return predict(model, [scen], grid, counters)[0]
 
 
 # ---------------------------------------------------------------------- #

@@ -161,7 +161,7 @@ def solve_profile(scen: ChannelScenario, grid: GridSpec) -> WaterProfile:
 #  Batched march
 # ---------------------------------------------------------------------- #
 
-_OK, _NOT_POSITIVE, _INSUFFICIENT, _NO_CONVERGENCE, _OUT_OF_BRACKET, _STALLED = range(6)
+_OK, _NOT_FINITE, _INSUFFICIENT, _NO_CONVERGENCE, _OUT_OF_BRACKET, _STALLED = range(6)
 _libm_pow_objects = np.frompyfunc(math.pow, 2, 1)
 
 
@@ -223,8 +223,8 @@ def _subcritical_depths(e, a, h_c, e_min, h0):
     """
     depth = np.empty(e.size)
     status = np.where(
-        ~(np.isfinite(e) & (e > 0.0)),
-        _NOT_POSITIVE,
+        ~np.isfinite(e),
+        _NOT_FINITE,
         np.where(e < e_min * (1.0 - 1e-12), _INSUFFICIENT, _OK),
     )
     idx = np.flatnonzero(status == _OK)
@@ -335,6 +335,6 @@ def _march_error(status: int, energy: float, e_min: float) -> Exception:
         return InsufficientEnergyError(
             f"specific energy {float(energy):.6g} below critical minimum {float(e_min):.6g}"
         )
-    if status == _NOT_POSITIVE:
+    if status == _NOT_FINITE:
         return ValueError("specific energy must be positive and finite")
     return ConvergenceError("depth_from_energy did not converge")

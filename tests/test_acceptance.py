@@ -357,11 +357,8 @@ def test_early_stopping_arithmetic():
 
 
 def test_perfect_predictor_metric_identities(small_corpus):
-    out = evaluate_set(
-        lambda scen, grid: solve_profile(scen, grid).depths,
-        small_corpus.profiles,
-        split="test",
-    )
+    exact = np.array([solve_profile(p.scenario, p.grid).depths for p in small_corpus.profiles])
+    out = evaluate_set(exact, small_corpus.profiles, split="test")
     assert all(r.nmae == 0.0 for r in out.records)
     assert all(r.nnse == 1.0 for r in out.records)
     assert out.nmae_summary.mean == 0.0
@@ -369,10 +366,10 @@ def test_perfect_predictor_metric_identities(small_corpus):
 
 
 def test_profile_mean_predictor_scores_half_nnse(small_corpus):
-    def own_mean(scen, grid):
-        depths = solve_profile(scen, grid).depths
-        return np.full(grid.n_points, depths.mean())
-
+    own_mean = np.array(
+        [np.full(p.grid.n_points, solve_profile(p.scenario, p.grid).depths.mean())
+         for p in small_corpus.profiles]
+    )
     out = evaluate_set(own_mean, small_corpus.profiles, split="test")
     for r in out.records:
         assert abs(r.nnse - 0.5) <= 1e-12
@@ -385,11 +382,8 @@ def test_cdf_is_monotone_and_reaches_one(small_corpus):
     assert summary.cdf_freq[-1] == 1.0
     assert np.all(np.diff(summary.cdf_values) >= 0.0)
 
-    out = evaluate_set(
-        lambda scen, grid: solve_profile(scen, grid).depths * 1.01,
-        small_corpus.profiles,
-        split="test",
-    )
+    exact = np.array([solve_profile(p.scenario, p.grid).depths for p in small_corpus.profiles])
+    out = evaluate_set(exact * 1.01, small_corpus.profiles, split="test")
     assert np.all(np.diff(out.nmae_summary.cdf_freq) >= 0.0)
     assert out.nmae_summary.cdf_freq[-1] == 1.0
 

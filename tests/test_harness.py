@@ -228,6 +228,40 @@ def test_run_one_int_reports_station_curve(ds):
     assert curve[0] == 0.0  # imposed weir boundary is exact
 
 
+def test_run_one_predicts_each_split_once(ds, monkeypatch):
+    import backwater.harness
+    import backwater.metrics
+    from backwater.models import predict
+
+    calls = []
+
+    def counting_predict(model, scenarios, *args, **kwargs):
+        calls.append(len(scenarios))
+        return predict(model, scenarios, *args, **kwargs)
+
+    monkeypatch.setattr(backwater.harness, "predict", counting_predict)
+    monkeypatch.setattr(backwater.metrics, "predict", counting_predict)
+    ext = ds.profiles_in("test")[:5]
+    sink = []
+    record = run_one(
+        ds, PlanCell("int", width=8), seed=0, config=FAST, ext_profiles=ext, model_sink=sink
+    )
+    assert calls == [len(ds.indices("val")), len(ds.indices("test")), len(ext)]
+    assert set(record.summaries) == {"val", "test", "extrapolation", "station_mae", "diagnostics"}
+    # each split records the int march's floor and cap hits
+    for split in ("val", "test", "extrapolation"):
+        profiles = ext if split == "extrapolation" else ds.profiles_in(split)
+        counters = {}
+        predict(sink[0], [p.scenario for p in profiles], counters=counters)
+        assert record.summaries[split]["clamped"] == counters.get("clamped", 0)
+        assert record.summaries[split]["capped"] == counters.get("capped", 0)
+
+    calls.clear()
+    record = run_one(ds, PlanCell("sp", width=8), seed=0, config=FAST)
+    assert calls == [len(ds.indices("val")), len(ds.indices("test"))]
+    assert "clamped" not in record.summaries["test"]
+
+
 def test_execute_plan_with_extrapolation(ds, tmp_path):
     plan = ExperimentPlan(
         cells=(PlanCell("sp", width=8),),

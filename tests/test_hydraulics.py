@@ -214,14 +214,24 @@ def test_depth_from_energy_round_trip():
 def test_depth_from_energy_below_minimum_raises():
     Q, b = 100.0, 20.0
     e_min = 1.5 * critical_depth(Q, b)
-    with pytest.raises(InsufficientEnergyError):
-        depth_from_energy(0.99 * e_min, Q, b, "subcritical")
+    # a finite energy at or below zero lies below the critical minimum too
+    for energy in (0.99 * e_min, 0.0, -1.0):
+        with pytest.raises(InsufficientEnergyError):
+            depth_from_energy(energy, Q, b, "subcritical")
+    for energy in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            depth_from_energy(energy, Q, b, "subcritical")
 
 
 def test_depth_from_energy_still_water():
     assert depth_from_energy(2.5, 0.0, 10.0, "subcritical") == 2.5
     with pytest.raises(ValueError):
         depth_from_energy(2.5, 0.0, 10.0, "supercritical")
+    # still water has no critical minimum: a non-positive energy is invalid
+    for energy in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite") as err:
+            depth_from_energy(energy, 0.0, 10.0, "subcritical")
+        assert not isinstance(err.value, InsufficientEnergyError)
 
 
 def test_depth_from_energy_rejects_unknown_branch():

@@ -33,9 +33,8 @@ def tiny_ds():
 
 
 def oracle(tiny_ds):
-    """Exact predictor: looks the true profile up by scenario."""
-    table = {p.scenario: p.depths for p in tiny_ds.profiles}
-    return lambda scen, grid: table[scen]
+    """Exact predictions: every true profile, in profile order."""
+    return np.array([p.depths for p in tiny_ds.profiles])
 
 
 # ---------------------------------------------------------------- #
@@ -157,8 +156,8 @@ def test_evaluate_set_perfect_oracle(tiny_ds):
 
 
 def test_evaluate_set_mean_predictor_baseline(tiny_ds):
-    table = {p.scenario: np.full_like(p.depths, p.depths.mean()) for p in tiny_ds.profiles}
-    out = evaluate_set(lambda scen, grid: table[scen], tiny_ds.profiles)
+    pred = np.array([np.full_like(p.depths, p.depths.mean()) for p in tiny_ds.profiles])
+    out = evaluate_set(pred, tiny_ds.profiles)
     assert out.nnse_summary.mean == pytest.approx(0.5, abs=1e-12)
 
 
@@ -172,10 +171,8 @@ def test_evaluate_set_counts_exclusions(tiny_ds):
         np.full(tiny_ds.grid.n_points, 2.0),
     )
     profiles = list(tiny_ds.profiles) + [flat]
-    table = {p.scenario: p.depths for p in tiny_ds.profiles}
-    out = evaluate_set(
-        lambda scen, grid: table.get(scen, np.ones(grid.n_points)), profiles
-    )
+    pred = np.vstack([oracle(tiny_ds), np.ones(tiny_ds.grid.n_points)])
+    out = evaluate_set(pred, profiles)
     assert out.excluded == 1
     assert len(out.records) == len(tiny_ds.profiles)
 
@@ -189,9 +186,19 @@ def test_evaluate_set_ids_and_regimes(tiny_ds):
 
 def test_per_station_mae_curve(tiny_ds):
     ramp = np.linspace(0.0, 0.5, tiny_ds.grid.n_points)
-    table = {p.scenario: p.depths + ramp for p in tiny_ds.profiles}
-    curve = per_station_mae(lambda scen, grid: table[scen], tiny_ds.profiles)
+    curve = per_station_mae(oracle(tiny_ds) + ramp, tiny_ds.profiles)
     np.testing.assert_allclose(curve, ramp, atol=1e-12)
+
+
+def test_prediction_arrays_must_match_the_profiles(tiny_ds):
+    pred = oracle(tiny_ds)
+    for wrong in (pred[:-1], pred[:, :-1], pred[0]):
+        with pytest.raises(ValueError, match="prediction array has shape"):
+            evaluate_set(wrong, tiny_ds.profiles)
+        with pytest.raises(ValueError, match="prediction array has shape"):
+            per_station_mae(wrong, tiny_ds.profiles)
+    with pytest.raises(ValueError, match="at least one profile"):
+        evaluate_set(pred[:0], [])
 
 
 # ---------------------------------------------------------------- #
@@ -201,8 +208,8 @@ def test_per_station_mae_curve(tiny_ds):
 
 def test_metrics_csv_round_trip(tmp_path, tiny_ds):
     rng = np.random.default_rng(4)
-    table = {p.scenario: p.depths + rng.normal(0.0, 0.1, p.depths.size) for p in tiny_ds.profiles}
-    out = evaluate_set(lambda scen, grid: table[scen], tiny_ds.profiles, split="val")
+    pred = np.array([p.depths + rng.normal(0.0, 0.1, p.depths.size) for p in tiny_ds.profiles])
+    out = evaluate_set(pred, tiny_ds.profiles, split="val")
     path = tmp_path / "metrics.csv"
     write_metrics_csv(out.records, path)
     loaded = read_metrics_csv(path)

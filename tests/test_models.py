@@ -3,24 +3,27 @@
 import numpy as np
 import pytest
 
-from backwater.data import ParameterRanges, generate, view_sp
-from backwater.hydraulics import ChannelScenario, normal_depth, weir_depth
+from backwater.data import (
+    DESK_GRID,
+    PARAM_NAMES,
+    ParameterRanges,
+    desk_ranges,
+    generate,
+    view_sp,
+)
+from backwater.hydraulics import normal_depth, weir_depth
 from backwater.losses import MIN_DEPTH
 from backwater.models import (
     ModelSpec,
     TrainedModel,
-    closed_loop_profile,
     load_model,
+    predict,
     reconstruct,
-    reconstruct_int,
-    reconstruct_sp,
-    reconstruct_vts,
-    reconstruct_vts_batch,
     save_model,
     train,
 )
-from backwater.network import TrainConfig, init
-from backwater.solver import GridSpec, step_upstream, solve_profile
+from backwater.network import TrainConfig, forward, init
+from backwater.solver import GridSpec
 
 SMALL_RANGES = ParameterRanges(
     s=(1e-3, 5e-3, 3),
@@ -90,58 +93,101 @@ def test_vts_only_strategies_accepted_on_vts():
 
 
 # ---------------------------------------------------------------- #
-#  Closed-loop marching
-# ---------------------------------------------------------------- #
-
-
-def test_closed_loop_with_exact_stepper_matches_solver():
-    scen = ChannelScenario(s=1e-3, b=10.0, n=0.02, z_d=3.0, Q=44.29)
-    grid = GridSpec(dx=10.0, length=500.0)
-    marched = closed_loop_profile(
-        lambda h: step_upstream(h, scen, grid.dx), scen, grid
-    )
-    np.testing.assert_array_equal(marched, solve_profile(scen, grid).depths)
-
-
-# ---------------------------------------------------------------- #
 #  Reconstruction
 # ---------------------------------------------------------------- #
+
+
+def scaled_row(model, scen):
+    values = (scen.s, scen.b, scen.n, scen.z_d, scen.Q)
+    return [float(model.scaler.scale(name, v)) for name, v in zip(PARAM_NAMES, values)]
+
+
+def reference_profile(model, scen):
+    """One profile the per-profile way: 1-row forwards and scalar int caps."""
+    grid = model.grid
+    row = scaled_row(model, scen)
+    if model.spec.arch == "sp":
+        x = model.scaler.scale("x", grid.stations)
+        inputs = np.column_stack([x] + [np.full(grid.n_points, v) for v in row])
+        return forward(model.params, inputs)[0][:, 0]
+    if model.spec.arch == "vts":
+        return forward(model.params, np.array([row]))[0][0]
+    cap = 2.0 * max(weir_depth(scen), normal_depth(scen))
+    inputs = np.array([[0.0] + row])
+    depths = [weir_depth(scen)]
+    for _ in range(1, grid.n_points):
+        inputs[0, 0] = model.scaler.scale("h", depths[-1])
+        h = float(forward(model.params, inputs)[0][0, 0])
+        depths.append(MIN_DEPTH if h < MIN_DEPTH else cap if h > cap else h)
+    return np.array(depths)
+
+
+WIDE_RANGES = ParameterRanges(
+    s=(5e-4, 2e-2, 5), b=(5.0, 50.0, 5), n=(0.01, 0.05, 5), zd=(1.0, 5.0, 2), Q=(100.0, 300.0, 2)
+)
+
+
+@pytest.fixture(scope="module", params=["desk", "wide"])
+def briefly_trained(request):
+    """(dataset, one briefly trained model per architecture) on a 101-station corpus."""
+    ranges = desk_ranges() if request.param == "desk" else WIDE_RANGES
+    ds = generate(ranges, DESK_GRID, seed=0)
+    config = TrainConfig(max_epochs=2, batch_size=256, seed=0)
+    return ds, [train(ModelSpec(arch, width=8), ds, config) for arch in ("sp", "int", "vts")]
+
+
+def test_predict_matches_reconstruct_loop(briefly_trained):
+    ds, trained = briefly_trained
+    scens = [p.scenario for p in ds.profiles]
+    for model in trained:
+        counters, looped_counters = {}, {}
+        batched = predict(model, scens, counters=counters)
+        looped = np.vstack([reconstruct(model, s, counters=looped_counters) for s in scens])
+        assert batched.shape == (len(scens), DESK_GRID.n_points)
+        assert counters == looped_counters
+        if model.spec.arch == "sp":
+            np.testing.assert_array_equal(batched, looped)
+        else:
+            # a P-row matmul rounds differently from a 1-row one in the last
+            # bits, so agreement is relative to the profiles' depth scale
+            scale = np.abs(looped).max()
+            np.testing.assert_allclose(batched, looped, rtol=0.0, atol=1e-12 * scale)
+        for k in range(0, len(scens), 7):
+            np.testing.assert_array_equal(looped[k], reference_profile(model, scens[k]))
 
 
 def test_reconstruct_sp_zero_net_is_flat(small_ds):
     model = zero_net_model(small_ds, "sp", 2.5)
     scen = small_ds.profiles[0].scenario
-    np.testing.assert_array_equal(reconstruct_sp(model, scen), np.full(31, 2.5))
+    np.testing.assert_array_equal(reconstruct(model, scen), np.full(31, 2.5))
 
 
 def test_reconstruct_sp_matches_view_forward(small_ds, sp_model):
-    from backwater.network import forward
-
     view = view_sp(small_ds, "test")
     all_preds = forward(sp_model.params, view.inputs)[0][:, 0]
-    for i in small_ds.indices("test"):
+    batched = predict(sp_model, [small_ds.profiles[i].scenario for i in small_ds.indices("test")])
+    for k, i in enumerate(small_ds.indices("test")):
         rows = view.profile_index == i
-        profile = reconstruct_sp(sp_model, small_ds.profiles[i].scenario)
         # bitwise equal to a same-shape forward pass on the view's own rows;
         # BLAS kernels round differently per batch shape, so the full-view
         # pass is only equal to machine precision
         np.testing.assert_array_equal(
-            profile, forward(sp_model.params, view.inputs[rows])[0][:, 0]
+            batched[k], forward(sp_model.params, view.inputs[rows])[0][:, 0]
         )
-        np.testing.assert_allclose(profile, all_preds[rows], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched[k], all_preds[rows], rtol=0, atol=1e-12)
 
 
 def test_reconstruct_sp_accepts_off_grid_stations(small_ds, sp_model):
-    scen = small_ds.profiles[0].scenario
+    scens = [small_ds.profiles[i].scenario for i in (0, 1)]
     off_grid = GridSpec(dx=7.5, length=300.0)
-    assert reconstruct_sp(sp_model, scen, off_grid).shape == (41,)
+    assert predict(sp_model, scens, off_grid).shape == (2, 41)
 
 
 def test_reconstruct_int_imposes_weir_boundary(small_ds):
     model = zero_net_model(small_ds, "int", 2.0)
-    for i in (0, 5, 11):
-        scen = small_ds.profiles[i].scenario
-        profile = reconstruct_int(model, scen)
+    scens = [small_ds.profiles[i].scenario for i in (0, 5, 11)]
+    profiles = predict(model, scens)
+    for scen, profile in zip(scens, profiles):
         assert profile[0] == weir_depth(scen)
         np.testing.assert_array_equal(profile[1:], 2.0)
 
@@ -149,58 +195,68 @@ def test_reconstruct_int_imposes_weir_boundary(small_ds):
 def test_reconstruct_int_clamps_and_counts(small_ds):
     model = zero_net_model(small_ds, "int", -1.0)
     counters = {}
-    profile = reconstruct_int(model, small_ds.profiles[0].scenario, counters=counters)
-    assert counters["clamped"] == 30
-    np.testing.assert_array_equal(profile[1:], MIN_DEPTH)
+    profiles = predict(model, [p.scenario for p in small_ds.profiles[:4]], counters=counters)
+    assert counters == {"clamped": 4 * 30}
+    np.testing.assert_array_equal(profiles[:, 1:], MIN_DEPTH)
 
 
 def test_reconstruct_int_caps_runaway_depths(small_ds):
-    model = zero_net_model(small_ds, "int", 1e9)
-    scen = small_ds.profiles[0].scenario
+    scens = [p.scenario for p in small_ds.profiles]
+    caps = np.array([2.0 * max(weir_depth(s), normal_depth(s)) for s in scens])
+    # an output between the caps: the shallow channels are capped, the rest not
+    model = zero_net_model(small_ds, "int", np.median(caps))
+    counters, looped = {}, {}
+    profiles = predict(model, scens, counters=counters)
+    for scen in scens:
+        reconstruct(model, scen, counters=looped)
+    capped = caps < np.median(caps)
+    assert counters == looped == {"capped": 30 * int(capped.sum())}
+    np.testing.assert_array_equal(profiles[capped, 1:], np.repeat(caps[capped, None], 30, axis=1))
+    np.testing.assert_array_equal(profiles[~capped, 1:], np.median(caps))
+
+
+def test_reconstruct_int_passes_nan_through(small_ds):
+    model = zero_net_model(small_ds, "int", np.nan)
     counters = {}
-    profile = reconstruct_int(model, scen, counters=counters)
-    cap = 2.0 * max(weir_depth(scen), normal_depth(scen))
-    assert counters["capped"] == 30
-    assert "clamped" not in counters
-    np.testing.assert_array_equal(profile[1:], cap)
+    profiles = predict(model, [p.scenario for p in small_ds.profiles[:3]], counters=counters)
+    assert counters == {}
+    assert np.isnan(profiles[:, 1:]).all()
+    assert np.isfinite(profiles[:, 0]).all()
+
+
+def test_reconstruct_int_needs_the_training_dx(small_ds):
+    model = zero_net_model(small_ds, "int", 2.0)
+    scens = [small_ds.profiles[0].scenario]
+    with pytest.raises(ValueError, match=r"dx = 10 m, not dx = 5 m"):
+        predict(model, scens, GridSpec(5.0, 300.0))
+    assert predict(model, scens, GridSpec(10.0, 500.0)).shape == (1, 51)
 
 
 def test_reconstruct_vts_shape_and_bias(small_ds):
     rng = np.random.default_rng(3)
     bias = rng.uniform(0.5, 4.0, 31)
     model = zero_net_model(small_ds, "vts", bias)
-    profile = reconstruct_vts(model, small_ds.profiles[2].scenario)
+    profile = reconstruct(model, small_ds.profiles[2].scenario)
     assert profile.shape == (31,)
     np.testing.assert_array_equal(profile, bias)
-
-
-def test_reconstruct_vts_batch_equals_loop(small_ds):
-    model = zero_net_model(small_ds, "vts", 1.0)
-    # give the net something input-dependent
-    rng = np.random.default_rng(4)
-    for w in model.params.weights:
-        w[:] = rng.normal(0.0, 0.2, w.shape)
-    scens = [small_ds.profiles[i].scenario for i in (0, 3, 7)]
-    batched = reconstruct_vts_batch(model, scens)
-    looped = np.vstack([reconstruct_vts(model, s) for s in scens])
-    np.testing.assert_array_equal(batched, looped)
 
 
 def test_reconstruct_vts_rejects_other_grids(small_ds):
     model = zero_net_model(small_ds, "vts", 1.0)
     with pytest.raises(ValueError):
-        reconstruct_vts(model, small_ds.profiles[0].scenario, GridSpec(5.0, 300.0))
+        predict(model, [small_ds.profiles[0].scenario], GridSpec(5.0, 300.0))
 
 
-def test_reconstruct_checks_architecture(small_ds, sp_model):
+def test_reconstruct_checks_architecture(small_ds):
+    # reconstruct takes each architecture's own path, bit for bit
     scen = small_ds.profiles[0].scenario
-    with pytest.raises(ValueError):
-        reconstruct_int(sp_model, scen)
-    with pytest.raises(ValueError):
-        reconstruct_vts(sp_model, scen)
-    np.testing.assert_array_equal(
-        reconstruct(sp_model, scen), reconstruct_sp(sp_model, scen)
-    )
+    rng = np.random.default_rng(4)
+    for arch in ("sp", "int", "vts"):
+        model = zero_net_model(small_ds, arch, 1.0)
+        for w in model.params.weights:
+            w[:] = rng.normal(0.0, 0.2, w.shape)
+        np.testing.assert_array_equal(reconstruct(model, scen), reference_profile(model, scen))
+        assert predict(model, []).shape == (0, 31)
 
 
 # ---------------------------------------------------------------- #
@@ -281,7 +337,7 @@ def test_train_aborts_on_divergence(small_ds):
     assert model.diagnostics["diverged"] is True
     assert model.diagnostics["epochs_run"] < 50
     # the returned checkpoint is still usable
-    profile = reconstruct_sp(model, small_ds.profiles[0].scenario)
+    profile = reconstruct(model, small_ds.profiles[0].scenario)
     assert np.all(np.isfinite(profile))
 
 
@@ -298,7 +354,7 @@ def test_physics_runs_diverge_without_raising(small_ds, arch, strategy):
 
 def test_best_weights_reproduce_best_val_loss(small_ds):
     from backwater.data import view_sp as _view
-    from backwater.network import forward, mse
+    from backwater.network import mse
 
     spec = ModelSpec("sp", width=8)
     model = train(spec, small_ds, TrainConfig(max_epochs=15, batch_size=64, seed=2))
@@ -320,9 +376,7 @@ def test_checkpoint_round_trip(tmp_path, small_ds, sp_model):
     assert loaded.spec == sp_model.spec
     assert loaded.history == sp_model.history
     scen = small_ds.profiles[4].scenario
-    np.testing.assert_array_equal(
-        reconstruct_sp(loaded, scen), reconstruct_sp(sp_model, scen)
-    )
+    np.testing.assert_array_equal(reconstruct(loaded, scen), reconstruct(sp_model, scen))
 
 
 def test_checkpoint_version_guard(tmp_path, sp_model):

@@ -279,10 +279,17 @@ def test_batched_march_reports_failures_per_scenario():
     flat = ChannelScenario(s=1e-12, b=1.0, n=0.05, z_d=1.0, Q=300.0)
     scenarios = [MILD, flat, STEEP]
     assert_same_outcomes(solve_profiles(scenarios, GRID), scalar_outcomes(scenarios, GRID))
-    # a 1 km step drives the steep channel's energy below zero (a ValueError)
+    # a 1 km step drives the energy below zero, which is below the critical
+    # minimum: the steep channel jumps there, the mild one is rejected
     coarse = GridSpec(dx=1000.0, length=5000.0)
+    rough = ChannelScenario(s=0.005, b=5.0, n=0.05, z_d=1.0, Q=10.0)
+    scenarios.append(rough)
     reference = scalar_outcomes(scenarios, coarse)
-    assert [type(o) for o in reference] == [WaterProfile, ConvergenceError, ValueError]
+    assert [type(o) for o in reference] == [
+        WaterProfile, ConvergenceError, WaterProfile, InsufficientEnergyError
+    ]
+    assert (reference[2].regime, reference[2].jump_index) == ("mixed", 1)
+    assert "specific energy -0.970815 below critical minimum" in str(reference[3])
     assert_same_outcomes(solve_profiles(scenarios, coarse), reference)
     assert solve_profiles([], GRID) == []
 
