@@ -118,7 +118,6 @@ from .models import (
 )
 from .network import (
     AdamState,
-    EarlyStopping,
     NetworkParams,
     ReduceLROnPlateau,
     TrainConfig,
@@ -187,7 +186,6 @@ __all__ = [
     "view_vts",
     # network
     "AdamState",
-    "EarlyStopping",
     "NetworkParams",
     "ReduceLROnPlateau",
     "TrainConfig",

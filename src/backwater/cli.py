@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .data import (
@@ -47,6 +47,7 @@ from .harness import (
     ExperimentPlan,
     PlanCell,
     discover_records,
+    execute_plan,
     extrapolation_dataset,
     lambda_search,
     record_dir_name,
@@ -100,12 +101,25 @@ def _read_config(path) -> dict:
     return cfg
 
 
-def _train_config(args, cfg: dict) -> TrainConfig:
-    base = dict(cfg.get("train", {}))
-    known = set(TrainConfig.__dataclass_fields__)
-    unknown = set(base) - known
+def _checked_keys(d, cls, what: str) -> dict:
+    """``d`` if it is an object the dataclass ``cls`` can be built from.
+
+    Raises:
+        ValueError: naming the unknown keys, or the first required key missing.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d:
+            raise ValueError(f"{what} lacks {f.name!r}")
+    return d
+
+
+def _train_config(args, cfg: dict) -> TrainConfig:
+    base = dict(_checked_keys(cfg.get("train", {}), TrainConfig, "train config"))
     if getattr(args, "max_epochs", None) is not None:
         base["max_epochs"] = args.max_epochs
     if getattr(args, "batch_size", None) is not None:
@@ -119,7 +133,7 @@ def _plan_cells(args, cfg: dict) -> tuple[PlanCell, ...]:
     if getattr(args, "cells", None):
         cells = tuple(parse_cell(c) for c in args.cells)
     elif cfg.get("cells"):
-        cells = tuple(PlanCell(**c) for c in cfg["cells"])
+        cells = tuple(PlanCell(**_checked_keys(c, PlanCell, "cell")) for c in cfg["cells"])
     else:
         raise ValueError("no cells given (use --cells or a config file)")
     if getattr(args, "width", None) is not None:
@@ -147,8 +161,11 @@ def _dataset(args, cfg: dict):
 def cmd_gen_data(args) -> None:
     if args.config:
         cfg = _read_config(args.config)
+        for key in ("ranges", "grid"):
+            if key not in cfg:
+                raise ValueError(f"gen-data config {args.config} lacks {key!r}")
         ranges = ParameterRanges.from_dict(cfg["ranges"])
-        grid = GridSpec(**cfg["grid"])
+        grid = GridSpec(**_checked_keys(cfg["grid"], GridSpec, "grid"))
     elif args.preset == "desk":
         ranges, grid = desk_ranges(), DESK_GRID
     elif args.preset == "full":
@@ -196,8 +213,7 @@ def cmd_evaluate(args) -> None:
     )
 
 
-def _run_sweep(args, axis: str, values) -> None:
-    cfg = _read_config(args.config) if args.config else {}
+def _run_sweep(args, cfg: dict, axis: str, values) -> None:
     ds = _dataset(args, cfg)
     cells = _plan_cells(args, cfg)
     seeds = args.seeds if args.seeds is not None else tuple(cfg.get("seeds", DEFAULT_SEEDS))
@@ -209,8 +225,6 @@ def _run_sweep(args, axis: str, values) -> None:
         axis_values=tuple(values),
         extrapolation=extrapolation,
     )
-    from .harness import execute_plan
-
     records = execute_plan(
         ds, plan, _train_config(args, cfg), out_dir=args.out, ext_seed=args.ext_seed
     )
@@ -221,13 +235,13 @@ def _run_sweep(args, axis: str, values) -> None:
 def cmd_sweep_size(args) -> None:
     cfg = _read_config(args.config) if args.config else {}
     fractions = args.fractions or tuple(cfg.get("fractions", DEFAULT_FRACTIONS))
-    _run_sweep(args, "fraction", fractions)
+    _run_sweep(args, cfg, "fraction", fractions)
 
 
 def cmd_sweep_width(args) -> None:
     cfg = _read_config(args.config) if args.config else {}
     widths = args.widths or tuple(cfg.get("widths", DEFAULT_WIDTH_SWEEP))
-    _run_sweep(args, "width", widths)
+    _run_sweep(args, cfg, "width", widths)
 
 
 def cmd_extrapolate(args) -> None:

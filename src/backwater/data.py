@@ -73,7 +73,26 @@ class ParameterRanges:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParameterRanges":
-        return cls(**{k: (float(v[0]), float(v[1]), int(v[2])) for k, v in d.items()})
+        """Read ``{name: [min, max, count]}`` for each of the five parameters.
+
+        Raises:
+            ValueError: naming a missing, unknown or malformed parameter.
+        """
+        if not isinstance(d, dict):
+            raise ValueError("ranges must be an object of [min, max, count] per parameter")
+        unknown = sorted(set(d) - set(PARAM_NAMES))
+        if unknown:
+            raise ValueError(f"unknown ranges keys: {unknown}")
+        ranges = {}
+        for name in PARAM_NAMES:
+            if name not in d:
+                raise ValueError(f"ranges lacks {name!r}")
+            try:
+                lo, hi, count = d[name]
+                ranges[name] = (float(lo), float(hi), int(count))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"range for {name!r} must be [min, max, count]: {exc}") from exc
+        return cls(**ranges)
 
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in PARAM_NAMES}
@@ -256,28 +275,18 @@ def assign_splits(n: int, seed: int) -> list[str]:
 class SampleBatch:
     """Training-ready samples: scaled inputs, metre targets, raw aux values.
 
-    ``aux`` carries the unscaled scenario parameters (and the station spacing
-    ``dx``) aligned with the samples so physics losses can be evaluated in
-    physical units.  ``profile_index`` maps each sample back to its profile.
+    ``targets`` is (M, 1) for the pointwise views and (M, n_points) for
+    ``vts``.  ``aux`` carries the unscaled scenario parameters (and the
+    station spacing ``dx``) aligned with the samples so physics losses can be
+    evaluated in physical units.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     aux: dict
-    profile_index: np.ndarray
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def shuffled(self, seed: int) -> "SampleBatch":
-        order = np.random.default_rng(seed).permutation(len(self))
-        aux = {
-            k: (v[order] if isinstance(v, np.ndarray) else v)
-            for k, v in self.aux.items()
-        }
-        return SampleBatch(
-            self.inputs[order], self.targets[order], aux, self.profile_index[order]
-        )
 
 
 def _scenario_columns(ds: ProfileDataset, idx: np.ndarray) -> dict[str, np.ndarray]:
@@ -299,10 +308,10 @@ def view_sp(ds: ProfileDataset, split: str = "train") -> SampleBatch:
         [ds.scaler.scale("x", x)]
         + [ds.scaler.scale(k, scen[k]) for k in PARAM_NAMES]
     )
-    targets = np.concatenate([ds.profiles[i].depths for i in idx])
+    targets = np.concatenate([ds.profiles[i].depths for i in idx])[:, None]
     aux = dict(scen)
     aux["dx"] = ds.grid.dx
-    return SampleBatch(inputs, targets, aux, np.repeat(idx, n_pts))
+    return SampleBatch(inputs, targets, aux)
 
 
 def view_int(ds: ProfileDataset, split: str = "train") -> SampleBatch:
@@ -311,7 +320,7 @@ def view_int(ds: ProfileDataset, split: str = "train") -> SampleBatch:
     n_pairs = ds.grid.n_points - 1
     cols = _scenario_columns(ds, idx)
     h_in = np.concatenate([ds.profiles[i].depths[:-1] for i in idx])
-    targets = np.concatenate([ds.profiles[i].depths[1:] for i in idx])
+    targets = np.concatenate([ds.profiles[i].depths[1:] for i in idx])[:, None]
     scen = {k: np.repeat(v, n_pairs) for k, v in cols.items()}
     inputs = np.column_stack(
         [ds.scaler.scale("h", h_in)]
@@ -319,7 +328,7 @@ def view_int(ds: ProfileDataset, split: str = "train") -> SampleBatch:
     )
     aux = dict(scen)
     aux["dx"] = ds.grid.dx
-    return SampleBatch(inputs, targets, aux, np.repeat(idx, n_pairs))
+    return SampleBatch(inputs, targets, aux)
 
 
 def view_vts(ds: ProfileDataset, split: str = "train") -> SampleBatch:
@@ -333,7 +342,7 @@ def view_vts(ds: ProfileDataset, split: str = "train") -> SampleBatch:
     targets = np.vstack([ds.profiles[i].depths for i in idx]) if len(idx) else np.empty((0, ds.grid.n_points))
     aux = dict(cols)
     aux["dx"] = ds.grid.dx
-    return SampleBatch(inputs, targets, aux, idx)
+    return SampleBatch(inputs, targets, aux)
 
 
 # ---------------------------------------------------------------------- #

@@ -66,10 +66,6 @@ class PlanCell:
     def spec(self, width: int | None = None) -> ModelSpec:
         return ModelSpec(self.arch, self.strategy, self.lam, width or self.width)
 
-    @property
-    def label(self) -> str:
-        return f"{self.arch}-{self.strategy}"
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -105,21 +101,6 @@ class ExperimentPlan:
             for value in values:
                 for seed in self.seeds:
                     yield cell, value, seed
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.cells) * max(1, len(self.axis_values)) * len(self.seeds)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentPlan":
-        cells = tuple(PlanCell(**c) for c in d["cells"])
-        return cls(
-            cells=cells,
-            seeds=tuple(int(s) for s in d.get("seeds", DEFAULT_SEEDS)),
-            axis=d.get("axis", "none"),
-            axis_values=tuple(d.get("axis_values", ())),
-            extrapolation=bool(d.get("extrapolation", False)),
-        )
 
 
 def desk_plan() -> tuple[ExperimentPlan, TrainConfig]:

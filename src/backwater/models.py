@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PARAM_NAMES, ProfileDataset, SampleBatch, Scaler, view_int, view_sp, view_vts
+from .data import PARAM_NAMES, ProfileDataset, Scaler, view_int, view_sp, view_vts
 from .hydraulics import ChannelScenario, ConvergenceError, weir_depth
 from .losses import (
     MIN_DEPTH,
@@ -34,7 +34,6 @@ from .losses import (
 )
 from .network import (
     AdamState,
-    EarlyStopping,
     NetworkParams,
     ReduceLROnPlateau,
     TrainConfig,
@@ -121,21 +120,6 @@ class TrainedModel:
 # ---------------------------------------------------------------------- #
 
 
-def _as_column_targets(view: SampleBatch) -> SampleBatch:
-    if view.targets.ndim == 1:
-        return SampleBatch(
-            view.inputs, view.targets[:, None], view.aux, view.profile_index
-        )
-    return view
-
-
-def _slice_aux(aux: dict, sl: slice, n: int) -> dict:
-    return {
-        k: v[sl] if isinstance(v, np.ndarray) and v.ndim >= 1 and v.shape[0] == n else v
-        for k, v in aux.items()
-    }
-
-
 def _physics_term(strategy, pred, true, aux):
     """Dispatch one strategy's loss; returns (value, gradient, clamp count)."""
     if strategy == "en":
@@ -152,16 +136,19 @@ def _physics_term(strategy, pred, true, aux):
 def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None) -> TrainedModel:
     """Fit a model of the given spec on a dataset's train/val splits.
 
-    Minibatches are reshuffled every epoch from a stream seeded by
-    ``config.seed``, so equal (spec, dataset, config) reruns produce
-    bit-identical histories.  Validation loss is always the plain data MSE.
-    A non-finite loss aborts the run and returns the best checkpoint so far
+    Each epoch visits the training samples in a fresh permutation drawn from
+    a stream seeded by ``config.seed``, so equal (spec, dataset, config)
+    reruns produce bit-identical histories.  Validation loss is always the
+    plain data MSE; the best epoch is its first minimum, and training stops
+    once ``early_stop_patience`` epochs pass without a new one.  A
+    non-finite loss aborts the run and returns the best checkpoint so far
     with ``diagnostics["diverged"]`` set.
     """
     config = config or TrainConfig()
-    train_view = _as_column_targets(_VIEW_BUILDERS[spec.arch](ds, "train"))
-    val_view = _as_column_targets(_VIEW_BUILDERS[spec.arch](ds, "val"))
-    if len(train_view) == 0:
+    train_view = _VIEW_BUILDERS[spec.arch](ds, "train")
+    val_view = _VIEW_BUILDERS[spec.arch](ds, "val")
+    n = len(train_view)
+    if n == 0:
         raise ValueError("training split is empty")
     if len(val_view) == 0:
         raise ValueError("validation split is empty")
@@ -174,7 +161,6 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
         patience=config.lr_patience,
         min_lr=config.min_lr,
     )
-    stopper = EarlyStopping(patience=config.early_stop_patience)
     epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs)
 
     # The physics term vanishes from the objective at lam == 1, so skipping it
@@ -191,13 +177,12 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
     stopped_epoch = None
 
     for epoch in range(config.max_epochs):
-        shuffled = train_view.shuffled(int(epoch_seeds[epoch]))
-        n = len(shuffled)
+        order = np.random.default_rng(int(epoch_seeds[epoch])).permutation(n)
         batch_losses = []
         for start in range(0, n, batch_size):
-            sl = slice(start, start + batch_size)
-            xb = shuffled.inputs[sl]
-            yb = shuffled.targets[sl]
+            rows = order[start : start + batch_size]
+            xb = train_view.inputs[rows]
+            yb = train_view.targets[rows]
             out, cache = forward(params, xb)
             data_term = mse(out, yb)
             # a non-finite prediction would fail the physics terms' depth checks
@@ -206,7 +191,10 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
                 break
             d_out = dmse_dpred(out, yb)
             if use_physics:
-                aux_b = _slice_aux(shuffled.aux, sl, n)
+                aux_b = {
+                    k: v[rows] if isinstance(v, np.ndarray) else v
+                    for k, v in train_view.aux.items()
+                }
                 phys, d_phys, n_clamped = _physics_term(spec.strategy, out, yb, aux_b)
                 clamp_events += n_clamped
                 total = spec.lam * data_term + (1.0 - spec.lam) * phys
@@ -248,7 +236,7 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
             best_epoch = epoch
         lr = plateau.update(val_loss, lr)
         adam.lr = lr
-        if stopper.update(epoch, val_loss):
+        if epoch - best_epoch >= config.early_stop_patience:
             stopped_epoch = epoch
             break
 

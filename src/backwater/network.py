@@ -1,9 +1,10 @@
 """Minimal dense feed-forward network with exact backpropagation.
 
 Hidden layers use ReLU (subgradient 0 at 0), the output layer is linear.
-Training utilities include Adam with bias correction, a ReduceLROnPlateau
-scheduler, and early stopping with best-weights restore.  Everything is
-plain numpy and deterministic for a given seed.
+Training utilities are Adam with bias correction and a ReduceLROnPlateau
+scheduler; early stopping and the best-weights checkpoint live in
+:func:`backwater.models.train`.  Everything is plain numpy and
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+#: How far a validation loss must beat the best so far to reset the plateau.
+PLATEAU_MIN_DELTA = 1e-8
 
 
 @dataclass
@@ -178,6 +181,10 @@ class TrainConfig:
             raise ValueError("patiences must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1 (or None for the default)")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
+            raise ValueError("initial_lr must be positive and finite")
 
 
 class AdamState:
@@ -213,20 +220,19 @@ class ReduceLROnPlateau:
     """Halve the learning rate after `patience` epochs without improvement.
 
     Improvement means the validation loss beats the best seen by more than
-    `min_delta`; a reduction resets the stall counter, and the rate never
-    drops below `min_lr`.
+    `PLATEAU_MIN_DELTA`; a reduction resets the stall counter, and the rate
+    never drops below `min_lr`.
     """
 
-    def __init__(self, factor=0.5, patience=10, min_delta=1e-8, min_lr=1e-5):
+    def __init__(self, factor=0.5, patience=10, min_lr=1e-5):
         self.factor = factor
         self.patience = patience
-        self.min_delta = min_delta
         self.min_lr = min_lr
         self.best = math.inf
         self.wait = 0
 
     def update(self, val_loss: float, lr: float) -> float:
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best - PLATEAU_MIN_DELTA:
             self.best = val_loss
             self.wait = 0
             return lr
@@ -235,24 +241,3 @@ class ReduceLROnPlateau:
             self.wait = 0
             return max(lr * self.factor, self.min_lr)
         return lr
-
-
-class EarlyStopping:
-    """Stop after `patience` epochs without a new validation-loss minimum."""
-
-    def __init__(self, patience=20, min_delta=0.0):
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best = math.inf
-        self.best_epoch = -1
-        self.wait = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if val_loss < self.best - self.min_delta:
-            self.best = val_loss
-            self.best_epoch = epoch
-            self.wait = 0
-            return False
-        self.wait += 1
-        return self.wait >= self.patience

@@ -92,12 +92,12 @@ def classify_regime(scen: ChannelScenario) -> str:
     return SUBCRITICAL
 
 
-def step_upstream(h_i, scen: ChannelScenario, dx: float, branch: str = SUBCRITICAL):
+def step_upstream(h_i, scen: ChannelScenario, dx: float):
     """One first-order energy step away from the dam.
 
     With x oriented upstream, dE/dx = J - s, so the discrete update is
     E_{i+1} = E_i + dx * (J(h_i) - s); the returned depth inverts E_{i+1}
-    on the requested branch.
+    on the subcritical branch.
 
     Raises:
         InsufficientEnergyError: if the step crosses the critical energy
@@ -107,7 +107,7 @@ def step_upstream(h_i, scen: ChannelScenario, dx: float, branch: str = SUBCRITIC
     e_next = specific_energy(h_i, scen.Q, scen.b) + dx * (
         friction_slope(h_i, scen.Q, scen.b, scen.n) - scen.s
     )
-    return depth_from_energy(float(e_next), scen.Q, scen.b, branch, h0=float(h_i))
+    return depth_from_energy(float(e_next), scen.Q, scen.b, SUBCRITICAL, h0=float(h_i))
 
 
 def solve_profile(scen: ChannelScenario, grid: GridSpec) -> WaterProfile:

@@ -2,8 +2,8 @@
 
 The fast blocks pin exact contracts: solver physics oracles, analytic
 gradients against central finite differences, optimizer and scheduler
-arithmetic, metric identities, the λ=1 degeneration to data-only training,
-and bitwise run replay.  The slow block executes the stock desk experiment
+arithmetic, early stopping on real training runs, metric identities, the
+λ=1 degeneration to data-only training, and bitwise run replay.  The slow block executes the stock desk experiment
 (ten width-16 cells, 3 seeds, training fraction 0.05) and asserts the
 directional claims: physics-aware training does not hurt when data is
 sparse, the volume term is the weakest VTS physics strategy, and
@@ -49,7 +49,6 @@ from backwater.metrics import evaluate_set, summarize
 from backwater.models import ModelSpec, train
 from backwater.network import (
     AdamState,
-    EarlyStopping,
     NetworkParams,
     ReduceLROnPlateau,
     TrainConfig,
@@ -321,7 +320,7 @@ def test_adam_converges_on_scalar_quadratic():
 
 
 def test_plateau_schedule_arithmetic():
-    sched = ReduceLROnPlateau(factor=0.5, patience=10, min_delta=1e-8, min_lr=1e-5)
+    sched = ReduceLROnPlateau(factor=0.5, patience=10, min_lr=1e-5)
     lr = 0.1
     for val in (1.0, 0.9, 0.8):  # improving: untouched
         lr = sched.update(val, lr)
@@ -338,17 +337,43 @@ def test_plateau_schedule_arithmetic():
     assert lr == 1e-5
 
 
-def test_early_stopping_arithmetic():
-    stop = EarlyStopping(patience=20)
-    for epoch in range(6):  # minimum lands at epoch 5
-        assert not stop.update(epoch, 1.0 - 0.1 * epoch)
-    for epoch in range(6, 25):
-        assert not stop.update(epoch, 0.5)
-    assert stop.update(25, 0.5)  # twenty flat epochs after the minimum
-    assert stop.best_epoch == 5
-
-    never = EarlyStopping(patience=20)
-    assert not any(never.update(e, 1.0 / (1.0 + e)) for e in range(100))
+def test_early_stopping_arithmetic(small_corpus):
+    # Oracle on real runs: the best epoch is the first minimum of val_loss,
+    # and a run stops at the first epoch `patience` epochs past its running
+    # best, never earlier; otherwise it runs its whole budget.
+    runs = [  # (arch, strategy, initial_lr, patience, max_epochs, stops early)
+        ("sp", "en", 1e-1, 3, 60, True),
+        ("int", "fr", 1e-1, 3, 60, True),
+        ("vts", "vol", 1e-1, 3, 60, True),
+        ("sp", "en", 1e-3, 5, 30, False),
+        ("int", "fr", 1e-3, 5, 30, False),
+        ("vts", "vol", 1e-3, 5, 30, False),
+    ]
+    for arch, strategy, lr, patience, max_epochs, stops in runs:
+        config = TrainConfig(
+            initial_lr=lr,
+            lr_patience=2,
+            early_stop_patience=patience,
+            max_epochs=max_epochs,
+            batch_size=64,
+            seed=1,
+        )
+        model = train(ModelSpec(arch, strategy, 0.5, 8), small_corpus, config)
+        val = [row["val_loss"] for row in model.history]
+        diag = model.diagnostics
+        assert diag["diverged"] is False
+        assert diag["best_epoch"] == int(np.argmin(val))
+        assert diag["best_val_loss"] == min(val)
+        running_best, best_epoch, stop = np.inf, 0, None
+        for epoch, loss in enumerate(val):
+            if loss < running_best:
+                running_best, best_epoch = loss, epoch
+            if epoch - best_epoch >= patience:
+                stop = epoch
+                break
+        assert diag["stopped_epoch"] == stop
+        assert len(val) == (max_epochs if stop is None else stop + 1)
+        assert (stop is not None) == stops, (arch, lr)
 
 
 # ---------------------------------------------------------------- #

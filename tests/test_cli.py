@@ -174,7 +174,7 @@ def test_lambda_search_cli_grid_of_one(tmp_path, dataset_csv):
     assert len(table) == 2
 
 
-def test_usage_errors_exit_2(tmp_path, dataset_csv):
+def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-size", "--dataset", str(dataset_csv), "--cells", "cnn:dd",
               "--fractions", "1.0", "--out", str(tmp_path / "x")])
@@ -216,6 +216,37 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
+
+    # training settings outside their domain, each named in the message
+    for flags, field in (
+        (["--batch-size", "0"], "batch_size"),
+        (["--batch-size", "-4"], "batch_size"),
+        (["--lr", "-0.01"], "initial_lr"),
+        (["--lr", "inf"], "initial_lr"),
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(dataset_csv, tmp_path / "bad_train") + flags)
+        assert exc.value.code == 2
+        assert field in capsys.readouterr().err
+
+    # malformed config files, each named in the message
+    without_s = {k: v for k, v in TINY_CONFIG["ranges"].items() if k != "s"}
+    cases = (
+        ("gen-data", {"grid": TINY_CONFIG["grid"]}, "'ranges'"),
+        ("gen-data", dict(TINY_CONFIG, ranges=without_s), "'s'"),
+        ("gen-data", dict(TINY_CONFIG, grid={"dx": 10.0, "len": 300.0}), "'len'"),
+        ("sweep-size", {"dataset": str(dataset_csv), "cells": [{"arch": "sp", "strat": "en"}]},
+         "'strat'"),
+    )
+    for command, cfg, name in cases:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(tmp_path / "cfg_out")])
+        assert exc.value.code == 2
+        assert name in capsys.readouterr().err
 
 
 def test_report_with_no_records_errors(tmp_path):

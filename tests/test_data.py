@@ -174,8 +174,9 @@ def test_view_sp_sample_layout(small_ds):
     batch = view_sp(small_ds, "train")
     assert len(batch) == len(train_profiles) * n_pts
     assert batch.inputs.shape[1] == 6
+    assert batch.targets.shape == (len(batch), 1)
     # Targets are the depths verbatim, profile-major.
-    np.testing.assert_array_equal(batch.targets[:n_pts], train_profiles[0].depths)
+    np.testing.assert_array_equal(batch.targets[:n_pts, 0], train_profiles[0].depths)
     # Aux carries raw (unscaled) scenario values.
     assert batch.aux["Q"][0] == train_profiles[0].scenario.Q
     assert batch.aux["dx"] == small_ds.grid.dx
@@ -186,9 +187,10 @@ def test_view_int_pairs_and_reassembly(small_ds):
     batch = view_int(small_ds, "train")
     train_profiles = small_ds.profiles_in("train")
     assert len(batch) == len(train_profiles) * (n_pts - 1)
+    assert batch.targets.shape == (len(batch), 1)
     # Reassembling the first profile from its pairs reproduces it exactly.
     h_in_raw = small_ds.scaler.inverse("h", batch.inputs[: n_pts - 1, 0])
-    rebuilt = np.concatenate([h_in_raw[:1], batch.targets[: n_pts - 1]])
+    rebuilt = np.concatenate([h_in_raw[:1], batch.targets[: n_pts - 1, 0]])
     np.testing.assert_allclose(rebuilt, train_profiles[0].depths, atol=1e-12)
 
 
@@ -202,9 +204,9 @@ def test_view_int_includes_jump_pair_and_uniform_pairs(small_ds):
     k, profile = mixed[0]
     j = profile.jump_index
     batch = view_int(small_ds, "train")
-    mask = batch.profile_index == k
+    mask = np.repeat(small_ds.indices("train"), small_ds.grid.n_points - 1) == k
     h_in_raw = small_ds.scaler.inverse("h", batch.inputs[mask, 0])
-    targets = batch.targets[mask]
+    targets = batch.targets[mask, 0]
     # The pair straddling the jump is present, not filtered out.
     assert h_in_raw[j - 1] == pytest.approx(profile.depths[j - 1], abs=1e-12)
     assert targets[j - 1] == profile.depths[j]
@@ -219,20 +221,6 @@ def test_view_vts_targets_are_profiles_verbatim(small_ds):
     assert batch.targets.shape == (len(test_profiles), small_ds.grid.n_points)
     for row, profile in zip(batch.targets, test_profiles):
         np.testing.assert_array_equal(row, profile.depths)
-
-
-def test_shuffled_batches_are_seed_deterministic(small_ds):
-    batch = view_sp(small_ds, "train")
-    a = batch.shuffled(7)
-    b = batch.shuffled(7)
-    c = batch.shuffled(8)
-    np.testing.assert_array_equal(a.inputs, b.inputs)
-    np.testing.assert_array_equal(a.targets, b.targets)
-    assert not np.array_equal(a.inputs, c.inputs)
-    # Shuffling permutes rows consistently across fields.
-    row = 11
-    k = int(a.profile_index[row])
-    assert a.aux["Q"][row] == small_ds.profiles[k].scenario.Q
 
 
 # ---------------------------------------------------------------- #

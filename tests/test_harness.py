@@ -59,7 +59,7 @@ def test_plan_run_arithmetic():
         axis_values=(1.0, 0.5, 0.25, 0.1, 0.05),
     )
     runs = list(plan.runs())
-    assert plan.n_runs == len(runs) == 2 * 5 * 3
+    assert len(runs) == 2 * 5 * 3
     assert runs[0] == (PlanCell("sp"), 1.0, 0)
     assert runs[-1] == (PlanCell("sp", "en", 0.7), 0.05, 2)
 
@@ -78,21 +78,6 @@ def test_plan_validation():
         ExperimentPlan(cells=(cell,), axis="fraction", axis_values=())
     with pytest.raises(ValueError):
         PlanCell("sp", "vol")  # vts-only strategy
-
-
-def test_plan_from_dict_round_trip():
-    plan = ExperimentPlan.from_dict(
-        {
-            "cells": [{"arch": "vts", "strategy": "en", "lam": 0.5, "width": 8}],
-            "seeds": [0, 1],
-            "axis": "width",
-            "axis_values": [4, 8],
-            "extrapolation": True,
-        }
-    )
-    assert plan.cells[0].spec().neurons == 8
-    assert plan.n_runs == 4
-    assert plan.extrapolation is True
 
 
 # ---------------------------------------------------------------- #

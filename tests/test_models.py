@@ -9,10 +9,13 @@ from backwater.data import (
     ParameterRanges,
     desk_ranges,
     generate,
+    view_int,
     view_sp,
+    view_vts,
 )
 from backwater.hydraulics import normal_depth, weir_depth
 from backwater.losses import MIN_DEPTH
+from backwater import models
 from backwater.models import (
     ModelSpec,
     TrainedModel,
@@ -167,7 +170,7 @@ def test_reconstruct_sp_matches_view_forward(small_ds, sp_model):
     all_preds = forward(sp_model.params, view.inputs)[0][:, 0]
     batched = predict(sp_model, [small_ds.profiles[i].scenario for i in small_ds.indices("test")])
     for k, i in enumerate(small_ds.indices("test")):
-        rows = view.profile_index == i
+        rows = np.repeat(small_ds.indices("test"), small_ds.grid.n_points) == i
         # bitwise equal to a same-shape forward pass on the view's own rows;
         # BLAS kernels round differently per batch shape, so the full-view
         # pass is only equal to machine precision
@@ -283,6 +286,53 @@ def test_train_is_deterministic(small_ds):
         np.testing.assert_array_equal(wa, wb)
 
 
+def bits(value):
+    """Shape and bytes of an array or scalar, for bitwise comparison."""
+    value = np.asarray(value)
+    return value.shape, value.tobytes()
+
+
+def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
+    # Each epoch's minibatches are the rows, targets and aux values of the
+    # view shuffled by that epoch's seed and then cut into consecutive slices.
+    seen_inputs, seen_physics = [], []
+    real_forward, real_physics = models.forward, models._physics_term
+
+    def spy_forward(params, inputs):
+        seen_inputs.append(inputs.copy())
+        return real_forward(params, inputs)
+
+    def spy_physics(strategy, pred, true, aux):
+        seen_physics.append((true.copy(), dict(aux)))
+        return real_physics(strategy, pred, true, aux)
+
+    monkeypatch.setattr(models, "forward", spy_forward)
+    monkeypatch.setattr(models, "_physics_term", spy_physics)
+    config = TrainConfig(max_epochs=2, batch_size=64, seed=4)
+    cases = (("sp", "en", view_sp), ("int", "fr", view_int), ("vts", "vol", view_vts))
+    for arch, strategy, view in cases:
+        seen_inputs.clear()
+        seen_physics.clear()
+        train(ModelSpec(arch, strategy, 0.5, 8), small_ds, config)
+        full, val = view(small_ds, "train"), view(small_ds, "val")
+        want_inputs, want_physics = [], []
+        for seed in np.random.SeedSequence(config.seed).generate_state(config.max_epochs):
+            order = np.random.default_rng(int(seed)).permutation(len(full))
+            inputs, targets = full.inputs[order], full.targets[order]
+            aux = {k: v[order] for k, v in full.aux.items() if k != "dx"}
+            for start in range(0, len(full), config.batch_size):
+                sl = slice(start, start + config.batch_size)
+                want_inputs.append(inputs[sl])
+                batch_aux = {k: v[sl] for k, v in aux.items()}
+                want_physics.append((targets[sl], dict(batch_aux, dx=full.aux["dx"])))
+            want_inputs.append(val.inputs)  # the validation pass that ends the epoch
+        assert [bits(a) for a in seen_inputs] == [bits(a) for a in want_inputs]
+        assert len(seen_physics) == len(want_physics)
+        for (got_targets, got_aux), (targets, aux) in zip(seen_physics, want_physics):
+            assert bits(got_targets) == bits(targets)
+            assert {k: bits(v) for k, v in got_aux.items()} == {k: bits(v) for k, v in aux.items()}
+
+
 def test_any_strategy_at_lambda_one_matches_dd(small_ds):
     config = TrainConfig(max_epochs=8, batch_size=64, seed=1)
     dd = train(ModelSpec("sp", strategy="dd", width=8), small_ds, config)
@@ -359,7 +409,7 @@ def test_best_weights_reproduce_best_val_loss(small_ds):
     spec = ModelSpec("sp", width=8)
     model = train(spec, small_ds, TrainConfig(max_epochs=15, batch_size=64, seed=2))
     view = _view(small_ds, "val")
-    val = mse(forward(model.params, view.inputs)[0], view.targets[:, None])
+    val = mse(forward(model.params, view.inputs)[0], view.targets)
     assert val == pytest.approx(model.diagnostics["best_val_loss"], rel=1e-12)
     assert min(r["val_loss"] for r in model.history) == model.diagnostics["best_val_loss"]
 

@@ -7,7 +7,6 @@ import pytest
 
 from backwater.network import (
     AdamState,
-    EarlyStopping,
     NetworkParams,
     ReduceLROnPlateau,
     TrainConfig,
@@ -336,7 +335,7 @@ def test_plateau_keeps_lr_while_improving():
 
 
 def test_plateau_halves_after_ten_flat_epochs():
-    sched = ReduceLROnPlateau(factor=0.5, patience=10, min_delta=1e-8)
+    sched = ReduceLROnPlateau(factor=0.5, patience=10)
     lr = sched.update(1.0, 1e-3)  # baseline best
     for _ in range(9):
         lr = sched.update(1.0, lr)
@@ -353,26 +352,6 @@ def test_plateau_floors_at_min_lr():
     assert lr == 1e-5
 
 
-def test_early_stopping_never_fires_on_monotone_history():
-    stopper = EarlyStopping(patience=20)
-    fired = [stopper.update(e, loss) for e, loss in enumerate(np.linspace(2.0, 0.5, 200))]
-    assert not any(fired)
-    assert stopper.best_epoch == 199
-
-
-def test_early_stopping_arithmetic():
-    # Minimum at epoch 5, then 20 flat epochs with patience 20: stop at 25.
-    history = list(np.linspace(1.0, 0.4, 6)) + [0.4] * 25
-    stopper = EarlyStopping(patience=20)
-    stopped_at = None
-    for epoch, loss in enumerate(history):
-        if stopper.update(epoch, loss):
-            stopped_at = epoch
-            break
-    assert stopped_at == 25
-    assert stopper.best_epoch == 5
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr_factor=1.5)
@@ -380,6 +359,13 @@ def test_train_config_validation():
         TrainConfig(lr_patience=0)
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=0)
+    for batch_size in (0, -4):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+    for lr in (-0.01, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="initial_lr"):
+            TrainConfig(initial_lr=lr)
+    assert TrainConfig(batch_size=1, initial_lr=1e80).batch_size == 1
 
 
 def test_params_dict_round_trip():
