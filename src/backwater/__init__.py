@@ -52,7 +52,6 @@ from .harness import (
     DEFAULT_WIDTH_SWEEP,
     EXTRAPOLATION_SEED,
     ExperimentPlan,
-    PlanCell,
     RunRecord,
     aggregate,
     desk_plan,
@@ -232,7 +231,6 @@ __all__ = [
     "DEFAULT_WIDTH_SWEEP",
     "EXTRAPOLATION_SEED",
     "ExperimentPlan",
-    "PlanCell",
     "RunRecord",
     "aggregate",
     "desk_plan",

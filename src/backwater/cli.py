@@ -20,13 +20,16 @@ Most experiment commands also accept ``--config plan.json``::
 
 Explicit flags override config values.  ``gen-data --config`` instead wants
 ``{"ranges": {"s": [lo, hi, count], ...}, "grid": {"dx": .., "length": ..}}``.
+A config key with an unknown name or a value of the wrong JSON type is a
+usage error (exit 2) that names the key.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import MISSING, fields
+import typing
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .data import (
@@ -45,7 +48,6 @@ from .harness import (
     DEFAULT_WIDTH_SWEEP,
     EXTRAPOLATION_SEED,
     ExperimentPlan,
-    PlanCell,
     discover_records,
     execute_plan,
     extrapolation_dataset,
@@ -57,7 +59,7 @@ from .harness import (
 )
 from .losses import STRATEGIES
 from .metrics import evaluate_set, write_metrics_csv
-from .models import ARCHITECTURES, load_model, save_model
+from .models import ARCHITECTURES, ModelSpec, load_model, save_model
 from .network import TrainConfig
 from .solver import GridSpec
 
@@ -75,7 +77,14 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def parse_cell(text: str) -> PlanCell:
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"training fraction {text} is not in (0, 1]")
+    return value
+
+
+def parse_cell(text: str) -> ModelSpec:
     """Parse ``arch[:strategy[:lam[:width]]]`` (e.g. ``vts:en:0.7:16``).
 
     Empty segments keep their defaults, so ``sp:dd::8`` pins the width only.
@@ -88,7 +97,36 @@ def parse_cell(text: str) -> PlanCell:
     strategy = parts[1] or "dd"
     lam = float(parts[2]) if parts[2] else 1.0
     width = int(parts[3]) if parts[3] else None
-    return PlanCell(arch, strategy, lam, width)
+    return ModelSpec(arch, strategy, lam, width)
+
+
+#: the JSON type of each plan-config value
+PLAN_CONFIG_TYPES = {
+    "dataset": str,
+    "cells": list[dict],
+    "seeds": list[int],
+    "fractions": list[float],
+    "widths": list[int],
+    "extrapolation": bool,
+    "train": dict,
+}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a type hint; an integer is a float, a bool is neither."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+
+
+def _checked_type(what: str, key: str, value, hint):
+    if not _fits(value, hint):
+        name = str(hint) if typing.get_args(hint) else hint.__name__
+        raise ValueError(f"{what} {key!r} must be {name}, not {value!r}")
 
 
 def _read_config(path) -> dict:
@@ -105,17 +143,30 @@ def _checked_keys(d, cls, what: str) -> dict:
     """``d`` if it is an object the dataclass ``cls`` can be built from.
 
     Raises:
-        ValueError: naming the unknown keys, or the first required key missing.
+        ValueError: naming the unknown keys, the first required key missing,
+            or the first value whose JSON type does not fit its field.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
+    hints = typing.get_type_hints(cls)
     for f in fields(cls):
-        if f.default is MISSING and f.name not in d:
+        if f.name in d:
+            _checked_type(what, f.name, d[f.name], hints[f.name])
+        elif f.default is MISSING:
             raise ValueError(f"{what} lacks {f.name!r}")
     return d
+
+
+def _plan_config(path) -> dict:
+    """The plan config at ``path`` (``{}`` for none), its values type-checked."""
+    cfg = _read_config(path) if path else {}
+    for key, hint in PLAN_CONFIG_TYPES.items():
+        if key in cfg:
+            _checked_type("config", key, cfg[key], hint)
+    return cfg
 
 
 def _train_config(args, cfg: dict) -> TrainConfig:
@@ -129,18 +180,15 @@ def _train_config(args, cfg: dict) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def _plan_cells(args, cfg: dict) -> tuple[PlanCell, ...]:
+def _plan_cells(args, cfg: dict) -> tuple[ModelSpec, ...]:
     if getattr(args, "cells", None):
         cells = tuple(parse_cell(c) for c in args.cells)
     elif cfg.get("cells"):
-        cells = tuple(PlanCell(**_checked_keys(c, PlanCell, "cell")) for c in cfg["cells"])
+        cells = tuple(ModelSpec(**_checked_keys(c, ModelSpec, "cell")) for c in cfg["cells"])
     else:
         raise ValueError("no cells given (use --cells or a config file)")
     if getattr(args, "width", None) is not None:
-        cells = tuple(
-            c if c.width is not None else PlanCell(c.arch, c.strategy, c.lam, args.width)
-            for c in cells
-        )
+        cells = tuple(c if c.width is not None else replace(c, width=args.width) for c in cells)
     return cells
 
 
@@ -179,15 +227,13 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg = _read_config(args.config) if args.config else {}
+    cfg = _plan_config(args.config)
     ds = _dataset(args, cfg)
-    cell = PlanCell(args.arch, args.strategy, args.lam, args.width)
+    spec = ModelSpec(args.arch, args.strategy, args.lam, args.width)
     config = _train_config(args, cfg)
-    axis, axis_value = ("none", None)
-    if args.fraction is not None and args.fraction < 1.0:
-        axis, axis_value = "fraction", args.fraction
+    axis = "none" if args.fraction is None else "fraction"
     sink: list = []
-    record = run_one(ds, cell, args.seed, config, axis, axis_value, model_sink=sink)
+    record = run_one(ds, spec, args.seed, config, axis, args.fraction, model_sink=sink)
     run_dir = Path(args.out) / record_dir_name(record)
     save_record(record, run_dir)
     save_model(sink[0], run_dir / "model.json")
@@ -233,13 +279,13 @@ def _run_sweep(args, cfg: dict, axis: str, values) -> None:
 
 
 def cmd_sweep_size(args) -> None:
-    cfg = _read_config(args.config) if args.config else {}
+    cfg = _plan_config(args.config)
     fractions = args.fractions or tuple(cfg.get("fractions", DEFAULT_FRACTIONS))
     _run_sweep(args, cfg, "fraction", fractions)
 
 
 def cmd_sweep_width(args) -> None:
-    cfg = _read_config(args.config) if args.config else {}
+    cfg = _plan_config(args.config)
     widths = args.widths or tuple(cfg.get("widths", DEFAULT_WIDTH_SWEEP))
     _run_sweep(args, cfg, "width", widths)
 
@@ -252,13 +298,13 @@ def cmd_extrapolate(args) -> None:
 
 
 def cmd_lambda_search(args) -> None:
-    cfg = _read_config(args.config) if args.config else {}
+    cfg = _plan_config(args.config)
     ds = _dataset(args, cfg)
-    cell = PlanCell(args.arch, args.strategy, 1.0, args.width)
+    spec = ModelSpec(args.arch, args.strategy, 1.0, args.width)
     seeds = args.seeds if args.seeds is not None else tuple(cfg.get("seeds", DEFAULT_SEEDS))
     best, table = lambda_search(
         ds,
-        cell,
+        spec,
         args.grid,
         seeds=seeds,
         config=_train_config(args, cfg),
@@ -316,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="dd")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--width", type=int, default=None)
-    p.add_argument("--fraction", type=float, default=None, help="training fraction in (0, 1]")
+    p.add_argument("--fraction", type=_fraction, default=None, help="training fraction in (0, 1]")
     p.add_argument("--out", required=True)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -362,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--grid", type=_floats, default=tuple(round(0.1 * k, 1) for k in range(1, 10)))
     p.add_argument("--width", type=int, default=None)
-    p.add_argument("--fraction", type=float, default=1.0)
+    p.add_argument("--fraction", type=_fraction, default=1.0, help="training fraction in (0, 1]")
     p.add_argument("--seeds", type=_ints, default=None)
     p.add_argument("--out", required=True)
     _add_train_flags(p, with_seed=False)

@@ -90,6 +90,8 @@ class ParameterRanges:
             try:
                 lo, hi, count = d[name]
                 ranges[name] = (float(lo), float(hi), int(count))
+                if ranges[name] != (lo, hi, count):  # a string, or a fractional count
+                    raise TypeError(f"{[lo, hi, count]} are not two numbers and an integer")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"range for {name!r} must be [min, max, count]: {exc}") from exc
         return cls(**ranges)

@@ -1,11 +1,14 @@
 """Experiment driver: plans, runs, stress tests, and result persistence.
 
-A plan is a list of (architecture, strategy, lambda) cells crossed with seeds
-and optionally a sweep axis (training fraction or network width).  Each run
-trains one model, scores it on the validation and test splits (plus an
-extrapolation set when enabled), and is persisted as a run directory with
-``manifest.json``, ``history.csv``, ``metrics.csv``, and ``summary.json``.
-``report`` rows aggregate seed means per cell per axis value.
+A plan is a tuple of :class:`~backwater.models.ModelSpec` cells crossed with
+seeds and optionally a sweep axis (training fraction or network width).
+Every run goes through :func:`run_one`: it trains one model, scores it on
+the validation and test splits (plus the extrapolation dataset, when given
+one), and returns a record that a run directory (``manifest.json``,
+``history.csv``, ``metrics.csv``, ``summary.json``) persists.
+:func:`execute_plan` runs a plan, :func:`lambda_search` runs a plan of one
+cell per lambda, and :func:`replay` re-runs one record.  ``report`` rows
+aggregate seed means per cell, width and axis value.
 """
 
 from __future__ import annotations
@@ -52,26 +55,10 @@ EXTRAPOLATION_SEED = 7919
 
 
 @dataclass(frozen=True)
-class PlanCell:
-    """One (architecture, strategy, lambda, width) combination to train."""
-
-    arch: str
-    strategy: str = "dd"
-    lam: float = 1.0
-    width: int | None = None
-
-    def __post_init__(self):
-        self.spec()  # delegate vocabulary/λ/width validation
-
-    def spec(self, width: int | None = None) -> ModelSpec:
-        return ModelSpec(self.arch, self.strategy, self.lam, width or self.width)
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
     """Cells x seeds x optional sweep axis, plus the extrapolation switch."""
 
-    cells: tuple[PlanCell, ...]
+    cells: tuple[ModelSpec, ...]
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     axis: str = "none"
     axis_values: tuple = ()
@@ -114,16 +101,16 @@ def desk_plan() -> tuple[ExperimentPlan, TrainConfig]:
     fraction; the whole plan runs in a few CPU-minutes.
     """
     cells = (
-        PlanCell("sp", "dd", width=16),
-        PlanCell("sp", "en", 0.9, 16),
-        PlanCell("sp", "fr", 0.9, 16),
-        PlanCell("int", "dd", width=16),
-        PlanCell("int", "en", 0.3, 16),
-        PlanCell("int", "fr", 0.5, 16),
-        PlanCell("vts", "dd", width=16),
-        PlanCell("vts", "en", 0.3, 16),
-        PlanCell("vts", "fr", 0.5, 16),
-        PlanCell("vts", "vol", 0.3, 16),
+        ModelSpec("sp", "dd", width=16),
+        ModelSpec("sp", "en", 0.9, 16),
+        ModelSpec("sp", "fr", 0.9, 16),
+        ModelSpec("int", "dd", width=16),
+        ModelSpec("int", "en", 0.3, 16),
+        ModelSpec("int", "fr", 0.5, 16),
+        ModelSpec("vts", "dd", width=16),
+        ModelSpec("vts", "en", 0.3, 16),
+        ModelSpec("vts", "fr", 0.5, 16),
+        ModelSpec("vts", "vol", 0.3, 16),
     )
     plan = ExperimentPlan(
         cells=cells,
@@ -248,25 +235,27 @@ class RunRecord:
 
 def run_one(
     ds: ProfileDataset,
-    cell: PlanCell,
+    spec: ModelSpec,
     seed: int,
     config: TrainConfig | None = None,
     axis: str = "none",
     axis_value=None,
-    ext_profiles=None,
-    ext_meta: dict | None = None,
+    ext: ProfileDataset | None = None,
     model_sink: list | None = None,
 ) -> RunRecord:
     """Train one cell at one seed and score it on val/test (+ extrapolation).
 
-    Pass a list as ``model_sink`` to receive the TrainedModel itself (e.g.
-    for checkpointing); the record alone is enough to replay the run.
+    ``ext`` is an :func:`extrapolation_dataset`; the record's config keeps
+    its seed and size as ``ext_seed``/``ext_count`` so :func:`replay` can
+    rebuild it.  Pass a list as ``model_sink`` to receive the TrainedModel
+    itself (e.g. for checkpointing); the record alone is enough to replay
+    the run.
     """
     config = config or TrainConfig()
     config = replace(config, seed=seed)
     fraction = float(axis_value) if axis == "fraction" else 1.0
-    width = int(axis_value) if axis == "width" else cell.width
-    spec = cell.spec(width)
+    if axis == "width":
+        spec = replace(spec, width=int(axis_value))
 
     started = time.perf_counter()
     ds_run = ds if fraction >= 1.0 else subsample_training(ds, fraction, seed)
@@ -275,8 +264,8 @@ def run_one(
         model_sink.append(model)
 
     splits = [(s, ds_run.profiles_in(s), ds_run.indices(s)) for s in ("val", "test")]
-    if ext_profiles is not None:
-        splits.append(("extrapolation", ext_profiles, None))
+    if ext is not None:
+        splits.append(("extrapolation", ext.profiles, None))
     all_records: list[ProfileMetrics] = []
     summaries: dict = {}
     for split, profiles, ids in splits:
@@ -300,8 +289,8 @@ def run_one(
 
     run_config = asdict(config)
     run_config["fraction"] = fraction
-    if ext_meta:
-        run_config.update(ext_meta)
+    if ext is not None:
+        run_config.update(ext_seed=ext.manifest["seed"], ext_count=len(ext.profiles))
 
     return RunRecord(
         arch=spec.arch,
@@ -328,17 +317,10 @@ def execute_plan(
     ext_seed: int = EXTRAPOLATION_SEED,
 ) -> list[RunRecord]:
     """Run every (cell, axis value, seed) of a plan; optionally persist each."""
-    ext_profiles = None
-    ext_meta = None
-    if plan.extrapolation:
-        ext_ds = extrapolation_dataset(ds, seed=ext_seed)
-        ext_profiles = ext_ds.profiles
-        ext_meta = {"ext_seed": ext_seed, "ext_count": len(ext_profiles)}
+    ext = extrapolation_dataset(ds, seed=ext_seed) if plan.extrapolation else None
     results = []
     for cell, axis_value, seed in plan.runs():
-        record = run_one(
-            ds, cell, seed, config, plan.axis, axis_value, ext_profiles, ext_meta
-        )
+        record = run_one(ds, cell, seed, config, plan.axis, axis_value, ext)
         if out_dir is not None:
             save_record(record, Path(out_dir) / record_dir_name(record))
         results.append(record)
@@ -355,25 +337,11 @@ def replay(record: RunRecord, ds: ProfileDataset) -> RunRecord:
         raise ValueError("dataset checksum does not match the record")
     config_fields = {f.name for f in TrainConfig.__dataclass_fields__.values()}
     config = TrainConfig(**{k: v for k, v in record.config.items() if k in config_fields})
-    cell = PlanCell(record.arch, record.strategy, record.lam, record.width)
-    ext_profiles = None
-    ext_meta = None
+    spec = ModelSpec(record.arch, record.strategy, record.lam, record.width)
+    ext = None
     if "ext_seed" in record.config:
-        ext_ds = extrapolation_dataset(
-            ds, count=record.config["ext_count"], seed=record.config["ext_seed"]
-        )
-        ext_profiles = ext_ds.profiles
-        ext_meta = {k: record.config[k] for k in ("ext_seed", "ext_count")}
-    return run_one(
-        ds,
-        cell,
-        record.seed,
-        config,
-        record.axis,
-        record.axis_value,
-        ext_profiles,
-        ext_meta,
-    )
+        ext = extrapolation_dataset(ds, count=record.config["ext_count"], seed=record.config["ext_seed"])
+    return run_one(ds, spec, record.seed, config, record.axis, record.axis_value, ext)
 
 
 # ---------------------------------------------------------------------- #
@@ -470,7 +438,7 @@ def discover_records(root) -> list[RunRecord]:
 
 def lambda_search(
     ds: ProfileDataset,
-    cell: PlanCell,
+    spec: ModelSpec,
     lam_grid,
     seeds=DEFAULT_SEEDS,
     config: TrainConfig | None = None,
@@ -478,25 +446,31 @@ def lambda_search(
 ) -> tuple[float, list[dict]]:
     """Pick the lambda with the lowest seed-mean validation NMAE.
 
+    Runs a plan of one cell per candidate at the training ``fraction``.
     Returns (best lambda, table); each table row carries the candidate, its
     seed-mean validation and test NMAE, and the per-seed validation values.
     """
-    lam_grid = list(lam_grid)
-    if len(lam_grid) == 0:
+    lam_grid = [float(lam) for lam in lam_grid]
+    if not lam_grid:
         raise ValueError("lambda grid is empty")
-    axis = "none" if fraction >= 1.0 else "fraction"
-    axis_value = None if fraction >= 1.0 else fraction
+    plan = ExperimentPlan(
+        cells=tuple(replace(spec, lam=lam) for lam in lam_grid),
+        seeds=tuple(seeds),
+        axis="fraction",
+        axis_values=(fraction,),
+    )
+    records = execute_plan(ds, plan, config)
+    n_seeds = len(plan.seeds)
     table = []
-    for lam in lam_grid:
-        candidate = PlanCell(cell.arch, cell.strategy, float(lam), cell.width)
-        val_means, test_means = [], []
-        for seed in seeds:
-            record = run_one(ds, candidate, seed, config, axis, axis_value)
-            val_means.append(record.seed_metrics("val", "nmae"))
-            test_means.append(record.seed_metrics("test", "nmae"))
+    # records come cell by cell; a dd cell pins its lambda to 1, so the
+    # candidate is the grid entry at the record's position, not record.lam
+    for k, lam in enumerate(lam_grid):
+        runs = records[k * n_seeds : (k + 1) * n_seeds]
+        val_means = [r.seed_metrics("val", "nmae") for r in runs]
+        test_means = [r.seed_metrics("test", "nmae") for r in runs]
         table.append(
             {
-                "lam": float(lam),
+                "lam": lam,
                 "seed_mean_val_nmae": float(np.mean(val_means)),
                 "seed_mean_test_nmae": float(np.mean(test_means)),
                 "val_nmae_per_seed": val_means,
@@ -510,48 +484,31 @@ def lambda_search(
 #  Report aggregation
 # ---------------------------------------------------------------------- #
 
-REPORT_HEADER = ("arch", "strategy", "lambda", "axis", "axis_value", "seed_mean_nmae", "seed_mean_nnse")
+REPORT_HEADER = (
+    "arch", "strategy", "lambda", "width", "axis", "axis_value", "seed_mean_nmae", "seed_mean_nnse"
+)
+#: the summary each report row is scored on, and the prefix of its axis
+REPORT_SPLITS = (("test", ""), ("extrapolation", "ext_"))
 
 
 def aggregate(records: list[RunRecord]) -> list[dict]:
-    """Seed-mean NMAE/NNSE per cell per axis value; extrapolation rows get an
-    ``ext_``-prefixed axis so the schema stays flat."""
+    """Seed-mean NMAE/NNSE per cell, width and axis value; extrapolation rows
+    get an ``ext_``-prefixed axis so the schema stays flat."""
     groups: dict[tuple, dict[str, list]] = {}
     for record in records:
-        key = (record.arch, record.strategy, record.lam, record.axis, record.axis_value)
-        entry = groups.setdefault(key, {"nmae": [], "nnse": [], "ext_nmae": [], "ext_nnse": []})
-        entry["nmae"].append(record.seed_metrics("test", "nmae"))
-        entry["nnse"].append(record.seed_metrics("test", "nnse"))
-        if "extrapolation" in record.summaries:
-            entry["ext_nmae"].append(record.seed_metrics("extrapolation", "nmae"))
-            entry["ext_nnse"].append(record.seed_metrics("extrapolation", "nnse"))
+        key = (record.arch, record.strategy, record.lam, record.width, record.axis, record.axis_value)
+        entry = groups.setdefault(key, {split: [] for split, _ in REPORT_SPLITS})
+        for split, scores in entry.items():
+            if split in record.summaries:
+                scores.append((record.seed_metrics(split, "nmae"), record.seed_metrics(split, "nnse")))
     rows = []
-    for (arch, strategy, lam, axis, axis_value), entry in sorted(
-        groups.items(), key=lambda kv: tuple(map(repr, kv[0]))
-    ):
-        rows.append(
-            {
-                "arch": arch,
-                "strategy": strategy,
-                "lambda": lam,
-                "axis": axis,
-                "axis_value": axis_value,
-                "seed_mean_nmae": float(np.mean(entry["nmae"])),
-                "seed_mean_nnse": float(np.mean(entry["nnse"])),
-            }
-        )
-        if entry["ext_nmae"]:
-            rows.append(
-                {
-                    "arch": arch,
-                    "strategy": strategy,
-                    "lambda": lam,
-                    "axis": f"ext_{axis}",
-                    "axis_value": axis_value,
-                    "seed_mean_nmae": float(np.mean(entry["ext_nmae"])),
-                    "seed_mean_nnse": float(np.mean(entry["ext_nnse"])),
-                }
-            )
+    for key, entry in sorted(groups.items(), key=lambda kv: tuple(map(repr, kv[0]))):
+        *cell, axis, axis_value = key
+        for split, prefix in REPORT_SPLITS:
+            if entry[split]:
+                nmae, nnse = zip(*entry[split])
+                values = (*cell, prefix + axis, axis_value, float(np.mean(nmae)), float(np.mean(nnse)))
+                rows.append(dict(zip(REPORT_HEADER, values)))
     return rows
 
 
@@ -560,16 +517,6 @@ def write_report(records: list[RunRecord], path) -> list[dict]:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["arch"],
-                    row["strategy"],
-                    repr(row["lambda"]),
-                    row["axis"],
-                    "" if row["axis_value"] is None else repr(row["axis_value"]),
-                    repr(row["seed_mean_nmae"]),
-                    repr(row["seed_mean_nnse"]),
-                ]
-            )
+        for row in rows:  # rows are built in header order
+            writer.writerow("" if v is None else v if isinstance(v, str) else repr(v) for v in row.values())
     return rows

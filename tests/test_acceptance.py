@@ -27,7 +27,6 @@ from backwater.data import (
     generate,
 )
 from backwater.harness import (
-    PlanCell,
     aggregate,
     desk_plan,
     execute_plan,
@@ -501,7 +500,7 @@ def test_run_record_replays_bitwise(small_corpus, wide_corpus):
     config = TrainConfig(max_epochs=12, batch_size=32)
     record = run_one(
         small_corpus,
-        PlanCell("vts", "en", 0.5, 8),
+        ModelSpec("vts", "en", 0.5, 8),
         seed=1,
         config=config,
         axis="fraction",

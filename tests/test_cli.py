@@ -7,7 +7,7 @@ import pytest
 
 from backwater.cli import main, parse_cell
 from backwater.data import load
-from backwater.harness import PlanCell
+from backwater.models import ModelSpec
 
 TINY_CONFIG = {
     "ranges": {
@@ -32,8 +32,8 @@ def dataset_csv(tmp_path_factory):
 
 
 def test_parse_cell_forms():
-    assert parse_cell("sp") == PlanCell("sp")
-    assert parse_cell("vts:en:0.7:16") == PlanCell("vts", "en", 0.7, 16)
+    assert parse_cell("sp") == ModelSpec("sp")
+    assert parse_cell("vts:en:0.7:16") == ModelSpec("vts", "en", 0.7, 16)
     with pytest.raises(ValueError):
         parse_cell("sp:en:0.7:16:extra")
     with pytest.raises(ValueError):
@@ -115,12 +115,38 @@ def test_sweep_size_and_report(tmp_path, dataset_csv):
     run_dirs = [p for p in out.iterdir() if p.is_dir()]
     assert len(run_dirs) == 4  # 2 cells x 2 fractions x 1 seed
     report = (out / "report.csv").read_text().splitlines()
-    assert report[0] == "arch,strategy,lambda,axis,axis_value,seed_mean_nmae,seed_mean_nnse"
+    assert report[0] == "arch,strategy,lambda,width,axis,axis_value,seed_mean_nmae,seed_mean_nnse"
     assert len(report) == 5
+    assert all(len(line.split(",")) == 8 for line in report)
 
     regen = tmp_path / "report2.csv"
     assert main(["report", "--runs", str(out), "--out", str(regen)]) == 0
     assert regen.read_bytes() == (out / "report.csv").read_bytes()
+
+
+def test_report_keeps_cells_of_different_widths_apart(tmp_path, dataset_csv):
+    out = tmp_path / "two_widths"
+    assert main(
+        [
+            "sweep-size",
+            "--dataset", str(dataset_csv),
+            "--cells", "vts:dd::8", "vts:dd::16",
+            "--fractions", "0.5",
+            "--seeds", "0",
+            "--max-epochs", "3",
+            "--out", str(out),
+        ]
+    ) == 0
+    assert len([p for p in out.iterdir() if p.is_dir()]) == 2
+    header, *rows = (out / "report.csv").read_text().splitlines()
+    assert len(rows) == 2
+    fields = header.split(",")
+    widths = set()
+    for row in rows:
+        values = row.split(",")
+        assert len(values) == len(fields)
+        widths.add(values[fields.index("width")])
+    assert widths == {"8", "16"}
 
 
 def test_sweep_width_resolves_widths(tmp_path, dataset_csv):
@@ -230,14 +256,36 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         assert exc.value.code == 2
         assert field in capsys.readouterr().err
 
+    # a training fraction outside (0, 1], named in the message
+    for argv in (
+        train_args(dataset_csv, tmp_path / "bad_fraction") + ["--fraction", "1.5"],
+        ["lambda-search", "--dataset", str(dataset_csv), "--arch", "sp", "--strategy", "en",
+         "--fraction", "3", "--out", str(tmp_path / "bad_lam")],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--fraction" in capsys.readouterr().err
+
     # malformed config files, each named in the message
     without_s = {k: v for k, v in TINY_CONFIG["ranges"].items() if k != "s"}
+    plan = {"dataset": str(dataset_csv), "cells": [{"arch": "sp"}], "train": {"max_epochs": 1}}
     cases = (
         ("gen-data", {"grid": TINY_CONFIG["grid"]}, "'ranges'"),
         ("gen-data", dict(TINY_CONFIG, ranges=without_s), "'s'"),
         ("gen-data", dict(TINY_CONFIG, grid={"dx": 10.0, "len": 300.0}), "'len'"),
         ("sweep-size", {"dataset": str(dataset_csv), "cells": [{"arch": "sp", "strat": "en"}]},
          "'strat'"),
+        # values of the wrong JSON type
+        ("sweep-size", dict(plan, train={"batch_size": "16"}), "'batch_size'"),
+        ("gen-data", dict(TINY_CONFIG, grid={"dx": "10", "length": 300.0}), "'dx'"),
+        ("gen-data", dict(TINY_CONFIG, ranges=dict(TINY_CONFIG["ranges"], b=[8.0, 20.0, 2.5])),
+         "'b'"),
+        ("gen-data", dict(TINY_CONFIG, ranges=dict(TINY_CONFIG["ranges"], n=["0.015", 0.03, 2])),
+         "'n'"),
+        ("sweep-size", dict(plan, fractions=["0.5"]), "'fractions'"),
+        ("sweep-size", dict(plan, cells=[{"arch": "sp", "strategy": "en", "lam": "0.5"}]), "'lam'"),
     )
     for command, cfg, name in cases:
         path = tmp_path / "cfg.json"

@@ -9,10 +9,10 @@ from backwater.data import DESK_GRID, ParameterRanges, desk_ranges, generate
 from backwater.harness import (
     ExperimentPlan,
     _draw_scenario,
-    PlanCell,
     aggregate,
     discover_records,
     execute_plan,
+    extrapolation_dataset,
     lambda_search,
     load_record,
     make_extrapolation_set,
@@ -23,6 +23,7 @@ from backwater.harness import (
     write_report,
 )
 from backwater.hydraulics import ConvergenceError, InsufficientEnergyError
+from backwater.models import ModelSpec
 from backwater.network import TrainConfig
 from backwater.solver import GridSpec, solve_profile
 
@@ -53,19 +54,19 @@ def ds():
 
 def test_plan_run_arithmetic():
     plan = ExperimentPlan(
-        cells=(PlanCell("sp"), PlanCell("sp", "en", 0.7)),
+        cells=(ModelSpec("sp"), ModelSpec("sp", "en", 0.7)),
         seeds=(0, 1, 2),
         axis="fraction",
         axis_values=(1.0, 0.5, 0.25, 0.1, 0.05),
     )
     runs = list(plan.runs())
     assert len(runs) == 2 * 5 * 3
-    assert runs[0] == (PlanCell("sp"), 1.0, 0)
-    assert runs[-1] == (PlanCell("sp", "en", 0.7), 0.05, 2)
+    assert runs[0] == (ModelSpec("sp"), 1.0, 0)
+    assert runs[-1] == (ModelSpec("sp", "en", 0.7), 0.05, 2)
 
 
 def test_plan_validation():
-    cell = PlanCell("sp")
+    cell = ModelSpec("sp")
     with pytest.raises(ValueError):
         ExperimentPlan(cells=())
     with pytest.raises(ValueError):
@@ -77,7 +78,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(cells=(cell,), axis="fraction", axis_values=())
     with pytest.raises(ValueError):
-        PlanCell("sp", "vol")  # vts-only strategy
+        ModelSpec("sp", "vol")  # vts-only strategy
 
 
 # ---------------------------------------------------------------- #
@@ -187,7 +188,7 @@ def test_extrapolation_rejection_errors_match_draw_one_solve_one(s_range, seed, 
 
 
 def test_run_one_record_shape(ds):
-    record = run_one(ds, PlanCell("sp", width=8), seed=0, config=FAST)
+    record = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST)
     assert record.arch == "sp" and record.width == 8
     assert record.axis == "none" and record.axis_value is None
     assert record.dataset_checksum == ds.content_hash()
@@ -200,14 +201,14 @@ def test_run_one_record_shape(ds):
 
 def test_run_one_fraction_axis(ds):
     record = run_one(
-        ds, PlanCell("sp", width=8), seed=0, config=FAST, axis="fraction", axis_value=0.5
+        ds, ModelSpec("sp", width=8), seed=0, config=FAST, axis="fraction", axis_value=0.5
     )
     assert record.config["fraction"] == 0.5
     assert record.axis_value == 0.5
 
 
 def test_run_one_int_reports_station_curve(ds):
-    record = run_one(ds, PlanCell("int", width=8), seed=0, config=FAST)
+    record = run_one(ds, ModelSpec("int", width=8), seed=0, config=FAST)
     curve = record.summaries["station_mae"]
     assert len(curve) == GRID.n_points
     assert curve[0] == 0.0  # imposed weir boundary is exact
@@ -226,30 +227,38 @@ def test_run_one_predicts_each_split_once(ds, monkeypatch):
 
     monkeypatch.setattr(backwater.harness, "predict", counting_predict)
     monkeypatch.setattr(backwater.metrics, "predict", counting_predict)
-    ext = ds.profiles_in("test")[:5]
+    ext = extrapolation_dataset(ds, count=5, seed=11)
     sink = []
-    record = run_one(
-        ds, PlanCell("int", width=8), seed=0, config=FAST, ext_profiles=ext, model_sink=sink
-    )
-    assert calls == [len(ds.indices("val")), len(ds.indices("test")), len(ext)]
+    record = run_one(ds, ModelSpec("int", width=8), seed=0, config=FAST, ext=ext, model_sink=sink)
+    assert calls == [len(ds.indices("val")), len(ds.indices("test")), len(ext.profiles)]
     assert set(record.summaries) == {"val", "test", "extrapolation", "station_mae", "diagnostics"}
     # each split records the int march's floor and cap hits
     for split in ("val", "test", "extrapolation"):
-        profiles = ext if split == "extrapolation" else ds.profiles_in(split)
+        profiles = ext.profiles if split == "extrapolation" else ds.profiles_in(split)
         counters = {}
         predict(sink[0], [p.scenario for p in profiles], counters=counters)
         assert record.summaries[split]["clamped"] == counters.get("clamped", 0)
         assert record.summaries[split]["capped"] == counters.get("capped", 0)
 
     calls.clear()
-    record = run_one(ds, PlanCell("sp", width=8), seed=0, config=FAST)
+    record = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST)
     assert calls == [len(ds.indices("val")), len(ds.indices("test"))]
     assert "clamped" not in record.summaries["test"]
 
 
+def test_run_one_records_the_extrapolation_set_it_is_given(ds):
+    ext = extrapolation_dataset(ds, count=7, seed=23)
+    record = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST, ext=ext)
+    assert record.config["ext_seed"] == 23
+    assert record.config["ext_count"] == 7
+    assert sum(r.split == "extrapolation" for r in record.records) == 7
+    plain = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST)
+    assert "ext_seed" not in plain.config and "ext_count" not in plain.config
+
+
 def test_execute_plan_with_extrapolation(ds, tmp_path):
     plan = ExperimentPlan(
-        cells=(PlanCell("sp", width=8),),
+        cells=(ModelSpec("sp", width=8),),
         seeds=(0, 1),
         extrapolation=True,
     )
@@ -263,7 +272,7 @@ def test_execute_plan_with_extrapolation(ds, tmp_path):
 
 
 def test_record_round_trip(ds, tmp_path):
-    record = run_one(ds, PlanCell("vts", "pde", 0.5, width=8), seed=1, config=FAST)
+    record = run_one(ds, ModelSpec("vts", "pde", 0.5, width=8), seed=1, config=FAST)
     save_record(record, tmp_path / "run")
     loaded = load_record(tmp_path / "run")
     assert loaded.dataset_checksum == record.dataset_checksum
@@ -274,15 +283,35 @@ def test_record_round_trip(ds, tmp_path):
 
 
 def test_replay_reproduces_metrics_bitwise(ds):
-    record = run_one(ds, PlanCell("sp", "en", 0.7, width=8), seed=2, config=FAST)
+    record = run_one(ds, ModelSpec("sp", "en", 0.7, width=8), seed=2, config=FAST)
     again = replay(record, ds)
     assert again.records == record.records
     assert again.history == record.history
     assert again.summaries["test"] == record.summaries["test"]
 
 
+def test_replay_with_extrapolation_is_bitwise_on_both_axes(ds):
+    for axis, values in (("fraction", (0.5,)), ("width", (6,))):
+        plan = ExperimentPlan(
+            cells=(ModelSpec("int", "en", 0.5, 8),),
+            seeds=(1,),
+            axis=axis,
+            axis_values=values,
+            extrapolation=True,
+        )
+        (record,) = execute_plan(ds, plan, FAST, ext_seed=31)
+        assert record.config["ext_seed"] == 31
+        again = replay(record, ds)
+        assert (again.axis, again.axis_value, again.width) == (record.axis, record.axis_value, record.width)
+        assert again.config == record.config
+        assert again.history == record.history
+        assert again.records == record.records
+        assert again.summaries == record.summaries
+        assert "extrapolation" in again.summaries
+
+
 def test_replay_checks_dataset_checksum(ds):
-    record = run_one(ds, PlanCell("sp", width=8), seed=0, config=FAST)
+    record = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST)
     other = generate(RANGES, GRID, seed=6)
     with pytest.raises(ValueError, match="checksum"):
         replay(record, other)
@@ -295,24 +324,26 @@ def test_replay_checks_dataset_checksum(ds):
 
 def test_lambda_search_single_candidate(ds):
     best, table = lambda_search(
-        ds, PlanCell("sp", "en", width=8), [0.5], seeds=(0,), config=FAST
+        ds, ModelSpec("sp", "en", width=8), [0.5], seeds=(0,), config=FAST
     )
     assert best == 0.5
     assert len(table) == 1
+    with pytest.raises(ValueError, match="fractions"):
+        lambda_search(ds, ModelSpec("sp", "en", width=8), [0.5], seeds=(0,), config=FAST, fraction=3.0)
 
 
 def test_lambda_search_grid_of_one_equals_dd(ds):
     best, table = lambda_search(
-        ds, PlanCell("sp", "en", width=8), [1.0], seeds=(0,), config=FAST
+        ds, ModelSpec("sp", "en", width=8), [1.0], seeds=(0,), config=FAST
     )
-    dd = run_one(ds, PlanCell("sp", "dd", width=8), seed=0, config=FAST)
+    dd = run_one(ds, ModelSpec("sp", "dd", width=8), seed=0, config=FAST)
     assert best == 1.0
     assert table[0]["seed_mean_val_nmae"] == dd.seed_metrics("val", "nmae")
 
 
 def test_lambda_search_returns_argmin(ds):
     best, table = lambda_search(
-        ds, PlanCell("sp", "en", width=8), [0.3, 1.0], seeds=(0,), config=FAST
+        ds, ModelSpec("sp", "en", width=8), [0.3, 1.0], seeds=(0,), config=FAST
     )
     best_row = min(table, key=lambda r: r["seed_mean_val_nmae"])
     assert best == best_row["lam"]
@@ -326,7 +357,7 @@ def test_lambda_search_returns_argmin(ds):
 
 def test_aggregate_seed_means(ds):
     records = [
-        run_one(ds, PlanCell("sp", width=8), seed=s, config=FAST) for s in (0, 1)
+        run_one(ds, ModelSpec("sp", width=8), seed=s, config=FAST) for s in (0, 1)
     ]
     rows = aggregate(records)
     assert len(rows) == 1
@@ -336,13 +367,14 @@ def test_aggregate_seed_means(ds):
 
 
 def test_report_includes_extrapolation_rows(ds, tmp_path):
-    plan = ExperimentPlan(cells=(PlanCell("sp", width=8),), seeds=(0,), extrapolation=True)
+    plan = ExperimentPlan(cells=(ModelSpec("sp", width=8),), seeds=(0,), extrapolation=True)
     records = execute_plan(ds, plan, FAST, out_dir=tmp_path / "runs")
     rows = write_report(records, tmp_path / "report.csv")
     axes = [row["axis"] for row in rows]
     assert axes == ["none", "ext_none"]
     text = (tmp_path / "report.csv").read_text().splitlines()
-    assert text[0] == "arch,strategy,lambda,axis,axis_value,seed_mean_nmae,seed_mean_nnse"
+    assert text[0] == "arch,strategy,lambda,width,axis,axis_value,seed_mean_nmae,seed_mean_nnse"
+    assert text[1].split(",")[:5] == ["sp", "dd", "1.0", "8", "none"]
     assert len(text) == 3
     # records reload cleanly for aggregation
     again = discover_records(tmp_path / "runs")
