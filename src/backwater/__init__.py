@@ -90,6 +90,7 @@ from .losses import (
     loss_fr,
     loss_pde,
     loss_vol,
+    physics_constants,
 )
 from .metrics import (
     DistributionSummary,
@@ -203,6 +204,7 @@ __all__ = [
     "loss_fr",
     "loss_pde",
     "loss_vol",
+    "physics_constants",
     # models
     "ARCHITECTURES",
     "DEFAULT_BATCH_SIZES",

@@ -9,11 +9,21 @@ routines here (normal depth, depth from energy) take one scenario at a time.
 the weir depth and of the jump test for its batched march; those round
 exactly like the scalar routines because every fractional or cubic power
 goes through libm's ``pow``, as a Python float's ``**`` does.
+
+Each point relation is written once, as a private kernel (``_energy``,
+``_denergy``, ``_friction_slope``, ``_dfriction_slope``, ``_froude``,
+``_dfroude``) that takes the sub-expressions not involving the depth
+precomputed, e.g. ``_energy(h, qq, g2bb)`` with ``qq = Q * Q`` and
+``g2bb = 2.0 * GRAVITY * b * b``.  Those are the products the left-to-right
+textbook expression forms anyway, so a kernel rounds exactly like it.  The
+public functions check the depth and call their kernel; the training losses
+and the batched march call the kernels on inputs they checked once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +81,46 @@ def _validated_depth(h):
     return h
 
 
+def _energy(h, qq, g2bb):
+    """specific_energy with qq = Q * Q and g2bb = 2.0 * GRAVITY * b * b."""
+    return h + qq / (g2bb * h * h)
+
+
+def _denergy(h, qq, gbb):
+    """denergy_dh with qq = Q * Q and gbb = GRAVITY * b * b."""
+    return 1.0 - qq / (gbb * h ** 3)
+
+
+def _friction_slope(h, b, nnqq, power=operator.pow):
+    """friction_slope with nnqq = n * n * Q * Q; ``power`` takes R^(4/3)."""
+    area = b * h
+    radius = area / (b + 2.0 * h)
+    return nnqq / (area * area * power(radius, 4.0 / 3.0))
+
+
+def _dfriction_slope(h, b, j):
+    """dfriction_slope_dh given the friction slope ``j`` at ``h``."""
+    return j * (8.0 / (3.0 * (b + 2.0 * h)) - 10.0 / (3.0 * h))
+
+
+def _froude(h, Q, b):
+    """froude without the depth check."""
+    return Q / (b * h * np.sqrt(GRAVITY * h))
+
+
+def _dfroude(h, m15q, bsg):
+    """dfroude_dh with m15q = -1.5 * Q and bsg = b * math.sqrt(GRAVITY)."""
+    return m15q / (bsg * h ** 2.5)
+
+
 def specific_energy(h, Q, b):
     """Specific energy E = h + Q^2 / (2 g b^2 h^2) for a rectangular section."""
-    h = _validated_depth(h)
-    return h + Q * Q / (2.0 * GRAVITY * b * b * h * h)
+    return _energy(_validated_depth(h), Q * Q, 2.0 * GRAVITY * b * b)
 
 
 def denergy_dh(h, Q, b):
     """Depth derivative of specific energy, dE/dh = 1 - Q^2 / (g b^2 h^3)."""
-    h = _validated_depth(h)
-    return 1.0 - Q * Q / (GRAVITY * b * b * h ** 3)
+    return _denergy(_validated_depth(h), Q * Q, GRAVITY * b * b)
 
 
 def friction_slope(h, Q, b, n):
@@ -88,10 +128,7 @@ def friction_slope(h, Q, b, n):
 
     The wetted area is A = b*h and the hydraulic radius R = A / (b + 2h).
     """
-    h = _validated_depth(h)
-    area = b * h
-    radius = area / (b + 2.0 * h)
-    return n * n * Q * Q / (area * area * radius ** (4.0 / 3.0))
+    return _friction_slope(_validated_depth(h), b, n * n * Q * Q)
 
 
 def dfriction_slope_dh(h, Q, b, n):
@@ -101,20 +138,17 @@ def dfriction_slope_dh(h, Q, b, n):
     dJ/dh = J * (8 / (3 (b + 2h)) - 10 / (3 h)).
     """
     h = _validated_depth(h)
-    j = friction_slope(h, Q, b, n)
-    return j * (8.0 / (3.0 * (b + 2.0 * h)) - 10.0 / (3.0 * h))
+    return _dfriction_slope(h, b, _friction_slope(h, b, n * n * Q * Q))
 
 
 def froude(h, Q, b):
     """Froude number Fr = Q / (b h sqrt(g h)); < 1 subcritical, > 1 supercritical."""
-    h = _validated_depth(h)
-    return Q / (b * h * np.sqrt(GRAVITY * h))
+    return _froude(_validated_depth(h), Q, b)
 
 
 def dfroude_dh(h, Q, b):
     """Depth derivative of the Froude number, dFr/dh = -(3/2) Q / (b sqrt(g) h^(5/2))."""
-    h = _validated_depth(h)
-    return -1.5 * Q / (b * math.sqrt(GRAVITY) * h ** 2.5)
+    return _dfroude(_validated_depth(h), -1.5 * Q, b * math.sqrt(GRAVITY))
 
 
 def critical_depth(Q, b):

@@ -4,23 +4,33 @@ Each term compares predicted depths with targets through a hydraulic
 quantity (specific energy, Froude number, water volume, boundary depth) or
 penalizes the discrete energy-equation residual, and returns both the scalar
 loss and its analytic gradient with respect to the predicted depths.
-Pointwise predictions (shape (B,)) carry per-sample aux values; whole-profile
-predictions (shape (B, N)) carry per-profile aux values.
 
-The energy, Froude and residual terms evaluate depths clamped to a
-per-sample floor and return a third value: how many predictions they clamped.
+The energy, Froude and residual terms (``loss_en``, ``loss_fr``,
+``loss_pde``) are unvalidated kernels on the per-sample constants that
+:func:`physics_constants` builds, checks and returns once per training view:
+the depth floor, the targets' energy or Froude number and the sub-expressions
+of the hydraulic formulas that do not involve the prediction.  A minibatch
+passes those arrays gathered at its rows.  The kernels evaluate depths
+clamped to the floor and return a third value: how many predictions they
+clamped.  The volume and boundary terms take the targets directly.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hydraulics import (
+    GRAVITY,
+    _denergy,
+    _dfriction_slope,
+    _dfroude,
+    _energy,
+    _friction_slope,
+    _froude,
+    _validated_depth,
     critical_depth,
-    denergy_dh,
-    dfriction_slope_dh,
-    dfroude_dh,
-    friction_slope,
     froude,
     specific_energy,
 )
@@ -56,44 +66,73 @@ def clamp_depths(pred: np.ndarray, floor=MIN_DEPTH) -> tuple[np.ndarray, int]:
     return np.where(mask, floor, pred), int(mask.sum())
 
 
-def _per_sample(aux: dict, name: str, pred: np.ndarray) -> np.ndarray:
-    """Aux column broadcast against pointwise or whole-profile predictions."""
-    v = np.asarray(aux[name], dtype=float)
-    return v[:, None] if pred.ndim == 2 else v
-
-
-def depth_floor(aux: dict, pred: np.ndarray) -> np.ndarray:
+def depth_floor(Q, b) -> np.ndarray:
     """Per-sample floor below which physics terms stop evaluating depths."""
-    q, b = _per_sample(aux, "Q", pred), _per_sample(aux, "b", pred)
-    return np.maximum(MIN_DEPTH, CRITICAL_FRACTION * critical_depth(q, b))
+    return np.maximum(MIN_DEPTH, CRITICAL_FRACTION * critical_depth(Q, b))
 
 
-def loss_en(pred, true, aux):
+def physics_constants(strategy: str, aux: dict, targets: np.ndarray) -> tuple:
+    """The constants a strategy's loss kernel needs, one row per sample.
+
+    Per-sample values are shaped to broadcast against ``targets``: (M, 1)
+    for (M, n) targets, (M,) for (M,) targets.  Target-derived values are
+    shaped like ``targets``.  Training builds this once per view and passes
+    every array gathered at a minibatch's rows; ``vol`` and ``bc`` need none.
+
+    Raises:
+        ValueError: on a non-positive or non-finite target depth, a negative
+            discharge or non-positive width, too few stations for ``pde``, or
+            an unknown strategy.
+    """
+    if strategy in ("vol", "bc"):
+        return ()
+    targets = np.asarray(targets, dtype=float)
+
+    def column(name):
+        return np.asarray(aux[name], dtype=float).reshape((-1,) + (1,) * (targets.ndim - 1))
+
+    q, b = column("Q"), column("b")
+    floor = depth_floor(q, b)
+    if strategy == "en":
+        return floor, specific_energy(targets, q, b), q * q, 2.0 * GRAVITY * b * b, GRAVITY * b * b
+    if strategy == "fr":
+        return floor, froude(targets, q, b), q, b, -1.5 * q, b * math.sqrt(GRAVITY)
+    if strategy == "pde":
+        if targets.ndim != 2 or targets.shape[1] < 3:
+            raise ValueError("PDE residual needs at least 3 stations")
+        _validated_depth(targets)
+        n, s = column("n"), column("s")
+        two_dx = np.full_like(q, 2.0 * float(aux["dx"]))
+        return floor, q * q, 2.0 * GRAVITY * b * b, GRAVITY * b * b, n * n * q * q, b, s, two_dx
+    raise ValueError(f"strategy {strategy!r} has no physics term")
+
+
+def loss_en(pred, consts):
     """Mean squared mismatch of specific energy, d/d_pred, and the clamp count.
 
-    The gradient chains through dE/dh = 1 − Q²/(g b² h³) at the clamped
+    ``consts`` is ``physics_constants("en", ...)`` at the batch's rows.  The
+    gradient chains through dE/dh = 1 − Q²/(g b² h³) at the clamped
     predicted depths and is zero for entries under the floor, where the
     clamped loss is constant.
     """
-    pred, true = np.asarray(pred, dtype=float), np.asarray(true, dtype=float)
-    q, b = _per_sample(aux, "Q", pred), _per_sample(aux, "b", pred)
-    floor = depth_floor(aux, pred)
+    floor, e_true, qq, g2bb, gbb = consts
     h_eff, n_clamped = clamp_depths(pred, floor)
-    diff = specific_energy(true, q, b) - specific_energy(h_eff, q, b)
+    diff = e_true - _energy(h_eff, qq, g2bb)
     value = float(np.mean(diff * diff))
-    grad = np.where(pred < floor, 0.0, -2.0 * diff * denergy_dh(h_eff, q, b) / pred.size)
+    grad = np.where(pred < floor, 0.0, -2.0 * diff * _denergy(h_eff, qq, gbb) / pred.size)
     return value, grad, n_clamped
 
 
-def loss_fr(pred, true, aux):
-    """Mean squared mismatch of the Froude number, d/d_pred, and the clamp count."""
-    pred, true = np.asarray(pred, dtype=float), np.asarray(true, dtype=float)
-    q, b = _per_sample(aux, "Q", pred), _per_sample(aux, "b", pred)
-    floor = depth_floor(aux, pred)
+def loss_fr(pred, consts):
+    """Mean squared mismatch of the Froude number, d/d_pred, and the clamp count.
+
+    ``consts`` is ``physics_constants("fr", ...)`` at the batch's rows.
+    """
+    floor, fr_true, q, b, m15q, bsg = consts
     h_eff, n_clamped = clamp_depths(pred, floor)
-    diff = froude(true, q, b) - froude(h_eff, q, b)
+    diff = fr_true - _froude(h_eff, q, b)
     value = float(np.mean(diff * diff))
-    grad = np.where(pred < floor, 0.0, -2.0 * diff * dfroude_dh(h_eff, q, b) / pred.size)
+    grad = np.where(pred < floor, 0.0, -2.0 * diff * _dfroude(h_eff, m15q, bsg) / pred.size)
     return value, grad, n_clamped
 
 
@@ -126,7 +165,7 @@ def loss_bc(pred, true):
     return value, grad
 
 
-def loss_pde(pred, aux):
+def loss_pde(pred, consts):
     """Discrete energy-equation residual over interior stations.
 
     The residual at interior station i is
@@ -134,30 +173,22 @@ def loss_pde(pred, aux):
     which vanishes (to scheme order) on profiles of the marching solver,
     whose x axis points upstream.  The loss is the mean of r_i² over
     interior stations and the batch; the clamp count comes back with it.
+    ``consts`` is ``physics_constants("pde", ...)`` at the batch's rows.
     """
-    pred = np.atleast_2d(np.asarray(pred, dtype=float))
-    if pred.shape[1] < 3:
-        raise ValueError("PDE residual needs at least 3 stations")
-    q = np.asarray(aux["Q"], dtype=float)[:, None]
-    b = np.asarray(aux["b"], dtype=float)[:, None]
-    n = np.asarray(aux["n"], dtype=float)[:, None]
-    s = np.asarray(aux["s"], dtype=float)[:, None]
-    dx = float(aux["dx"])
-
-    floor = depth_floor(aux, pred)
+    floor, qq, g2bb, gbb, nnqq, b, s, two_dx = consts
     h_eff, n_clamped = clamp_depths(pred, floor)
-    energy = specific_energy(h_eff, q, b)
-    slope = friction_slope(h_eff, q, b, n)
-    r = (energy[:, 2:] - energy[:, :-2]) / (2.0 * dx) + s - slope[:, 1:-1]
+    energy = _energy(h_eff, qq, g2bb)
+    slope = _friction_slope(h_eff, b, nnqq)
+    r = (energy[:, 2:] - energy[:, :-2]) / two_dx + s - slope[:, 1:-1]
 
     batch, interior = r.shape
-    de = denergy_dh(h_eff, q, b)
-    dj = dfriction_slope_dh(h_eff, q, b, n)
+    de = _denergy(h_eff, qq, gbb)
+    dj = _dfriction_slope(h_eff, b, slope)
     grad = np.zeros_like(pred)
     value = float(np.mean(r * r))
     w = 2.0 * r / (batch * interior)
-    grad[:, 2:] += w * de[:, 2:] / (2.0 * dx)
-    grad[:, :-2] -= w * de[:, :-2] / (2.0 * dx)
+    grad[:, 2:] += w * de[:, 2:] / two_dx
+    grad[:, :-2] -= w * de[:, :-2] / two_dx
     grad[:, 1:-1] -= w * dj[:, 1:-1]
     grad[pred < floor] = 0.0
     return value, grad, n_clamped

@@ -31,6 +31,7 @@ from .losses import (
     loss_fr,
     loss_pde,
     loss_vol,
+    physics_constants,
 )
 from .network import (
     AdamState,
@@ -120,14 +121,18 @@ class TrainedModel:
 # ---------------------------------------------------------------------- #
 
 
-def _physics_term(strategy, pred, true, aux):
-    """Dispatch one strategy's loss; returns (value, gradient, clamp count)."""
+def _physics_term(strategy, pred, true, consts):
+    """Dispatch one strategy's loss; returns (value, gradient, clamp count).
+
+    ``consts`` is the strategy's :func:`~.losses.physics_constants` tuple at
+    the minibatch's rows.
+    """
     if strategy == "en":
-        return loss_en(pred, true, aux)
+        return loss_en(pred, consts)
     if strategy == "fr":
-        return loss_fr(pred, true, aux)
+        return loss_fr(pred, consts)
     if strategy == "pde":
-        return loss_pde(pred, aux)
+        return loss_pde(pred, consts)
     if strategy == "vol":
         return (*loss_vol(pred, true), 0)
     return (*loss_bc(pred, true), 0)
@@ -166,6 +171,11 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
     # The physics term vanishes from the objective at lam == 1, so skipping it
     # keeps e.g. en@1.0 bit-identical to dd rather than merely close.
     use_physics = spec.strategy != "dd" and spec.lam < 1.0
+    # the physics term's per-sample constants, built and checked once per run
+    consts = ()
+    if use_physics:
+        consts = physics_constants(spec.strategy, train_view.aux, train_view.targets)
+    grad = NetworkParams(params.layer_sizes, np.empty_like(params.flat))
 
     best_params = params.copy()
     best_val = np.inf
@@ -185,17 +195,14 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
             yb = train_view.targets[rows]
             out, cache = forward(params, xb)
             data_term = mse(out, yb)
-            # a non-finite prediction would fail the physics terms' depth checks
+            # a non-finite prediction would poison the clamped physics terms
             if not math.isfinite(data_term):
                 diverged = True
                 break
             d_out = dmse_dpred(out, yb)
             if use_physics:
-                aux_b = {
-                    k: v[rows] if isinstance(v, np.ndarray) else v
-                    for k, v in train_view.aux.items()
-                }
-                phys, d_phys, n_clamped = _physics_term(spec.strategy, out, yb, aux_b)
+                consts_b = tuple(a[rows] for a in consts)
+                phys, d_phys, n_clamped = _physics_term(spec.strategy, out, yb, consts_b)
                 clamp_events += n_clamped
                 total = spec.lam * data_term + (1.0 - spec.lam) * phys
                 d_out = spec.lam * d_out + (1.0 - spec.lam) * d_phys
@@ -204,9 +211,9 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
             if not np.isfinite(total):
                 diverged = True
                 break
-            grad = backward(params, cache, d_out)
+            backward(params, cache, d_out, grad)
             try:
-                adam_step(adam, params, grad)
+                adam_step(adam, params, grad.flat)
             except ValueError:  # non-finite gradient; adam_step updated nothing
                 diverged = True
                 break

@@ -118,24 +118,30 @@ def forward(params: NetworkParams, inputs: np.ndarray):
     return a, {"activations": activations, "pre_acts": pre_acts}
 
 
-def backward(params: NetworkParams, cache: dict, d_outputs: np.ndarray) -> np.ndarray:
+def backward(
+    params: NetworkParams, cache: dict, d_outputs: np.ndarray, grad: NetworkParams | None = None
+) -> np.ndarray:
     """Exact gradients of (loss composed with the network) w.r.t. parameters.
 
     Args:
         params: the network used in the matching forward call.
         cache: activation cache from that call.
         d_outputs: dLoss/dOutputs, shape (batch, layer_sizes[-1]).
+        grad: optional buffer laid out like ``params`` whose every value is
+            overwritten; a training loop passes one buffer for all its steps.
 
     Returns:
-        One flat gradient laid out like ``params.flat``;
-        ``NetworkParams(params.layer_sizes, grad)`` views it per layer.
+        One flat gradient laid out like ``params.flat`` (``grad.flat`` when a
+        buffer is given); ``NetworkParams(params.layer_sizes, flat)`` views it
+        per layer.
     """
     delta = np.asarray(d_outputs, dtype=float)
     activations = cache["activations"]
     pre_acts = cache["pre_acts"]
     if delta.shape != pre_acts[-1].shape:
         raise ValueError("d_outputs shape does not match the cached forward pass")
-    grad = NetworkParams(params.layer_sizes, np.empty_like(params.flat))
+    if grad is None:
+        grad = NetworkParams(params.layer_sizes, np.empty_like(params.flat))
     for layer in range(len(params.weights) - 1, -1, -1):
         np.matmul(activations[layer].T, delta, out=grad.weights[layer])
         np.sum(delta, axis=0, out=grad.biases[layer])
@@ -185,6 +191,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 (or None for the default)")
         if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
             raise ValueError("initial_lr must be positive and finite")
+        if not (math.isfinite(self.min_lr) and 0.0 <= self.min_lr <= self.initial_lr):
+            raise ValueError("min_lr must be finite and lie in [0, initial_lr]")
 
 
 class AdamState:

@@ -28,6 +28,9 @@ from .hydraulics import (
     ChannelScenario,
     ConvergenceError,
     InsufficientEnergyError,
+    _dfriction_slope,
+    _energy,
+    _friction_slope,
     conjugate_depth,
     critical_depth,
     depth_from_energy,
@@ -171,10 +174,8 @@ def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def _friction_slopes(h, b, nnqq):
-    """friction_slope(h, Q, b, n) with nnqq = n * n * Q * Q."""
-    area = b * h
-    radius = area / (b + 2.0 * h)
-    return nnqq / (area * area * _libm_pow(radius, 4.0 / 3.0))
+    """friction_slope(h, Q, b, n) with nnqq = n * n * Q * Q, R^(4/3) through libm."""
+    return _friction_slope(h, b, nnqq, _libm_pow)
 
 
 def _normal_depths(s, b, nnqq):
@@ -199,8 +200,7 @@ def _normal_depths(s, b, nnqq):
             idx, x, j, fx, lo, hi, f_lo = (v[~root] for v in (idx, x, j, fx, lo, hi, f_lo))
         same = (fx > 0.0) == (f_lo > 0.0)
         lo, f_lo, hi = np.where(same, x, lo), np.where(same, fx, f_lo), np.where(same, hi, x)
-        bi = b[idx]
-        dfx = j * (8.0 / (3.0 * (bi + 2.0 * x)) - 10.0 / (3.0 * x))
+        dfx = _dfriction_slope(x, b[idx], j)
         with np.errstate(divide="ignore", invalid="ignore"):
             x_new = x - fx / dfx
         x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
@@ -298,7 +298,7 @@ def solve_profiles(scenarios, grid: GridSpec) -> list:
     for i in range(1, grid.n_points):
         if not live.size:
             break
-        e_next = h + qq[live] / (c2[live] * h * h) + grid.dx * (
+        e_next = _energy(h, qq[live], c2[live]) + grid.dx * (
             _friction_slopes(h, b[live], nnqq[live]) - s[live]
         )
         h_new, err = _subcritical_depths(e_next, a[live], h_c[live], e_min[live], h)

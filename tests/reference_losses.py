@@ -1,0 +1,73 @@
+"""Oracle physics losses written with the validated ``hydraulics`` point functions.
+
+These are the energy, Froude and residual terms on per-batch aux dicts, each
+quantity computed through the public, depth-checking functions.  The library's
+kernels on :func:`backwater.losses.physics_constants` must match them bit for
+bit, and so must a training run that uses the kernels.
+"""
+
+import numpy as np
+
+from backwater.hydraulics import (
+    critical_depth,
+    denergy_dh,
+    dfriction_slope_dh,
+    dfroude_dh,
+    friction_slope,
+    froude,
+    specific_energy,
+)
+from backwater.losses import CRITICAL_FRACTION, MIN_DEPTH
+
+
+def per_sample(aux, name, pred):
+    v = np.asarray(aux[name], dtype=float)
+    return v[:, None] if pred.ndim == 2 else v
+
+
+def floor_and_clamp(aux, pred):
+    q, b = per_sample(aux, "Q", pred), per_sample(aux, "b", pred)
+    floor = np.maximum(MIN_DEPTH, CRITICAL_FRACTION * critical_depth(q, b))
+    low = pred < floor
+    return q, b, low, np.where(low, floor, pred)
+
+
+def loss_en(pred, true, aux):
+    q, b, low, h = floor_and_clamp(aux, pred)
+    diff = specific_energy(true, q, b) - specific_energy(h, q, b)
+    grad = np.where(low, 0.0, -2.0 * diff * denergy_dh(h, q, b) / pred.size)
+    return float(np.mean(diff * diff)), grad, int(low.sum())
+
+
+def loss_fr(pred, true, aux):
+    q, b, low, h = floor_and_clamp(aux, pred)
+    diff = froude(true, q, b) - froude(h, q, b)
+    grad = np.where(low, 0.0, -2.0 * diff * dfroude_dh(h, q, b) / pred.size)
+    return float(np.mean(diff * diff)), grad, int(low.sum())
+
+
+def loss_pde(pred, aux):
+    q, b, low, h = floor_and_clamp(aux, pred)
+    n = per_sample(aux, "n", pred)
+    s = per_sample(aux, "s", pred)
+    dx = float(aux["dx"])
+    energy = specific_energy(h, q, b)
+    slope = friction_slope(h, q, b, n)
+    r = (energy[:, 2:] - energy[:, :-2]) / (2.0 * dx) + s - slope[:, 1:-1]
+    batch, interior = r.shape
+    de = denergy_dh(h, q, b)
+    dj = dfriction_slope_dh(h, q, b, n)
+    grad = np.zeros_like(pred)
+    w = 2.0 * r / (batch * interior)
+    grad[:, 2:] += w * de[:, 2:] / (2.0 * dx)
+    grad[:, :-2] -= w * de[:, :-2] / (2.0 * dx)
+    grad[:, 1:-1] -= w * dj[:, 1:-1]
+    grad[low] = 0.0
+    return float(np.mean(r * r)), grad, int(low.sum())
+
+
+def physics_term(strategy, pred, true, aux):
+    """The oracle for one depth-reading strategy: (value, gradient, clamp count)."""
+    if strategy == "pde":
+        return loss_pde(pred, aux)
+    return {"en": loss_en, "fr": loss_fr}[strategy](pred, true, aux)

@@ -43,7 +43,7 @@ from backwater.hydraulics import (
     specific_energy,
     weir_depth,
 )
-from backwater.losses import loss_bc, loss_en, loss_fr, loss_pde, loss_vol
+from backwater.losses import loss_bc, loss_en, loss_fr, loss_pde, loss_vol, physics_constants
 from backwater.metrics import evaluate_set, summarize
 from backwater.models import ModelSpec, train
 from backwater.network import (
@@ -284,13 +284,15 @@ def test_physics_loss_gradients_match_finite_differences_100_trials():
     started = time.perf_counter()
     for trial in range(100):
         pred, true, aux = random_pointwise_batch(trial, size=10)
-        assert_gradient_matches_fd(lambda p: loss_en(p, true, aux), pred)
-        assert_gradient_matches_fd(lambda p: loss_fr(p, true, aux), pred)
+        en, fr = physics_constants("en", aux, true), physics_constants("fr", aux, true)
+        assert_gradient_matches_fd(lambda p: loss_en(p, en), pred)
+        assert_gradient_matches_fd(lambda p: loss_fr(p, fr), pred)
 
         pred2, true2, aux2 = random_profile_batch(trial + 1000, batch=2, n_pts=9)
         assert_gradient_matches_fd(lambda p: loss_vol(p, true2), pred2)
         assert_gradient_matches_fd(lambda p: loss_bc(p, true2), pred2)
-        assert_gradient_matches_fd(lambda p: loss_pde(p, aux2), pred2)
+        pde = physics_constants("pde", aux2, true2)
+        assert_gradient_matches_fd(lambda p: loss_pde(p, pde), pred2)
     assert time.perf_counter() - started < 60.0
 
 

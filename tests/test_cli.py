@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,9 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
          "'n'"),
         ("sweep-size", dict(plan, fractions=["0.5"]), "'fractions'"),
         ("sweep-size", dict(plan, cells=[{"arch": "sp", "strategy": "en", "lam": "0.5"}]), "'lam'"),
+        # a floor rate that is not finite or lies outside [0, initial_lr]
+        *(("sweep-size", dict(plan, train={"min_lr": v}), "min_lr")
+          for v in (1.0, -1.0, math.nan, math.inf)),
     )
     for command, cfg, name in cases:
         path = tmp_path / "cfg.json"

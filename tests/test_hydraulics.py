@@ -264,6 +264,29 @@ def test_depth_derivatives_match_finite_differences():
             assert dfn(h) == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
 
+def test_point_functions_keep_their_operand_order():
+    # Each relation is written once, as a kernel on hoisted sub-expressions;
+    # the public functions must round exactly like the textbook expression
+    # evaluated left to right, on arrays and on Python floats alike.
+    rng = np.random.default_rng(29)
+    Q, b, n = (rng.uniform(lo, hi, (40, 1)) for lo, hi in ((1.0, 400.0), (2.0, 60.0), (0.01, 0.05)))
+    h = rng.uniform(0.05, 10.0, (40, 9))
+    scalars = [(float(Q[k, 0]), float(b[k, 0]), float(n[k, 0]), float(h[k, 0])) for k in range(40)]
+    for Q, b, n, h in [(Q, b, n, h)] + scalars:
+        area, radius = b * h, b * h / (b + 2.0 * h)
+        j = n * n * Q * Q / (area * area * radius ** (4.0 / 3.0))
+        pairs = (
+            (specific_energy(h, Q, b), h + Q * Q / (2.0 * GRAVITY * b * b * h * h)),
+            (denergy_dh(h, Q, b), 1.0 - Q * Q / (GRAVITY * b * b * h ** 3)),
+            (friction_slope(h, Q, b, n), j),
+            (dfriction_slope_dh(h, Q, b, n), j * (8.0 / (3.0 * (b + 2.0 * h)) - 10.0 / (3.0 * h))),
+            (froude(h, Q, b), Q / (b * h * np.sqrt(GRAVITY * h))),
+            (dfroude_dh(h, Q, b), -1.5 * Q / (b * math.sqrt(GRAVITY) * h ** 2.5)),
+        )
+        for got, want in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
 # ---------------------------------------------------------------- #
 #  Scenario validation
 # ---------------------------------------------------------------- #

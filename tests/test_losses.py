@@ -19,9 +19,12 @@ from backwater.losses import (
     loss_fr,
     loss_pde,
     loss_vol,
+    physics_constants,
 )
 from backwater.network import dmse_dpred, mse
 from backwater.solver import GridSpec, solve_profile
+
+import reference_losses
 
 
 def relative_gap(analytic, numeric):
@@ -63,6 +66,18 @@ def random_profile_batch(seed, batch=3, n_pts=7):
     return pred, true, aux
 
 
+def en(pred, true, aux):
+    return loss_en(pred, physics_constants("en", aux, true))
+
+
+def fr(pred, true, aux):
+    return loss_fr(pred, physics_constants("fr", aux, true))
+
+
+def pde(pred, aux):
+    return loss_pde(pred, physics_constants("pde", aux, pred))
+
+
 def check_gradient(loss_fn, pred, tol=1e-5):
     value, grad = loss_fn(pred)[:2]
     flat = pred.ravel()
@@ -86,7 +101,7 @@ def check_gradient(loss_fn, pred, tol=1e-5):
 
 def test_loss_en_zero_at_exact_prediction():
     pred, true, aux = random_pointwise_batch(0)
-    value, grad, n_clamped = loss_en(true, true, aux)
+    value, grad, n_clamped = en(true, true, aux)
     assert value == 0.0
     assert np.all(grad == 0.0)
     assert n_clamped == 0
@@ -96,36 +111,40 @@ def test_loss_en_reduces_to_mse_for_still_water():
     pred, true, aux = random_pointwise_batch(2)
     aux = dict(aux)
     aux["Q"] = np.zeros_like(aux["Q"])
-    value, grad, _ = loss_en(pred, true, aux)
+    value, grad, _ = en(pred, true, aux)
     assert value == pytest.approx(mse(pred, true), rel=1e-12)
     np.testing.assert_allclose(grad, dmse_dpred(pred, true), atol=1e-15)
 
 
 def test_loss_en_gradient_pointwise_and_profile():
     pred, true, aux = random_pointwise_batch(3)
-    check_gradient(lambda p: loss_en(p, true, aux), pred)
+    consts = physics_constants("en", aux, true)
+    check_gradient(lambda p: loss_en(p, consts), pred)
     pred2, true2, aux2 = random_profile_batch(4)
-    check_gradient(lambda p: loss_en(p, true2, aux2), pred2)
+    consts2 = physics_constants("en", aux2, true2)
+    check_gradient(lambda p: loss_en(p, consts2), pred2)
 
 
 def test_loss_fr_zero_at_exact_prediction():
     pred, true, aux = random_pointwise_batch(5)
-    value = loss_fr(true, true, aux)[0]
+    value = fr(true, true, aux)[0]
     assert value == 0.0
 
 
 def test_loss_fr_gradient_pointwise_and_profile():
     pred, true, aux = random_pointwise_batch(6)
-    check_gradient(lambda p: loss_fr(p, true, aux), pred)
+    consts = physics_constants("fr", aux, true)
+    check_gradient(lambda p: loss_fr(p, consts), pred)
     pred2, true2, aux2 = random_profile_batch(7)
-    check_gradient(lambda p: loss_fr(p, true2, aux2), pred2)
+    consts2 = physics_constants("fr", aux2, true2)
+    check_gradient(lambda p: loss_fr(p, consts2), pred2)
 
 
 def test_loss_fr_not_scale_invariant():
     # Fr ~ h^(-3/2): scaling both depth sets by one factor changes the loss.
     pred, true, aux = random_pointwise_batch(8)
-    base = loss_fr(pred, true, aux)[0]
-    scaled = loss_fr(2.0 * pred, 2.0 * true, aux)[0]
+    base = fr(pred, true, aux)[0]
+    scaled = fr(2.0 * pred, 2.0 * true, aux)[0]
     assert base > 0.0
     assert scaled != pytest.approx(base, rel=1e-6)
 
@@ -183,7 +202,7 @@ def test_loss_pde_matches_independent_residual_on_solver_profile():
     grid = GridSpec(dx=10.0, length=1000.0)
     depths = solve_profile(scen, grid).depths[None, :]
     aux = {"Q": [scen.Q], "b": [scen.b], "n": [scen.n], "s": [scen.s], "dx": grid.dx}
-    value = loss_pde(depths, aux)[0]
+    value = pde(depths, aux)[0]
 
     # Independent central difference of the solver's own energy series.
     E = specific_energy(depths[0], scen.Q, scen.b)
@@ -199,18 +218,19 @@ def test_loss_pde_zero_on_uniform_flow():
     h_n = normal_depth(scen)
     profile = np.full((1, 51), h_n)
     aux = {"Q": [scen.Q], "b": [scen.b], "n": [scen.n], "s": [scen.s], "dx": 10.0}
-    value = loss_pde(profile, aux)[0]
+    value = pde(profile, aux)[0]
     assert value <= 1e-10
 
 
 def test_loss_pde_gradient():
     pred, _, aux = random_profile_batch(13)
-    check_gradient(lambda p: loss_pde(p, aux), pred)
+    consts = physics_constants("pde", aux, pred)
+    check_gradient(lambda p: loss_pde(p, consts), pred)
 
 
 def test_loss_pde_needs_interior_stations():
     with pytest.raises(ValueError):
-        loss_pde(np.ones((1, 2)), {"Q": [10.0], "b": [5.0], "n": [0.02], "s": [1e-3], "dx": 10.0})
+        pde(np.ones((1, 2)), {"Q": [10.0], "b": [5.0], "n": [0.02], "s": [1e-3], "dx": 10.0})
 
 
 # ---------------------------------------------------------------- #
@@ -234,24 +254,24 @@ def test_clamp_depths_accepts_per_entry_floor():
 
 def test_depth_floor_tracks_critical_depth():
     pred, _, aux = random_pointwise_batch(11)
-    floor = depth_floor(aux, pred)
+    floor = depth_floor(aux["Q"], aux["b"])
     h_c = critical_depth(aux["Q"], aux["b"])
     np.testing.assert_allclose(floor, np.maximum(MIN_DEPTH, 0.25 * h_c))
     # Q = 0 collapses h_c, leaving the absolute floor.
-    assert depth_floor({"Q": np.zeros(2), "b": np.ones(2)}, np.ones(2)) == pytest.approx(
+    assert depth_floor(np.zeros(2), np.ones(2)) == pytest.approx(
         [MIN_DEPTH, MIN_DEPTH]
     )
 
 
 def test_losses_treat_clamped_depths_as_the_floor():
     pred, true, aux = random_pointwise_batch(15)
-    floor = depth_floor(aux, pred)
+    floor = depth_floor(aux["Q"], aux["b"])
     bad = pred.copy()
     bad[3] = -0.7
     floored = pred.copy()
     floored[3] = floor[3]
     others = np.arange(pred.size) != 3
-    for fn in (lambda p: loss_en(p, true, aux), lambda p: loss_fr(p, true, aux)):
+    for fn in (lambda p: en(p, true, aux), lambda p: fr(p, true, aux)):
         v_bad, g_bad, n_bad = fn(bad)
         v_floor, g_floor, n_floor = fn(floored)
         # The loss value is evaluated at the floor ...
@@ -264,3 +284,60 @@ def test_losses_treat_clamped_depths_as_the_floor():
         assert g_floor[3] != 0.0
         np.testing.assert_array_equal(g_bad[others], g_floor[others])
         assert fn(bad)[0] == fn(np.where(others, bad, -0.7 + 1e-4))[0]
+
+
+# ---------------------------------------------------------------- #
+#  Kernels on per-view constants
+# ---------------------------------------------------------------- #
+
+
+def bits(value):
+    value = np.asarray(value)
+    return value.shape, value.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (12, 9)])
+def test_kernels_match_validated_point_functions_bitwise(shape):
+    # The kernels on gathered per-view constants equal the same expressions
+    # written with the depth-checking point functions on a per-batch aux dict,
+    # with some predictions below the floor.
+    for seed in range(20):
+        pred, true, aux = random_profile_batch(seed, batch=shape[0], n_pts=shape[1])
+        rng = np.random.default_rng(100 + seed)
+        floor = depth_floor(aux["Q"], aux["b"])[:, None]
+        low = rng.random(shape) < 0.2
+        pred = np.where(low, floor * rng.uniform(-2.0, 0.999, shape), pred)
+        rows = rng.permutation(shape[0])[: shape[0] // 2 + 1]
+        aux_b = {k: v[rows] if isinstance(v, np.ndarray) else v for k, v in aux.items()}
+        strategies = [("en", loss_en), ("fr", loss_fr)] + ([("pde", loss_pde)] if shape[1] >= 3 else [])
+        for strategy, kernel in strategies:
+            consts = physics_constants(strategy, aux, true)
+            got = kernel(pred[rows], tuple(a[rows] for a in consts))
+            want = reference_losses.physics_term(strategy, pred[rows], true[rows], aux_b)
+            assert got[2] == want[2] == int(low[rows].sum())
+            assert bits(got[0]) == bits(want[0]), strategy
+            assert bits(got[1]) == bits(want[1]), strategy
+
+
+def test_physics_constants_shapes():
+    pred, true, aux = random_profile_batch(21, batch=4, n_pts=6)
+    for strategy in ("en", "fr", "pde"):
+        for a in physics_constants(strategy, aux, true):
+            assert a.shape in ((4, 1), (4, 6))
+    pointwise, true1, aux1 = random_pointwise_batch(22, size=5)
+    assert all(a.shape == (5,) for a in physics_constants("en", aux1, true1))
+    assert physics_constants("vol", aux, true) == physics_constants("bc", aux, true) == ()
+
+
+def test_physics_constants_validate_where_training_starts():
+    _, true, aux = random_profile_batch(23)
+    for strategy in ("en", "fr", "pde"):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            targets = true.copy()
+            targets[1, 2] = bad
+            with pytest.raises(ValueError, match="flow depth must be positive"):
+                physics_constants(strategy, aux, targets)
+        with pytest.raises(ValueError, match="discharge must be non-negative"):
+            physics_constants(strategy, dict(aux, Q=-aux["Q"]), true)
+    with pytest.raises(ValueError, match="no physics term"):
+        physics_constants("dd", aux, true)

@@ -1,5 +1,8 @@
 """Tests for architecture specs, training loops, and profile reconstruction."""
 
+import pickle
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -25,8 +28,22 @@ from backwater.models import (
     save_model,
     train,
 )
-from backwater.network import TrainConfig, forward, init
+from backwater.losses import physics_constants
+from backwater.network import (
+    AdamState,
+    NetworkParams,
+    ReduceLROnPlateau,
+    TrainConfig,
+    adam_step,
+    backward,
+    dmse_dpred,
+    forward,
+    init,
+    mse,
+)
 from backwater.solver import GridSpec
+
+import reference_losses
 
 SMALL_RANGES = ParameterRanges(
     s=(1e-3, 5e-3, 3),
@@ -293,8 +310,9 @@ def bits(value):
 
 
 def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
-    # Each epoch's minibatches are the rows, targets and aux values of the
-    # view shuffled by that epoch's seed and then cut into consecutive slices.
+    # Each epoch's minibatches are the rows and targets of the view shuffled by
+    # that epoch's seed and then cut into consecutive slices; the physics term
+    # gets the run's physics_constants gathered at the same rows.
     seen_inputs, seen_physics = [], []
     real_forward, real_physics = models.forward, models._physics_term
 
@@ -302,35 +320,136 @@ def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
         seen_inputs.append(inputs.copy())
         return real_forward(params, inputs)
 
-    def spy_physics(strategy, pred, true, aux):
-        seen_physics.append((true.copy(), dict(aux)))
-        return real_physics(strategy, pred, true, aux)
+    def spy_physics(strategy, pred, true, consts):
+        seen_physics.append((true.copy(), [a.copy() for a in consts]))
+        return real_physics(strategy, pred, true, consts)
 
     monkeypatch.setattr(models, "forward", spy_forward)
     monkeypatch.setattr(models, "_physics_term", spy_physics)
     config = TrainConfig(max_epochs=2, batch_size=64, seed=4)
-    cases = (("sp", "en", view_sp), ("int", "fr", view_int), ("vts", "vol", view_vts))
+    cases = (
+        ("sp", "en", view_sp),
+        ("int", "fr", view_int),
+        ("vts", "vol", view_vts),
+        ("vts", "pde", view_vts),
+    )
     for arch, strategy, view in cases:
         seen_inputs.clear()
         seen_physics.clear()
         train(ModelSpec(arch, strategy, 0.5, 8), small_ds, config)
         full, val = view(small_ds, "train"), view(small_ds, "val")
+        consts = physics_constants(strategy, full.aux, full.targets)
+        assert len(consts) == {"en": 5, "fr": 6, "vol": 0, "pde": 8}[strategy]
         want_inputs, want_physics = [], []
         for seed in np.random.SeedSequence(config.seed).generate_state(config.max_epochs):
             order = np.random.default_rng(int(seed)).permutation(len(full))
             inputs, targets = full.inputs[order], full.targets[order]
-            aux = {k: v[order] for k, v in full.aux.items() if k != "dx"}
+            shuffled = [a[order] for a in consts]
             for start in range(0, len(full), config.batch_size):
                 sl = slice(start, start + config.batch_size)
                 want_inputs.append(inputs[sl])
-                batch_aux = {k: v[sl] for k, v in aux.items()}
-                want_physics.append((targets[sl], dict(batch_aux, dx=full.aux["dx"])))
+                want_physics.append((targets[sl], [a[sl] for a in shuffled]))
             want_inputs.append(val.inputs)  # the validation pass that ends the epoch
         assert [bits(a) for a in seen_inputs] == [bits(a) for a in want_inputs]
         assert len(seen_physics) == len(want_physics)
-        for (got_targets, got_aux), (targets, aux) in zip(seen_physics, want_physics):
+        for (got_targets, got_consts), (targets, batch_consts) in zip(seen_physics, want_physics):
             assert bits(got_targets) == bits(targets)
-            assert {k: bits(v) for k, v in got_aux.items()} == {k: bits(v) for k, v in aux.items()}
+            assert [bits(a) for a in got_consts] == [bits(a) for a in batch_consts]
+
+
+def reference_train(spec, ds, config):
+    """models.train written plainly: per-batch aux dicts, the oracle losses
+    on the validated point functions, and a fresh gradient per backward."""
+    view = {"sp": view_sp, "int": view_int, "vts": view_vts}[spec.arch]
+    train_view, val_view = view(ds, "train"), view(ds, "val")
+    n = len(train_view)
+    params = init(spec.layer_sizes(ds.grid.n_points), config.seed)
+    adam = AdamState(params, config.initial_lr)
+    plateau = ReduceLROnPlateau(config.lr_factor, config.lr_patience, config.min_lr)
+    epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs)
+    best_params, best_val, best_epoch = params.copy(), np.inf, 0
+    lr, history, clamp_events, stopped_epoch = config.initial_lr, [], 0, None
+    for epoch in range(config.max_epochs):
+        order = np.random.default_rng(int(epoch_seeds[epoch])).permutation(n)
+        losses = []
+        for start in range(0, n, config.batch_size):
+            rows = order[start : start + config.batch_size]
+            yb = train_view.targets[rows]
+            out, cache = forward(params, train_view.inputs[rows])
+            aux = {k: v[rows] if isinstance(v, np.ndarray) else v for k, v in train_view.aux.items()}
+            phys, d_phys, clamped = reference_losses.physics_term(spec.strategy, out, yb, aux)
+            clamp_events += clamped
+            total = spec.lam * mse(out, yb) + (1.0 - spec.lam) * phys
+            d_out = spec.lam * dmse_dpred(out, yb) + (1.0 - spec.lam) * d_phys
+            adam_step(adam, params, backward(params, cache, d_out))
+            losses.append(total)
+        val_loss = mse(forward(params, val_view.inputs)[0], val_view.targets)
+        history.append(
+            {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_loss": float(val_loss), "lr": lr}
+        )
+        if val_loss < best_val:
+            best_params, best_val, best_epoch = params.copy(), float(val_loss), epoch
+        lr = adam.lr = plateau.update(val_loss, lr)
+        if epoch - best_epoch >= config.early_stop_patience:
+            stopped_epoch = epoch
+            break
+    diagnostics = {
+        "best_epoch": best_epoch,
+        "best_val_loss": best_val,
+        "clamp_events": clamp_events,
+        "diverged": False,
+        "stopped_epoch": stopped_epoch,
+        "epochs_run": len(history),
+        "config": asdict(config),
+    }
+    return history, diagnostics, best_params.flat
+
+
+@pytest.mark.parametrize(
+    "arch,strategy,lam", [("sp", "en", 0.5), ("int", "fr", 0.3), ("vts", "fr", 0.5), ("vts", "pde", 0.5)]
+)
+def test_train_equals_reference_trainer_bitwise(small_ds, arch, strategy, lam):
+    spec = ModelSpec(arch, strategy, lam, 8)
+    # a high rate makes int-fr reach both the plateau cut and the early stop
+    config = TrainConfig(
+        initial_lr=1e-2, lr_patience=1, early_stop_patience=3, max_epochs=12, batch_size=16, seed=6
+    )
+    model = train(spec, small_ds, config)
+    history, diagnostics, flat = reference_train(spec, small_ds, config)
+    assert pickle.dumps(model.history) == pickle.dumps(history)
+    assert pickle.dumps(model.diagnostics) == pickle.dumps(diagnostics)
+    assert bits(model.params.flat) == bits(flat)
+    assert model.diagnostics["clamp_events"] > 0  # the floor path is covered
+    if (arch, strategy) == ("int", "fr"):
+        assert model.diagnostics["stopped_epoch"] is not None
+        assert model.history[-1]["lr"] < config.initial_lr
+
+
+def test_train_reuses_one_gradient_buffer(small_ds, monkeypatch):
+    # backward into a reused buffer equals a fresh gradient ...
+    params = init([6, 8, 8, 1], seed=2)
+    rng = np.random.default_rng(3)
+    buffer = NetworkParams(params.layer_sizes, np.full_like(params.flat, np.nan))
+    for rows in (5, 9):
+        out, cache = forward(params, rng.normal(size=(rows, 6)))
+        d_out = rng.normal(size=out.shape)
+        fresh = backward(params, cache, d_out)
+        assert backward(params, cache, d_out, buffer) is buffer.flat
+        assert bits(buffer.flat) == bits(fresh)
+    # ... and train builds NetworkParams only for init, that buffer and the
+    # best-weights copies, never per step.
+    built = []
+    real_post_init = NetworkParams.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(NetworkParams, "__post_init__", counting_post_init)
+    model = train(ModelSpec("sp", "en", 0.5, 8), small_ds, TrainConfig(max_epochs=4, batch_size=64, seed=0))
+    vals = [row["val_loss"] for row in model.history]
+    improvements = sum(v < min(vals[:k], default=np.inf) for k, v in enumerate(vals))
+    assert len(built) == 3 + improvements
 
 
 def test_any_strategy_at_lambda_one_matches_dd(small_ds):

@@ -366,6 +366,12 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match="initial_lr"):
             TrainConfig(initial_lr=lr)
     assert TrainConfig(batch_size=1, initial_lr=1e80).batch_size == 1
+    # a floor rate above the initial one would make a plateau raise the rate
+    for min_lr in (1.0, 2e-3, -1.0, -1e-300, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="min_lr"):
+            TrainConfig(min_lr=min_lr)
+    for min_lr in (0.0, 1e-5, 1e-3):
+        assert TrainConfig(min_lr=min_lr).min_lr == min_lr
 
 
 def test_params_dict_round_trip():
