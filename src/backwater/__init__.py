@@ -77,6 +77,7 @@ from .hydraulics import (
     froude,
     momentum_function,
     normal_depth,
+    scenario_table,
     specific_energy,
     weir_depth,
 )
@@ -136,114 +137,14 @@ from .solver import (
     solve_profile,
     solve_profiles,
     step_upstream,
+    weir_and_normal_depths,
 )
 
 __version__ = "0.1.0"
 
+#: every name imported above (the submodules aside) and the version
 __all__ = [
-    # hydraulics
-    "GRAVITY",
-    "ChannelScenario",
-    "ConvergenceError",
-    "InsufficientEnergyError",
-    "conjugate_depth",
-    "critical_depth",
-    "depth_from_energy",
-    "friction_slope",
-    "froude",
-    "momentum_function",
-    "normal_depth",
-    "specific_energy",
-    "weir_depth",
-    # solver
-    "MIXED",
-    "SUBCRITICAL",
-    "GridSpec",
-    "WaterProfile",
-    "classify_regime",
-    "solve_profile",
-    "solve_profiles",
-    "step_upstream",
-    # data
-    "DESK_GRID",
-    "DESK_RANGES",
-    "FULL_GRID",
-    "FULL_RANGES",
-    "ParameterRanges",
-    "ProfileDataset",
-    "SampleBatch",
-    "Scaler",
-    "desk_ranges",
-    "fit_scaler",
-    "full_ranges",
-    "generate",
-    "load",
-    "save",
-    "split_sizes",
-    "subsample_training",
-    "view_int",
-    "view_sp",
-    "view_vts",
-    # network
-    "AdamState",
-    "NetworkParams",
-    "ReduceLROnPlateau",
-    "TrainConfig",
-    "adam_step",
-    "backward",
-    "forward",
-    "init",
-    "mse",
-    # losses
-    "CRITICAL_FRACTION",
-    "MIN_DEPTH",
-    "STRATEGIES",
-    "VTS_ONLY_STRATEGIES",
-    "loss_bc",
-    "loss_en",
-    "loss_fr",
-    "loss_pde",
-    "loss_vol",
-    "physics_constants",
-    # models
-    "ARCHITECTURES",
-    "DEFAULT_BATCH_SIZES",
-    "DEFAULT_WIDTHS",
-    "ModelSpec",
-    "TrainedModel",
-    "load_model",
-    "predict",
-    "reconstruct",
-    "save_model",
-    "train",
-    # metrics
-    "DistributionSummary",
-    "ProfileMetrics",
-    "SetEvaluation",
-    "UndefinedMetricError",
-    "evaluate_set",
-    "nmae",
-    "nnse",
-    "nse",
-    "per_station_mae",
-    "summarize",
-    # harness
-    "DEFAULT_FRACTIONS",
-    "DEFAULT_SEEDS",
-    "DEFAULT_WIDTH_SWEEP",
-    "EXTRAPOLATION_SEED",
-    "ExperimentPlan",
-    "RunRecord",
-    "aggregate",
-    "desk_plan",
-    "discover_records",
-    "execute_plan",
-    "extrapolation_dataset",
-    "lambda_search",
-    "load_record",
-    "replay",
-    "run_one",
-    "save_record",
-    "write_report",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__package__", None) != __name__
+] + ["__version__"]

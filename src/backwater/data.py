@@ -5,6 +5,11 @@ A corpus is built by solving every combination of a uniform 5-parameter grid
 train/val/test by a seeded shuffle, and standardized with statistics from the
 training split only.  Three "views" rearrange the same depths into the sample
 layouts the surrogate architectures train on.
+
+Scenario parameters are read in one place, :func:`~.hydraulics.scenario_table`,
+and standardized in one, :meth:`Scaler.scale_table`.  A network input row is
+those five columns after the scaled station ``x`` (sp) or depth ``h`` (int),
+or alone (vts); :func:`~.models.predict` forms its rows the same way.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hydraulics import ChannelScenario, ConvergenceError, InsufficientEnergyError
-from .solver import GridSpec, WaterProfile, solve_profiles
+from .hydraulics import ChannelScenario, ConvergenceError, InsufficientEnergyError, scenario_table
+from .solver import MIXED, SUBCRITICAL, GridSpec, WaterProfile, solve_profiles
 
 FORMAT_VERSION = 1
 PARAM_NAMES = ("s", "b", "n", "zd", "Q")
@@ -109,10 +114,8 @@ class ParameterRanges:
 
     def scenarios(self):
         """All grid combinations in deterministic (s, b, n, zd, Q) order."""
-        for s, b, n, zd, q in itertools.product(
-            *(self.values(k) for k in PARAM_NAMES)
-        ):
-            yield ChannelScenario(s=float(s), b=float(b), n=float(n), z_d=float(zd), Q=float(q))
+        for row in itertools.product(*(self.values(k).tolist() for k in PARAM_NAMES)):
+            yield ChannelScenario(*row)
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,13 @@ class Scaler:
             raise ValueError(f"feature {name!r} is constant in the training split")
         return (np.asarray(values, dtype=float) - self.mean[name]) / sd
 
+    def scale_table(self, table: np.ndarray) -> np.ndarray:
+        """A (P, 5) :func:`~.hydraulics.scenario_table` with each column standardized.
+
+        Every architecture's network inputs end in these five columns.
+        """
+        return np.column_stack([self.scale(k, table[:, j]) for j, k in enumerate(PARAM_NAMES)])
+
     def inverse(self, name: str, values):
         return np.asarray(values, dtype=float) * self.std[name] + self.mean[name]
 
@@ -148,9 +158,7 @@ def fit_scaler(profiles: list[WaterProfile]) -> Scaler:
         "x": np.concatenate([p.grid.stations for p in profiles]),
         "h": np.concatenate([p.depths for p in profiles]),
     }
-    for name in PARAM_NAMES:
-        attr = "z_d" if name == "zd" else name
-        series[name] = np.array([getattr(p.scenario, attr) for p in profiles])
+    series.update(zip(PARAM_NAMES, scenario_table([p.scenario for p in profiles]).T.copy()))
     return Scaler(
         mean={k: float(np.mean(v)) for k, v in series.items()},
         std={k: float(np.std(v)) for k, v in series.items()},
@@ -182,11 +190,9 @@ class ProfileDataset:
     def content_hash(self) -> str:
         """Checksum of scenario parameters, depths, and split tags."""
         digest = hashlib.sha256()
-        for profile, tag in zip(self.profiles, self.split):
-            sc = profile.scenario
-            digest.update(
-                np.array([sc.s, sc.b, sc.n, sc.z_d, sc.Q]).tobytes()
-            )
+        table = scenario_table([p.scenario for p in self.profiles])
+        for row, profile, tag in zip(table, self.profiles, self.split):
+            digest.update(row.tobytes())
             digest.update(profile.depths.tobytes())
             digest.update(tag.encode())
         return digest.hexdigest()
@@ -209,20 +215,12 @@ def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDatas
     profiles: list[WaterProfile] = []
     rejected: list[dict] = []
     scenarios = list(ranges.scenarios())
-    for scen, outcome in zip(scenarios, solve_profiles(scenarios, grid)):
+    rows = scenario_table(scenarios).tolist()
+    for row, outcome in zip(rows, solve_profiles(scenarios, grid)):
         if isinstance(outcome, WaterProfile):
             profiles.append(outcome)
         elif isinstance(outcome, (InsufficientEnergyError, ConvergenceError)):
-            rejected.append(
-                {
-                    "s": scen.s,
-                    "b": scen.b,
-                    "n": scen.n,
-                    "zd": scen.z_d,
-                    "Q": scen.Q,
-                    "reason": str(outcome),
-                }
-            )
+            rejected.append({**dict(zip(PARAM_NAMES, row)), "reason": str(outcome)})
         else:
             raise outcome
     total = ranges.n_combinations
@@ -291,60 +289,40 @@ class SampleBatch:
         return self.inputs.shape[0]
 
 
-def _scenario_columns(ds: ProfileDataset, idx: np.ndarray) -> dict[str, np.ndarray]:
-    cols = {}
-    for name in PARAM_NAMES:
-        attr = "z_d" if name == "zd" else name
-        cols[name] = np.array([getattr(ds.profiles[i].scenario, attr) for i in idx])
-    return cols
+def _scenario_samples(ds: ProfileDataset, split: str, repeats: int):
+    """A split's profile indices, then its standardized scenario rows and its
+    unscaled parameter columns (plus ``dx``), each repeated once per sample."""
+    idx = ds.indices(split)
+    table = scenario_table([ds.profiles[i].scenario for i in idx])
+    aux = {k: np.repeat(col, repeats) for k, col in zip(PARAM_NAMES, table.T)}
+    aux["dx"] = ds.grid.dx
+    return idx, np.repeat(ds.scaler.scale_table(table), repeats, axis=0), aux
 
 
 def view_sp(ds: ProfileDataset, split: str = "train") -> SampleBatch:
     """Pointwise samples ([x, s, b, n, zd, Q] -> h), one per station per profile."""
-    idx = ds.indices(split)
-    n_pts = ds.grid.n_points
-    cols = _scenario_columns(ds, idx)
-    x = np.tile(ds.grid.stations, len(idx))
-    scen = {k: np.repeat(v, n_pts) for k, v in cols.items()}
-    inputs = np.column_stack(
-        [ds.scaler.scale("x", x)]
-        + [ds.scaler.scale(k, scen[k]) for k in PARAM_NAMES]
-    )
+    idx, params, aux = _scenario_samples(ds, split, ds.grid.n_points)
+    x = ds.scaler.scale("x", np.tile(ds.grid.stations, len(idx)))
     targets = np.concatenate([ds.profiles[i].depths for i in idx])[:, None]
-    aux = dict(scen)
-    aux["dx"] = ds.grid.dx
-    return SampleBatch(inputs, targets, aux)
+    return SampleBatch(np.column_stack([x, params]), targets, aux)
 
 
 def view_int(ds: ProfileDataset, split: str = "train") -> SampleBatch:
     """Adjacent-pair samples ([h_i, s, b, n, zd, Q] -> h_{i+1}); jump pairs kept."""
-    idx = ds.indices(split)
-    n_pairs = ds.grid.n_points - 1
-    cols = _scenario_columns(ds, idx)
-    h_in = np.concatenate([ds.profiles[i].depths[:-1] for i in idx])
+    idx, params, aux = _scenario_samples(ds, split, ds.grid.n_points - 1)
+    h_in = ds.scaler.scale("h", np.concatenate([ds.profiles[i].depths[:-1] for i in idx]))
     targets = np.concatenate([ds.profiles[i].depths[1:] for i in idx])[:, None]
-    scen = {k: np.repeat(v, n_pairs) for k, v in cols.items()}
-    inputs = np.column_stack(
-        [ds.scaler.scale("h", h_in)]
-        + [ds.scaler.scale(k, scen[k]) for k in PARAM_NAMES]
-    )
-    aux = dict(scen)
-    aux["dx"] = ds.grid.dx
-    return SampleBatch(inputs, targets, aux)
+    return SampleBatch(np.column_stack([h_in, params]), targets, aux)
 
 
 def view_vts(ds: ProfileDataset, split: str = "train") -> SampleBatch:
     """Whole-profile samples ([s, b, n, zd, Q] -> depth vector of n_points)."""
-    idx = ds.indices(split)
+    idx, params, aux = _scenario_samples(ds, split, 1)
     for i in idx:
         if ds.profiles[i].grid != ds.grid:
             raise ValueError("all profiles in a VTS view must share one grid")
-    cols = _scenario_columns(ds, idx)
-    inputs = np.column_stack([ds.scaler.scale(k, cols[k]) for k in PARAM_NAMES])
     targets = np.vstack([ds.profiles[i].depths for i in idx]) if len(idx) else np.empty((0, ds.grid.n_points))
-    aux = dict(cols)
-    aux["dx"] = ds.grid.dx
-    return SampleBatch(inputs, targets, aux)
+    return SampleBatch(params, targets, aux)
 
 
 # ---------------------------------------------------------------------- #
@@ -405,11 +383,9 @@ def save(ds: ProfileDataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for profile in ds.profiles:
-            sc = profile.scenario
-            row = [repr(v) for v in (sc.s, sc.b, sc.n, sc.z_d, sc.Q)]
-            row += [repr(float(h)) for h in profile.depths]
-            writer.writerow(row)
+        table = scenario_table([p.scenario for p in ds.profiles]).tolist()
+        for params, profile in zip(table, ds.profiles):
+            writer.writerow([repr(v) for v in params + profile.depths.tolist()])
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
 
     manifest = dict(ds.manifest)
@@ -424,21 +400,57 @@ def save(ds: ProfileDataset, path) -> None:
         json.dump(manifest, fh, indent=1)
 
 
+def _check_manifest_row(k: int, tag, regime, jump, n_pts: int) -> None:
+    """Raise a ``ValueError`` naming the key if row k's split, regime or jump is invalid."""
+    if tag not in SPLIT_NAMES:
+        raise ValueError(f"dataset manifest 'split' row {k}: {tag!r} is not one of {SPLIT_NAMES}")
+    if regime not in (SUBCRITICAL, MIXED):
+        raise ValueError(f"dataset manifest 'regimes' row {k}: {regime!r} is not a regime")
+    if regime == SUBCRITICAL and jump is not None:
+        raise ValueError(
+            f"dataset manifest 'jump_indices' row {k}: a subcritical profile has no jump, got {jump!r}"
+        )
+    if regime == MIXED and not (type(jump) is int and 1 <= jump < n_pts):
+        raise ValueError(
+            f"dataset manifest 'jump_indices' row {k}: a mixed profile needs an integer "
+            f"station in [1, {n_pts}), got {jump!r}"
+        )
+
+
+def _csv_profile(k: int, row: list[str], grid: GridSpec, regime: str, jump) -> WaterProfile:
+    """CSV row k as a profile; a ``ValueError`` names the row and, for a depth, its column."""
+    try:
+        if len(row) != 5 + grid.n_points:
+            raise ValueError(f"{len(row)} fields, not 5 parameters and {grid.n_points} depths")
+        depths = np.array([float(v) for v in row[5:]])
+        bad = np.flatnonzero(~(np.isfinite(depths) & (depths > 0.0)))
+        if bad.size:
+            raise ValueError(f"depth 'h{bad[0]}' = {depths[bad[0]]!r} is not positive and finite")
+        return WaterProfile(ChannelScenario(*(float(v) for v in row[:5])), grid, depths, regime, jump)
+    except ValueError as exc:
+        raise ValueError(f"dataset CSV row {k}: {exc}") from exc
+
+
 def load(path) -> ProfileDataset:
     """Load a corpus saved by :func:`save`, verifying version and checksum.
 
-    A missing manifest key, or a per-profile manifest list whose length is not
-    the CSV's row count, raises a ``ValueError`` that names the key.
+    A missing manifest key, a per-profile manifest list whose length is not
+    the CSV's row count, a split tag outside :data:`SPLIT_NAMES`, an unknown
+    regime, a jump index that does not fit its regime, or a non-finite or
+    non-positive value raises a ``ValueError`` that names the key and row.
     """
     path = Path(path)
     with open(_manifest_path(path)) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported dataset format version")
-    required = ("csv_sha256", "dx", "length", "split", "regimes", "jump_indices")
-    missing = [k for k in required if k not in manifest]
+    per_profile = ("split", "regimes", "jump_indices")
+    missing = [k for k in ("csv_sha256", "dx", "length", *per_profile) if k not in manifest]
     if missing:
         raise ValueError(f"dataset manifest lacks {', '.join(map(repr, missing))}")
+    for key in per_profile:
+        if not isinstance(manifest[key], list):
+            raise ValueError(f"dataset manifest {key!r} must be a list")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     if digest != manifest["csv_sha256"]:
         raise ValueError("dataset CSV checksum mismatch (truncated or edited file)")
@@ -452,20 +464,11 @@ def load(path) -> ProfileDataset:
         if header[:5] != list(PARAM_NAMES) or len(header) != 5 + n_pts:
             raise ValueError("dataset CSV header does not match its manifest")
         # the reader comes last so that zip stops without consuming an unpaired row
-        for regime, jump, row in zip(manifest["regimes"], manifest["jump_indices"], reader):
-            s, b, n, zd, q = (float(v) for v in row[:5])
-            depths = np.array([float(v) for v in row[5:]])
-            profiles.append(
-                WaterProfile(
-                    ChannelScenario(s=s, b=b, n=n, z_d=zd, Q=q),
-                    grid,
-                    depths,
-                    regime,
-                    jump,
-                )
-            )
+        for k, (*tags, row) in enumerate(zip(*(manifest[key] for key in per_profile), reader)):
+            _check_manifest_row(k, *tags, n_pts)
+            profiles.append(_csv_profile(k, row, grid, *tags[1:]))
         n_rows = len(profiles) + sum(1 for _ in reader)
-    for key in ("split", "regimes", "jump_indices"):
+    for key in per_profile:
         if len(manifest[key]) != n_rows:
             raise ValueError(f"dataset manifest {key!r} needs one entry per CSV row ({n_rows})")
     split = list(manifest["split"])
@@ -473,11 +476,7 @@ def load(path) -> ProfileDataset:
     # their scaler is never consulted, so fit it on everything
     train_profiles = [p for p, tag in zip(profiles, split) if tag == "train"]
     scaler = fit_scaler(train_profiles or profiles)
-    loaded = {
-        k: v
-        for k, v in manifest.items()
-        if k not in ("split", "regimes", "jump_indices", "csv_sha256")
-    }
+    loaded = {k: v for k, v in manifest.items() if k not in (*per_profile, "csv_sha256")}
     return ProfileDataset(profiles, split, scaler, grid, loaded)
 
 

@@ -139,18 +139,16 @@ def _draw_scenario(rng, ranges: ParameterRanges) -> ChannelScenario:
     outside = rng.random(len(PARAM_NAMES)) < 0.5
     if not outside.any():
         outside[rng.integers(len(PARAM_NAMES))] = True
-    drawn = {}
+    row = []
     for flag, name in zip(outside, PARAM_NAMES):
         lo, hi, _ = getattr(ranges, name)
         if not flag:
-            drawn[name] = rng.uniform(lo, hi)
+            row.append(rng.uniform(lo, hi))
         elif rng.random() < 0.5:
-            drawn[name] = rng.uniform(0.9 * lo, lo)
+            row.append(rng.uniform(0.9 * lo, lo))
         else:
-            drawn[name] = rng.uniform(hi, 1.1 * hi)
-    return ChannelScenario(
-        s=drawn["s"], b=drawn["b"], n=drawn["n"], z_d=drawn["zd"], Q=drawn["Q"]
-    )
+            row.append(rng.uniform(hi, 1.1 * hi))
+    return ChannelScenario(*row)
 
 
 def make_extrapolation_set(ranges: ParameterRanges, grid: GridSpec, count: int, seed: int):
@@ -404,25 +402,43 @@ def load_record(run_dir) -> RunRecord:
     if unexpected:
         raise ValueError(f"run manifest {path} has unexpected {', '.join(map(repr, unexpected))}")
     history = []
-    with open(run_dir / "history.csv", newline="") as fh:
+    path = run_dir / "history.csv"
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if tuple(next(reader)) != HISTORY_HEADER:
-            raise ValueError("unexpected history header")
-        for epoch, train_loss, val_loss, lr in reader:
-            history.append(
-                {
-                    "epoch": int(epoch),
-                    "train_loss": float(train_loss),
-                    "val_loss": float(val_loss),
-                    "lr": float(lr),
-                }
-            )
+        if tuple(next(reader, ())) != HISTORY_HEADER:
+            raise ValueError(f"run history {path} has an unexpected header")
+        for k, row in enumerate(reader, start=1):
+            try:
+                if len(row) != len(HISTORY_HEADER):
+                    raise ValueError(f"{len(row)} fields, not {len(HISTORY_HEADER)}")
+                values = [int(row[0])] + [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise ValueError(f"run history {path} row {k}: {exc}") from exc
+            history.append(dict(zip(HISTORY_HEADER, values)))
     return RunRecord(
         **manifest,
         history=history,
         records=read_metrics_csv(run_dir / "metrics.csv"),
-        summaries=json.loads((run_dir / "summary.json").read_text()),
+        summaries=_checked_summary(run_dir / "summary.json"),
     )
+
+
+def _checked_summary(path) -> dict:
+    """The summary at ``path``; each split it holds (``test`` at least) needs
+    ``nmae``/``nnse`` objects with a finite numeric ``mean``, or a
+    ``ValueError`` names the key."""
+    summaries = json.loads(path.read_text())
+    if not isinstance(summaries, dict) or "test" not in summaries:
+        raise ValueError(f"run summary {path} is not a JSON object with a 'test' split")
+    for split in [s for s in ("val", "test", "extrapolation") if s in summaries]:
+        for metric in ("nmae", "nnse"):
+            entry = summaries[split].get(metric) if isinstance(summaries[split], dict) else None
+            mean = entry.get("mean") if isinstance(entry, dict) else None
+            if type(mean) not in (int, float) or not math.isfinite(mean):
+                raise ValueError(
+                    f"run summary {path}: {split!r} {metric!r} needs a finite numeric 'mean'"
+                )
+    return summaries
 
 
 def discover_records(root) -> list[RunRecord]:

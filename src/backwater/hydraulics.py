@@ -9,6 +9,8 @@ routines here (normal depth, depth from energy) take one scenario at a time.
 the weir depth and of the jump test for its batched march; those round
 exactly like the scalar routines because every fractional or cubic power
 goes through libm's ``pow``, as a Python float's ``**`` does.
+:func:`scenario_table` is where scenarios become the (P, 5) parameter array
+that the batched march, the corpus and the surrogates' inputs all read.
 
 Each point relation is written once, as a private kernel (``_energy``,
 ``_denergy``, ``_friction_slope``, ``_dfriction_slope``, ``_froude``,
@@ -71,6 +73,14 @@ class ChannelScenario:
                     f"scenario parameter {name!r} must be positive and finite, "
                     f"got {value!r}"
                 )
+
+
+def scenario_table(scenarios) -> np.ndarray:
+    """The scenarios as a (P, 5) float array in field order (s, b, n, z_d, Q),
+    that of ``data.PARAM_NAMES``; ``ChannelScenario(*row)`` rebuilds one from
+    a row of ``.tolist()``."""
+    rows = [(sc.s, sc.b, sc.n, sc.z_d, sc.Q) for sc in scenarios]
+    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
 def _validated_depth(h):

@@ -216,12 +216,17 @@ def write_metrics_csv(records: list[ProfileMetrics], path) -> None:
 
 
 def read_metrics_csv(path) -> list[ProfileMetrics]:
+    """Read a file written by :func:`write_metrics_csv`; a ``ValueError`` names a bad row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header: {header}")
-        return [
-            ProfileMetrics(int(pid), split, regime, float(v_nmae), float(v_nnse))
-            for pid, split, regime, v_nmae, v_nnse in reader
-        ]
+            raise ValueError(f"unexpected metrics header in {path}: {header}")
+        records = []
+        for k, row in enumerate(reader, start=1):
+            try:
+                pid, split, regime, v_nmae, v_nnse = row
+                records.append(ProfileMetrics(int(pid), split, regime, float(v_nmae), float(v_nnse)))
+            except ValueError as exc:
+                raise ValueError(f"metrics file {path} row {k}: {exc}") from exc
+        return records

@@ -9,6 +9,11 @@ physics term is picked by the strategy tag.
 
 :func:`predict` reconstructs a batch of scenarios as one (P, n_points) depth
 array, with one branch per architecture; :func:`reconstruct` is its batch of one.
+Its input rows are the training views' rows: ``[x | params]`` (sp), ``[h | params]``
+(int) or ``params`` (vts), with ``params`` the scenarios'
+:meth:`~.data.Scaler.scale_table`; the int march starts from the weir depth of
+:func:`~.solver.weir_and_normal_depths`, which :func:`~.solver.solve_profiles`
+also uses.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PARAM_NAMES, ProfileDataset, Scaler, view_int, view_sp, view_vts
-from .hydraulics import ChannelScenario, ConvergenceError, weir_depth
+from .data import ProfileDataset, Scaler, view_int, view_sp, view_vts
+from .hydraulics import ChannelScenario, ConvergenceError, scenario_table
 from .losses import (
     MIN_DEPTH,
     STRATEGIES,
@@ -45,7 +50,7 @@ from .network import (
     init,
     mse,
 )
-from .solver import GridSpec, _normal_depths
+from .solver import GridSpec, weir_and_normal_depths
 
 ARCHITECTURES = ("sp", "int", "vts")
 DEFAULT_WIDTHS = {"sp": 30, "int": 30, "vts": 40}
@@ -287,16 +292,13 @@ def predict(
     and ``counters["capped"]``.
     """
     grid = grid or model.grid
-    values = np.array([(sc.s, sc.b, sc.n, sc.z_d, sc.Q) for sc in scenarios], dtype=float)
-    values = values.reshape(-1, len(PARAM_NAMES))
-    params = np.column_stack(
-        [model.scaler.scale(name, values[:, k]) for k, name in enumerate(PARAM_NAMES)]
-    )
+    table = scenario_table(scenarios)
+    params = model.scaler.scale_table(table)
     if model.spec.arch == "vts":
         if grid != model.grid:
             raise ValueError("vts output stations are fixed to the training grid")
         return forward(model.params, params)[0]
-    depths = np.empty((len(values), grid.n_points))
+    depths = np.empty((len(table), grid.n_points))
     if model.spec.arch == "sp":
         inputs = np.empty((grid.n_points, INPUT_WIDTHS["sp"]))
         inputs[:, 0] = model.scaler.scale("x", grid.stations)
@@ -309,13 +311,11 @@ def predict(
         raise ValueError(
             f"int step net was trained for dx = {model.grid.dx:g} m, not dx = {grid.dx:g} m"
         )
-    s, b, n, _, q = values.T
-    h_n, status = _normal_depths(s, b, n * n * q * q)
-    if status.any():  # a nonzero status names the failure
+    depths[:, 0], h_n, status = weir_and_normal_depths(table)
+    if status.any():
         raise ConvergenceError(f"no normal depth for scenario {np.flatnonzero(status)[0]}")
-    depths[:, 0] = [weir_depth(sc) for sc in scenarios]
     cap = 2.0 * np.maximum(depths[:, 0], h_n)
-    inputs = np.empty((len(values), INPUT_WIDTHS["int"]))
+    inputs = np.empty((len(table), INPUT_WIDTHS["int"]))
     inputs[:, 1:] = params
     hits = {"clamped": 0, "capped": 0}
     for i in range(1, grid.n_points):

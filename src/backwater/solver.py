@@ -36,6 +36,7 @@ from .hydraulics import (
     depth_from_energy,
     friction_slope,
     normal_depth,
+    scenario_table,
     specific_energy,
     weir_depth,
 )
@@ -259,6 +260,16 @@ def _subcritical_depths(e, a, h_c, e_min, h0):
     return depth, status
 
 
+def weir_and_normal_depths(table: np.ndarray):
+    """Per row of a :func:`~.hydraulics.scenario_table`: weir depth, normal
+    depth (both bit for bit the scalar routines') and a status, nonzero where
+    the normal-depth search failed."""
+    s, b, n, z_d, q = table.T.copy()
+    h_n, status = _normal_depths(s, b, n * n * q * q)
+    head = _libm_pow(3.0 * math.sqrt(3.0) * q / (2.0 * math.sqrt(2.0 * GRAVITY) * b), 2.0 / 3.0)
+    return z_d + head, h_n, status
+
+
 def solve_profiles(scenarios, grid: GridSpec) -> list:
     """March a batch of scenarios at once; one outcome per scenario.
 
@@ -271,18 +282,16 @@ def solve_profiles(scenarios, grid: GridSpec) -> list:
     scenarios = list(scenarios)
     if not scenarios:
         return []
-    s, b, n, z_d, q = np.array(
-        [(sc.s, sc.b, sc.n, sc.z_d, sc.Q) for sc in scenarios], dtype=float
-    ).T.copy()
+    table = scenario_table(scenarios)
+    s, b, n, _, q = table.T.copy()
     nnqq = n * n * q * q
     qq = q * q
     c2 = 2.0 * GRAVITY * b * b
     a = qq / c2  # E(h) = h + a / h^2
     h_c = _libm_pow(2.0 * a, 1.0 / 3.0)
     e_min = 1.5 * h_c
-    h_n, status = _normal_depths(s, b, nnqq)
+    weir, h_n, status = weir_and_normal_depths(table)
     mixed = h_n < _libm_pow(qq / (GRAVITY * b * b), 1.0 / 3.0)
-    head = _libm_pow(3.0 * math.sqrt(3.0) * q / (2.0 * math.sqrt(2.0 * GRAVITY) * b), 2.0 / 3.0)
 
     outcomes: list = [None] * len(scenarios)
     for k in np.flatnonzero(status == _OUT_OF_BRACKET):
@@ -291,7 +300,7 @@ def solve_profiles(scenarios, grid: GridSpec) -> list:
         outcomes[k] = ConvergenceError("normal depth iteration stalled")
 
     depths = np.empty((len(scenarios), grid.n_points))
-    depths[:, 0] = z_d + head
+    depths[:, 0] = weir
     jump = np.zeros(len(scenarios), dtype=int)
     live = np.flatnonzero(status == _OK)  # scenarios still marching
     h = depths[live, 0]

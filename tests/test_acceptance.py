@@ -436,6 +436,7 @@ def desk_outcome():
     return ds, records, test_means, ext_means, elapsed
 
 
+@pytest.mark.slow
 def test_desk_experiment_shape_and_budget(desk_outcome):
     ds, records, test_means, ext_means, elapsed = desk_outcome
     assert elapsed < 1800.0
@@ -448,6 +449,7 @@ def test_desk_experiment_shape_and_budget(desk_outcome):
     assert set(test_means) == set(ext_means)
 
 
+@pytest.mark.slow
 def test_physics_training_not_worse_when_data_is_sparse(desk_outcome):
     _, _, test_means, _, _ = desk_outcome
     for arch in ("sp", "int", "vts"):
@@ -457,11 +459,13 @@ def test_physics_training_not_worse_when_data_is_sparse(desk_outcome):
             )
 
 
+@pytest.mark.slow
 def test_volume_is_the_weakest_vts_physics_strategy(desk_outcome):
     _, _, test_means, _, _ = desk_outcome
     assert test_means[("vts", "vol")] >= test_means[("vts", "en")]
 
 
+@pytest.mark.slow
 def test_extrapolation_is_harder_but_physics_generalizes(desk_outcome):
     _, _, test_means, ext_means, _ = desk_outcome
     for key, interp in test_means.items():

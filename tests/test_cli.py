@@ -234,6 +234,19 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         main(["extrapolate", "--dataset", str(corpus), "--out", str(tmp_path / "ext.csv")])
     assert exc.value.code == 2
 
+    # per-profile manifest entries that would drop or mislabel profiles
+    manifest = json.loads(dataset_csv.with_suffix(".manifest.json").read_text())
+    for key, row, value in (("split", 0, "training"), ("regimes", 1, "banana"),
+                            ("jump_indices", 2, 7.5)):
+        entries = list(manifest[key])
+        entries[row] = value
+        corpus.with_suffix(".manifest.json").write_text(json.dumps({**manifest, key: entries}))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["extrapolate", "--dataset", str(corpus), "--out", str(tmp_path / "ext.csv")])
+        assert exc.value.code == 2
+        assert f"{key!r} row {row}" in capsys.readouterr().err
+
     runs = tmp_path / "runs"
     main(train_args(dataset_csv, runs))
     run_manifest = next(runs.iterdir()) / "manifest.json"
@@ -243,6 +256,36 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
+    run_manifest.write_text(json.dumps(stored))
+
+    # a malformed summary or history row, each named in the message
+    summary_path = run_manifest.parent / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    history_path = run_manifest.parent / "history.csv"
+    history = history_path.read_text()
+    n_epochs = len(history.splitlines()) - 1
+    metrics_path = run_manifest.parent / "metrics.csv"
+    metrics = metrics_path.read_text()
+    cases = (
+        (summary_path, json.dumps({"test": {}}), "summary.json: 'test' 'nmae'"),
+        (summary_path, json.dumps({**summary, "test": {**summary["test"], "nmae": {"mean": "0.5"}}}),
+         "summary.json: 'test' 'nmae'"),
+        (summary_path, json.dumps({**summary, "val": {**summary["val"], "nnse": {"mean": math.nan}}}),
+         "summary.json: 'val' 'nnse'"),
+        (summary_path, json.dumps([]), "summary.json is not a JSON object"),
+        (history_path, history + "7,0.5\n", f"history.csv row {n_epochs + 1}: 2 fields, not 4"),
+        (metrics_path, metrics + "3,test\n", f"metrics.csv row {len(metrics.splitlines())}: not enough"),
+        (metrics_path, "", "unexpected metrics header in"),
+    )
+    for path, broken, expected in cases:
+        intact = path.read_text()
+        path.write_text(broken)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert expected in capsys.readouterr().err
+        path.write_text(intact)
 
     # training settings outside their domain, each named in the message
     for flags, field in (

@@ -1,5 +1,6 @@
 """Tests for corpus generation, splitting, scaling, views, and persistence."""
 
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from backwater.data import (
     DESK_GRID,
+    PARAM_NAMES,
     ParameterRanges,
     assign_splits,
     desk_ranges,
@@ -21,6 +23,7 @@ from backwater.data import (
     view_sp,
     view_vts,
 )
+from backwater.hydraulics import ChannelScenario, scenario_table
 from backwater.solver import GridSpec
 
 SMALL_RANGES = ParameterRanges(
@@ -134,6 +137,29 @@ def test_parameter_ranges_validation():
             zd=(1.0, 3.0, 2),
             Q=(100.0, 250.0, 2),
         )
+
+
+# ---------------------------------------------------------------- #
+#  Scenario table
+# ---------------------------------------------------------------- #
+
+
+def test_scenario_table_round_trips_in_param_order(small_ds):
+    scens = [p.scenario for p in small_ds.profiles]
+    table = scenario_table(scens)
+    assert table.shape == (len(scens), len(PARAM_NAMES)) and table.dtype == float
+    assert [ChannelScenario(*row) for row in table.tolist()] == scens
+    for j, name in enumerate(PARAM_NAMES):
+        field = "z_d" if name == "zd" else name
+        np.testing.assert_array_equal(table[:, j], [getattr(s, field) for s in scens])
+    assert scenario_table([]).shape == (0, len(PARAM_NAMES))
+
+
+def test_scale_table_scales_each_column_by_name(small_ds):
+    table = scenario_table([p.scenario for p in small_ds.profiles])
+    scaled = small_ds.scaler.scale_table(table)
+    for j, name in enumerate(PARAM_NAMES):
+        assert scaled[:, j].tobytes() == small_ds.scaler.scale(name, table[:, j]).tobytes()
 
 
 # ---------------------------------------------------------------- #
@@ -331,3 +357,57 @@ def test_csv_header_contract(tmp_path, small_ds):
     n_pts = small_ds.grid.n_points
     assert header.startswith("s,b,n,zd,Q,h0,h1,")
     assert header.endswith(f"h{n_pts - 1}")
+
+
+def test_load_rejects_bad_manifest_entries_naming_key_and_row(tmp_path, small_ds):
+    path, mpath, manifest = saved_manifest(tmp_path, small_ds)
+    n_pts = small_ds.grid.n_points
+    mixed = manifest["regimes"].index("mixed")
+    sub = manifest["regimes"].index("subcritical")
+
+    def with_entry(key, row, value):
+        entries = list(manifest[key])
+        entries[row] = value
+        return {**manifest, key: entries}
+
+    cases = (
+        (with_entry("split", 3, "training"), r"'split' row 3: 'training'"),
+        (with_entry("split", 0, None), r"'split' row 0"),
+        (with_entry("regimes", 2, "banana"), r"'regimes' row 2: 'banana'"),
+        (with_entry("jump_indices", mixed, 7.5), rf"'jump_indices' row {mixed}: .*7\.5"),
+        (with_entry("jump_indices", mixed, None), rf"'jump_indices' row {mixed}"),
+        (with_entry("jump_indices", mixed, 0), rf"'jump_indices' row {mixed}"),
+        (with_entry("jump_indices", mixed, n_pts), rf"'jump_indices' row {mixed}"),
+        (with_entry("jump_indices", mixed, True), rf"'jump_indices' row {mixed}"),
+        (with_entry("jump_indices", sub, 4), rf"'jump_indices' row {sub}: a subcritical"),
+        ({**manifest, "split": "train"}, r"'split' must be a list"),
+    )
+    for broken, message in cases:
+        mpath.write_text(json.dumps(broken))
+        with pytest.raises(ValueError, match=message):
+            load(path)
+
+
+def test_load_rejects_bad_csv_values_naming_row_and_column(tmp_path, small_ds):
+    path, mpath, manifest = saved_manifest(tmp_path, small_ds)
+    lines = path.read_text().splitlines()
+
+    def load_with_row(row, fields):
+        edited = list(lines)
+        edited[1 + row] = ",".join(fields)
+        path.write_text("\n".join(edited) + "\n")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        mpath.write_text(json.dumps({**manifest, "csv_sha256": digest}))
+        return load(path)
+
+    fields = lines[1 + 4].split(",")
+    for col, value in ((7, "nan"), (9, "inf"), (5, "0.0"), (12, "-1.5")):
+        with pytest.raises(ValueError, match=rf"row 4: depth 'h{col - 5}'"):
+            load_with_row(4, fields[:col] + [value] + fields[col + 1:])
+    with pytest.raises(ValueError, match=r"row 4: .*'b' must be positive"):
+        load_with_row(4, fields[:1] + ["-2.0"] + fields[2:])
+    with pytest.raises(ValueError, match=r"row 4: .*fields"):
+        load_with_row(4, fields[:-1])
+    with pytest.raises(ValueError, match=r"row 4: could not convert"):
+        load_with_row(4, fields[:3] + ["x"] + fields[4:])
+    assert load_with_row(4, fields).content_hash() == small_ds.content_hash()

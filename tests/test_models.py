@@ -197,6 +197,31 @@ def test_reconstruct_sp_matches_view_forward(small_ds, sp_model):
         np.testing.assert_allclose(batched[k], all_preds[rows], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("arch", ["sp", "int", "vts"])
+def test_predict_input_rows_equal_view_rows_bitwise(small_ds, arch, monkeypatch):
+    # predict and the training views encode a scenario one way: [x | params]
+    # for sp, [h | params] for int, [params] for vts
+    idx = small_ds.indices("test")
+    view = {"sp": view_sp, "int": view_int, "vts": view_vts}[arch](small_ds, "test")
+    seen = []
+
+    def spy(params, inputs):
+        seen.append(inputs.copy())
+        return forward(params, inputs)
+
+    monkeypatch.setattr(models, "forward", spy)
+    predict(zero_net_model(small_ds, arch, 1.0), [small_ds.profiles[i].scenario for i in idx])
+    if arch == "sp":  # one forward per profile, profile-major like the view
+        expected, got = view.inputs, np.vstack(seen)
+    elif arch == "int":  # depth 0 is the weir depth: the first step is each profile's first pair
+        expected, got = view.inputs[:: small_ds.grid.n_points - 1], seen[0]
+    else:
+        (got,) = seen
+        expected = view.inputs
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_reconstruct_sp_accepts_off_grid_stations(small_ds, sp_model):
     scens = [small_ds.profiles[i].scenario for i in (0, 1)]
     off_grid = GridSpec(dx=7.5, length=300.0)
