@@ -84,6 +84,7 @@ from .hydraulics import (
 from .losses import (
     CRITICAL_FRACTION,
     MIN_DEPTH,
+    PHYSICS_TERMS,
     STRATEGIES,
     VTS_ONLY_STRATEGIES,
     loss_bc,

@@ -56,7 +56,11 @@ EXTRAPOLATION_SEED = 7919
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Cells x seeds x optional sweep axis, plus the extrapolation switch."""
+    """Cells x seeds x optional sweep axis, plus the extrapolation switch.
+
+    Each run needs a run directory of its own (:func:`record_dir_name`), so a
+    plan whose runs repeat one is rejected.
+    """
 
     cells: tuple[ModelSpec, ...]
     seeds: tuple[int, ...] = DEFAULT_SEEDS
@@ -80,6 +84,16 @@ class ExperimentPlan:
                 raise ValueError("training fractions must lie in (0, 1]")
             if self.axis == "width" and (int(v) != v or v < 2):
                 raise ValueError("widths must be integers >= 2")
+        names = set()
+        for cell, value, seed in self.runs():
+            width = int(value) if self.axis == "width" else cell.neurons
+            name = _dir_name(cell.arch, cell.strategy, cell.lam, width, self.axis, value, seed)
+            if name in names:
+                raise ValueError(
+                    f"plan runs {name} twice: a repeated seed, axis value or cell (dd pins "
+                    "lam to 1, the width axis replaces cell widths) would overwrite its run directory"
+                )
+            names.add(name)
 
     def runs(self):
         """Yield every (cell, axis_value, seed) the plan calls for."""
@@ -362,11 +376,14 @@ MANIFEST_KEYS = (
 )
 
 
+def _dir_name(arch, strategy, lam, width, axis, axis_value, seed) -> str:
+    label = "base" if axis == "none" else f"{axis}{axis_value:g}"
+    return f"{arch}-{strategy}-lam{lam:g}-w{width}-{label}-seed{seed}"
+
+
 def record_dir_name(record: RunRecord) -> str:
-    axis = "base" if record.axis == "none" else f"{record.axis}{record.axis_value:g}"
-    return (
-        f"{record.arch}-{record.strategy}-lam{record.lam:g}"
-        f"-w{record.width}-{axis}-seed{record.seed}"
+    return _dir_name(
+        record.arch, record.strategy, record.lam, record.width, record.axis, record.axis_value, record.seed
     )
 
 
@@ -465,7 +482,10 @@ def lambda_search(
     Runs a plan of one cell per candidate at the training ``fraction``.
     Returns (best lambda, table); each table row carries the candidate, its
     seed-mean validation and test NMAE, and the per-seed validation values.
+    A ``dd`` spec has no lambda and is rejected.
     """
+    if spec.strategy == "dd":
+        raise ValueError("strategy 'dd' has no physics term, so no lambda to search")
     lam_grid = [float(lam) for lam in lam_grid]
     if not lam_grid:
         raise ValueError("lambda grid is empty")
@@ -478,8 +498,7 @@ def lambda_search(
     records = execute_plan(ds, plan, config)
     n_seeds = len(plan.seeds)
     table = []
-    # records come cell by cell; a dd cell pins its lambda to 1, so the
-    # candidate is the grid entry at the record's position, not record.lam
+    # records come cell by cell, one per seed
     for k, lam in enumerate(lam_grid):
         runs = records[k * n_seeds : (k + 1) * n_seeds]
         val_means = [r.seed_metrics("val", "nmae") for r in runs]

@@ -2,17 +2,18 @@
 
 Each term compares predicted depths with targets through a hydraulic
 quantity (specific energy, Froude number, water volume, boundary depth) or
-penalizes the discrete energy-equation residual, and returns both the scalar
-loss and its analytic gradient with respect to the predicted depths.
+penalizes the discrete energy-equation residual, and returns the scalar
+loss, its analytic gradient with respect to the predicted depths and how
+many predictions it clamped.
 
-The energy, Froude and residual terms (``loss_en``, ``loss_fr``,
-``loss_pde``) are unvalidated kernels on the per-sample constants that
-:func:`physics_constants` builds, checks and returns once per training view:
-the depth floor, the targets' energy or Froude number and the sub-expressions
-of the hydraulic formulas that do not involve the prediction.  A minibatch
-passes those arrays gathered at its rows.  The kernels evaluate depths
-clamped to the floor and return a third value: how many predictions they
-clamped.  The volume and boundary terms take the targets directly.
+Every term is an unvalidated kernel ``loss_X(pred, consts)`` on the
+per-sample constants that :func:`physics_constants` builds, checks and
+returns once per training view: the targets' energy, Froude number, volume
+or dam depth, the depth floor and the sub-expressions of the hydraulic
+formulas that do not involve the prediction.  A minibatch passes those
+arrays gathered at its rows.  :data:`PHYSICS_TERMS` maps each strategy tag
+to its kernel; the energy, Froude and residual kernels evaluate depths
+clamped to the floor, and the volume and boundary kernels clamp nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ MIN_DEPTH = 1e-3
 #: under every physical depth, supercritical normal depths included.
 CRITICAL_FRACTION = 0.25
 
-STRATEGIES = ("dd", "en", "fr", "vol", "bc", "pde")
 VTS_ONLY_STRATEGIES = ("vol", "bc", "pde")
 
 
@@ -76,17 +76,23 @@ def physics_constants(strategy: str, aux: dict, targets: np.ndarray) -> tuple:
 
     Per-sample values are shaped to broadcast against ``targets``: (M, 1)
     for (M, n) targets, (M,) for (M,) targets.  Target-derived values are
-    shaped like ``targets``.  Training builds this once per view and passes
-    every array gathered at a minibatch's rows; ``vol`` and ``bc`` need none.
+    shaped like ``targets``, except the ``vol`` row sums and the ``bc`` dam
+    depths, which are (M,).  Training builds this once per view and passes
+    every array gathered at a minibatch's rows.
 
     Raises:
         ValueError: on a non-positive or non-finite target depth, a negative
-            discharge or non-positive width, too few stations for ``pde``, or
-            an unknown strategy.
+            discharge or non-positive width, targets that are not whole
+            profiles for ``vol``/``bc``/``pde``, too few stations for
+            ``pde``, or a strategy without a physics term.
     """
-    if strategy in ("vol", "bc"):
-        return ()
     targets = np.asarray(targets, dtype=float)
+    if strategy in VTS_ONLY_STRATEGIES and targets.ndim != 2:
+        raise ValueError(f"strategy {strategy!r} needs whole-profile (2-D) targets")
+    if strategy == "vol":
+        return (np.sum(targets, axis=1),)
+    if strategy == "bc":
+        return (targets[:, 0],)
 
     def column(name):
         return np.asarray(aux[name], dtype=float).reshape((-1,) + (1,) * (targets.ndim - 1))
@@ -98,7 +104,7 @@ def physics_constants(strategy: str, aux: dict, targets: np.ndarray) -> tuple:
     if strategy == "fr":
         return floor, froude(targets, q, b), q, b, -1.5 * q, b * math.sqrt(GRAVITY)
     if strategy == "pde":
-        if targets.ndim != 2 or targets.shape[1] < 3:
+        if targets.shape[1] < 3:
             raise ValueError("PDE residual needs at least 3 stations")
         _validated_depth(targets)
         n, s = column("n"), column("s")
@@ -136,33 +142,30 @@ def loss_fr(pred, consts):
     return value, grad, n_clamped
 
 
-def loss_vol(pred, true):
+def loss_vol(pred, consts):
     """Water-volume mismatch per profile, |Σh − Σĥ|, averaged over the batch.
 
-    The subgradient is ±1/B per element by the sign of the profile's volume
-    difference.
+    ``consts`` is ``physics_constants("vol", ...)`` at the batch's rows: the
+    targets' row sums.  The subgradient is ±1/B per element by the sign of
+    the profile's volume difference; nothing is clamped.
     """
-    pred, true = np.atleast_2d(np.asarray(pred, dtype=float)), np.atleast_2d(np.asarray(true, dtype=float))
-    if pred.shape != true.shape:
-        raise ValueError("pred and true shapes differ")
-    batch = pred.shape[0]
-    diff = np.sum(true, axis=1) - np.sum(pred, axis=1)
-    value = float(np.mean(np.abs(diff)))
-    grad = np.repeat(-np.sign(diff)[:, None], pred.shape[1], axis=1) / batch
-    return value, grad
+    (volume,) = consts
+    diff = volume - np.sum(pred, axis=1)
+    grad = np.repeat(-np.sign(diff)[:, None], pred.shape[1], axis=1) / len(pred)
+    return float(np.mean(np.abs(diff))), grad, 0
 
 
-def loss_bc(pred, true):
-    """Absolute depth error at the dam station only, averaged over the batch."""
-    pred, true = np.atleast_2d(np.asarray(pred, dtype=float)), np.atleast_2d(np.asarray(true, dtype=float))
-    if pred.shape != true.shape:
-        raise ValueError("pred and true shapes differ")
-    batch = pred.shape[0]
-    gap = pred[:, 0] - true[:, 0]
-    value = float(np.mean(np.abs(gap)))
+def loss_bc(pred, consts):
+    """Absolute depth error at the dam station only, averaged over the batch.
+
+    ``consts`` is ``physics_constants("bc", ...)`` at the batch's rows: the
+    targets' dam depths.  Nothing is clamped.
+    """
+    (dam,) = consts
+    gap = pred[:, 0] - dam
     grad = np.zeros_like(pred)
-    grad[:, 0] = np.sign(gap) / batch
-    return value, grad
+    grad[:, 0] = np.sign(gap) / len(pred)
+    return float(np.mean(np.abs(gap))), grad, 0
 
 
 def loss_pde(pred, consts):
@@ -192,3 +195,8 @@ def loss_pde(pred, consts):
     grad[:, 1:-1] -= w * dj[:, 1:-1]
     grad[pred < floor] = 0.0
     return value, grad, n_clamped
+
+
+#: Each strategy's physics term: a kernel on its :func:`physics_constants`.
+PHYSICS_TERMS = {"en": loss_en, "fr": loss_fr, "vol": loss_vol, "bc": loss_bc, "pde": loss_pde}
+STRATEGIES = ("dd", *PHYSICS_TERMS)

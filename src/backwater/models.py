@@ -4,8 +4,10 @@ SP maps (station, scenario) to one depth, INT steps from a station's depth to
 the next one upstream, and VTS maps a scenario straight to the full depth
 vector.  All three train on the combined objective
 ``lam * data_mse + (1 - lam) * physics_term`` with Adam, plateau-driven
-learning-rate decay, and early stopping on the validation data MSE; the
-physics term is picked by the strategy tag.
+learning-rate decay, and early stopping on the validation data MSE.  The
+physics term is the strategy's kernel in :data:`~.losses.PHYSICS_TERMS`, fed
+its :func:`~.losses.physics_constants` (built once per run) at each
+minibatch's rows.
 
 :func:`predict` reconstructs a batch of scenarios as one (P, n_points) depth
 array, with one branch per architecture; :func:`reconstruct` is its batch of one.
@@ -27,17 +29,7 @@ import numpy as np
 
 from .data import ProfileDataset, Scaler, view_int, view_sp, view_vts
 from .hydraulics import ChannelScenario, ConvergenceError, scenario_table
-from .losses import (
-    MIN_DEPTH,
-    STRATEGIES,
-    VTS_ONLY_STRATEGIES,
-    loss_bc,
-    loss_en,
-    loss_fr,
-    loss_pde,
-    loss_vol,
-    physics_constants,
-)
+from .losses import MIN_DEPTH, PHYSICS_TERMS, STRATEGIES, VTS_ONLY_STRATEGIES, physics_constants
 from .network import (
     AdamState,
     NetworkParams,
@@ -87,9 +79,7 @@ class ModelSpec:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy in VTS_ONLY_STRATEGIES and self.arch != "vts":
-            raise ValueError(
-                f"strategy {self.strategy!r} needs whole-profile outputs (vts only)"
-            )
+            raise ValueError(f"strategy {self.strategy!r} needs whole-profile outputs (vts only)")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         if self.strategy == "dd":
@@ -126,23 +116,6 @@ class TrainedModel:
 # ---------------------------------------------------------------------- #
 
 
-def _physics_term(strategy, pred, true, consts):
-    """Dispatch one strategy's loss; returns (value, gradient, clamp count).
-
-    ``consts`` is the strategy's :func:`~.losses.physics_constants` tuple at
-    the minibatch's rows.
-    """
-    if strategy == "en":
-        return loss_en(pred, consts)
-    if strategy == "fr":
-        return loss_fr(pred, consts)
-    if strategy == "pde":
-        return loss_pde(pred, consts)
-    if strategy == "vol":
-        return (*loss_vol(pred, true), 0)
-    return (*loss_bc(pred, true), 0)
-
-
 def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None) -> TrainedModel:
     """Fit a model of the given spec on a dataset's train/val splits.
 
@@ -166,53 +139,40 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
     params = init(spec.layer_sizes(ds.grid.n_points), config.seed)
     batch_size = config.batch_size or DEFAULT_BATCH_SIZES[spec.arch]
     adam = AdamState(params, config.initial_lr)
-    plateau = ReduceLROnPlateau(
-        factor=config.lr_factor,
-        patience=config.lr_patience,
-        min_lr=config.min_lr,
-    )
+    plateau = ReduceLROnPlateau(config.lr_factor, config.lr_patience, config.min_lr)
     epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs)
 
     # The physics term vanishes from the objective at lam == 1, so skipping it
     # keeps e.g. en@1.0 bit-identical to dd rather than merely close.
-    use_physics = spec.strategy != "dd" and spec.lam < 1.0
-    # the physics term's per-sample constants, built and checked once per run
-    consts = ()
-    if use_physics:
+    term = None
+    if spec.strategy != "dd" and spec.lam < 1.0:
+        term = PHYSICS_TERMS[spec.strategy]
+        # the term's per-sample constants, built and checked once per run
         consts = physics_constants(spec.strategy, train_view.aux, train_view.targets)
     grad = NetworkParams(params.layer_sizes, np.empty_like(params.flat))
 
-    best_params = params.copy()
-    best_val = np.inf
-    best_epoch = 0
-    lr = config.initial_lr
+    best_params, best_val, best_epoch = params.copy(), np.inf, 0
     history: list[dict] = []
-    clamp_events = 0
-    diverged = False
-    stopped_epoch = None
+    clamp_events, diverged, stopped_epoch = 0, False, None
 
     for epoch in range(config.max_epochs):
         order = np.random.default_rng(int(epoch_seeds[epoch])).permutation(n)
         batch_losses = []
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
-            xb = train_view.inputs[rows]
             yb = train_view.targets[rows]
-            out, cache = forward(params, xb)
+            out, cache = forward(params, train_view.inputs[rows])
             data_term = mse(out, yb)
             # a non-finite prediction would poison the clamped physics terms
             if not math.isfinite(data_term):
                 diverged = True
                 break
-            d_out = dmse_dpred(out, yb)
-            if use_physics:
-                consts_b = tuple(a[rows] for a in consts)
-                phys, d_phys, n_clamped = _physics_term(spec.strategy, out, yb, consts_b)
+            total, d_out = data_term, dmse_dpred(out, yb)
+            if term is not None:
+                phys, d_phys, n_clamped = term(out, tuple(a[rows] for a in consts))
                 clamp_events += n_clamped
                 total = spec.lam * data_term + (1.0 - spec.lam) * phys
                 d_out = spec.lam * d_out + (1.0 - spec.lam) * d_phys
-            else:
-                total = data_term
             if not np.isfinite(total):
                 diverged = True
                 break
@@ -223,22 +183,18 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
                 diverged = True
                 break
             batch_losses.append(total)
-        if diverged and not batch_losses:
-            break
 
-        val_out = forward(params, val_view.inputs)[0]
-        val_loss = mse(val_out, val_view.targets)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(batch_losses)),
-                "val_loss": float(val_loss),
-                "lr": lr,
-            }
-        )
-        if not np.isfinite(val_loss):
-            diverged = True
-            break
+        if batch_losses:  # empty only when the epoch's first step diverged
+            val_loss = mse(forward(params, val_view.inputs)[0], val_view.targets)
+            history.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": float(np.mean(batch_losses)),
+                    "val_loss": float(val_loss),
+                    "lr": adam.lr,
+                }
+            )
+            diverged = diverged or not np.isfinite(val_loss)
         if diverged:
             break
 
@@ -246,8 +202,7 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
             best_val = float(val_loss)
             best_params = params.copy()
             best_epoch = epoch
-        lr = plateau.update(val_loss, lr)
-        adam.lr = lr
+        adam.lr = plateau.update(val_loss, adam.lr)
         if epoch - best_epoch >= config.early_stop_patience:
             stopped_epoch = epoch
             break
@@ -366,7 +321,9 @@ def load_model(path) -> TrainedModel:
     """Read a checkpoint written by :func:`save_model`.
 
     Raises:
-        ValueError: naming the first missing or malformed field.
+        ValueError: naming the first missing or malformed field, or the
+            network's layer sizes when they are not the ones its spec and
+            grid call for.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or payload.get("format_version") != CHECKPOINT_VERSION:
@@ -388,4 +345,11 @@ def load_model(path) -> TrainedModel:
             fields[name] = read(value)
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"malformed checkpoint field {name!r}: {exc}") from exc
-    return TrainedModel(*fields.values())
+    model = TrainedModel(*fields.values())
+    expected = model.spec.layer_sizes(model.grid.n_points)
+    if model.params.layer_sizes != expected:
+        raise ValueError(
+            f"checkpoint network has layer sizes {model.params.layer_sizes}, but its spec "
+            f"{model.spec.arch}/width {model.spec.neurons} on its grid needs {expected}"
+        )
+    return model

@@ -19,6 +19,7 @@ do: numpy's array ``**`` rounds differently on a few percent of inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,10 @@ class GridSpec:
     length: float = 5000.0
 
     def __post_init__(self):
+        for name in ("dx", "length"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"grid {name} must be a real number, not {value!r}")
         if not (np.isfinite(self.dx) and self.dx > 0.0):
             raise ValueError("dx must be positive and finite")
         if not (np.isfinite(self.length) and self.length >= self.dx):

@@ -1,9 +1,10 @@
 """Oracle physics losses written with the validated ``hydraulics`` point functions.
 
 These are the energy, Froude and residual terms on per-batch aux dicts, each
-quantity computed through the public, depth-checking functions.  The library's
-kernels on :func:`backwater.losses.physics_constants` must match them bit for
-bit, and so must a training run that uses the kernels.
+quantity computed through the public, depth-checking functions, and the
+volume and boundary terms on the batch's targets.  The library's kernels on
+:func:`backwater.losses.physics_constants` must match them bit for bit, and so
+must a training run that uses the kernels.
 """
 
 import numpy as np
@@ -66,8 +67,27 @@ def loss_pde(pred, aux):
     return float(np.mean(r * r)), grad, int(low.sum())
 
 
+def loss_vol(pred, true):
+    pred, true = np.atleast_2d(np.asarray(pred, dtype=float)), np.atleast_2d(np.asarray(true, dtype=float))
+    batch = pred.shape[0]
+    diff = np.sum(true, axis=1) - np.sum(pred, axis=1)
+    grad = np.repeat(-np.sign(diff)[:, None], pred.shape[1], axis=1) / batch
+    return float(np.mean(np.abs(diff))), grad, 0
+
+
+def loss_bc(pred, true):
+    pred, true = np.atleast_2d(np.asarray(pred, dtype=float)), np.atleast_2d(np.asarray(true, dtype=float))
+    batch = pred.shape[0]
+    gap = pred[:, 0] - true[:, 0]
+    grad = np.zeros_like(pred)
+    grad[:, 0] = np.sign(gap) / batch
+    return float(np.mean(np.abs(gap))), grad, 0
+
+
 def physics_term(strategy, pred, true, aux):
-    """The oracle for one depth-reading strategy: (value, gradient, clamp count)."""
+    """The oracle for one strategy's physics term: (value, gradient, clamp count)."""
     if strategy == "pde":
         return loss_pde(pred, aux)
+    if strategy in ("vol", "bc"):
+        return {"vol": loss_vol, "bc": loss_bc}[strategy](pred, true)
     return {"en": loss_en, "fr": loss_fr}[strategy](pred, true, aux)

@@ -289,8 +289,9 @@ def test_physics_loss_gradients_match_finite_differences_100_trials():
         assert_gradient_matches_fd(lambda p: loss_fr(p, fr), pred)
 
         pred2, true2, aux2 = random_profile_batch(trial + 1000, batch=2, n_pts=9)
-        assert_gradient_matches_fd(lambda p: loss_vol(p, true2), pred2)
-        assert_gradient_matches_fd(lambda p: loss_bc(p, true2), pred2)
+        vol, bc = physics_constants("vol", aux2, true2), physics_constants("bc", aux2, true2)
+        assert_gradient_matches_fd(lambda p: loss_vol(p, vol), pred2)
+        assert_gradient_matches_fd(lambda p: loss_bc(p, bc), pred2)
         pde = physics_constants("pde", aux2, true2)
         assert_gradient_matches_fd(lambda p: loss_pde(p, pde), pred2)
     assert time.perf_counter() - started < 60.0

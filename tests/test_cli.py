@@ -9,6 +9,7 @@ import pytest
 from backwater.cli import main, parse_cell
 from backwater.data import load
 from backwater.models import ModelSpec
+from backwater.network import init
 
 TINY_CONFIG = {
     "ranges": {
@@ -286,6 +287,55 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         assert exc.value.code == 2
         assert expected in capsys.readouterr().err
         path.write_text(intact)
+
+    # runs that would share one run directory: nothing is trained or written
+    dup = tmp_path / "dup"
+    for argv, expected in (
+        (["sweep-size", "--cells", "vts:dd:0.5", "vts:dd:0.9", "--fractions", "0.5", "--seeds", "0"],
+         "vts-dd-lam1-w40-fraction0.5-seed0 twice"),
+        (["sweep-size", "--cells", "vts:dd", "--fractions", "0.5", "--seeds", "0,0"],
+         "vts-dd-lam1-w40-fraction0.5-seed0 twice"),
+        (["sweep-size", "--cells", "vts:dd", "--fractions", "0.5,0.5", "--seeds", "0"],
+         "vts-dd-lam1-w40-fraction0.5-seed0 twice"),
+        (["sweep-width", "--cells", "vts:dd::8", "vts:dd::16", "--widths", "4", "--seeds", "0"],
+         "vts-dd-lam1-w4-width4-seed0 twice"),
+        (["lambda-search", "--arch", "vts", "--strategy", "dd", "--seeds", "0"], "no lambda to search"),
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dataset", str(dataset_csv), "--max-epochs", "1", "--out", str(dup)])
+        assert exc.value.code == 2
+        assert expected in capsys.readouterr().err
+        assert not dup.exists()
+
+    # a checkpoint whose network is not the one its spec and grid call for
+    int_args = train_args(dataset_csv, tmp_path / "int_runs")
+    int_args[int_args.index("sp")] = "int"
+    main(int_args)
+    checkpoint = next((tmp_path / "int_runs").iterdir()) / "model.json"
+    stored = json.loads(checkpoint.read_text())
+    for broken, expected in (
+        (dict(stored, spec=dict(stored["spec"], width=30)), "[6, 8, 8, 8, 1]"),
+        (dict(stored, network=init([6, 8, 8, 8, 2], 0).to_dict()), "[6, 8, 8, 8, 2]"),
+    ):
+        checkpoint.write_text(json.dumps(broken))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--model", str(checkpoint), "--dataset", str(dataset_csv),
+                  "--out", str(tmp_path / "m.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint network has layer sizes {expected}" in err
+        assert "needs [6, " in err
+    checkpoint.write_text(json.dumps(stored))
+
+    # a grid value that is not a number
+    corpus.with_suffix(".manifest.json").write_text(json.dumps(dict(manifest, dx="10")))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--model", str(checkpoint), "--dataset", str(corpus), "--out", str(tmp_path / "m.csv")])
+    assert exc.value.code == 2
+    assert "grid dx must be a real number, not '10'" in capsys.readouterr().err
 
     # training settings outside their domain, each named in the message
     for flags, field in (

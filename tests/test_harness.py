@@ -79,6 +79,19 @@ def test_plan_validation():
         ExperimentPlan(cells=(cell,), axis="fraction", axis_values=())
     with pytest.raises(ValueError):
         ModelSpec("sp", "vol")  # vts-only strategy
+    # runs that would share one run directory, each named in the message
+    for plan, name in (
+        (dict(cells=(cell,), seeds=(0, 0)), "sp-dd-lam1-w30-base-seed0"),
+        (dict(cells=(cell,), seeds=(0,), axis="fraction", axis_values=(0.5, 0.5)),
+         "sp-dd-lam1-w30-fraction0.5-seed0"),
+        (dict(cells=(cell, ModelSpec("sp", width=30)), seeds=(1,)), "sp-dd-lam1-w30-base-seed1"),
+        (dict(cells=(ModelSpec("vts", "dd", 0.5), ModelSpec("vts", "dd", 0.9)), seeds=(0,)),
+         "vts-dd-lam1-w40-base-seed0"),
+        (dict(cells=(ModelSpec("vts", width=8), ModelSpec("vts", width=16)), seeds=(0,), axis="width",
+              axis_values=(4,)), "vts-dd-lam1-w4-width4-seed0"),
+    ):
+        with pytest.raises(ValueError, match=f"plan runs {name} twice"):
+            ExperimentPlan(**plan)
 
 
 # ---------------------------------------------------------------- #
@@ -330,6 +343,8 @@ def test_lambda_search_single_candidate(ds):
     assert len(table) == 1
     with pytest.raises(ValueError, match="fractions"):
         lambda_search(ds, ModelSpec("sp", "en", width=8), [0.5], seeds=(0,), config=FAST, fraction=3.0)
+    with pytest.raises(ValueError, match="no lambda to search"):
+        lambda_search(ds, ModelSpec("sp", "dd", width=8), [0.5], seeds=(0,), config=FAST)
 
 
 def test_lambda_search_grid_of_one_equals_dd(ds):

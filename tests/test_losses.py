@@ -12,6 +12,8 @@ from backwater.hydraulics import (
 )
 from backwater.losses import (
     MIN_DEPTH,
+    PHYSICS_TERMS,
+    STRATEGIES,
     clamp_depths,
     depth_floor,
     loss_bc,
@@ -76,6 +78,14 @@ def fr(pred, true, aux):
 
 def pde(pred, aux):
     return loss_pde(pred, physics_constants("pde", aux, pred))
+
+
+def vol(pred, true):
+    return loss_vol(pred, physics_constants("vol", {}, true))
+
+
+def bc(pred, true):
+    return loss_bc(pred, physics_constants("bc", {}, true))
 
 
 def check_gradient(loss_fn, pred, tol=1e-5):
@@ -156,16 +166,17 @@ def test_loss_fr_not_scale_invariant():
 
 def test_loss_vol_identities():
     true = np.linspace(1.0, 3.0, 101)[None, :]
-    assert loss_vol(true, true)[0] == 0.0
-    value, _ = loss_vol(true + 0.1, true)
+    assert vol(true, true)[0] == 0.0
+    value, _, n_clamped = vol(true + 0.1, true)
     assert value == pytest.approx(10.1, rel=1e-12)
+    assert n_clamped == 0
 
 
 def test_loss_vol_is_volume_blind_to_permutations():
     rng = np.random.default_rng(9)
     true = rng.uniform(0.5, 5.0, (1, 33))
     permuted = true[:, rng.permutation(33)]
-    assert loss_vol(permuted, true)[0] == pytest.approx(0.0, abs=1e-12)
+    assert vol(permuted, true)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_vol_gradient_sign():
@@ -174,7 +185,7 @@ def test_loss_vol_gradient_sign():
     pred = true.copy()
     pred[0] += 0.2  # over-predicts volume: d|diff|/dpred = +1/B
     pred[1] -= 0.2
-    _, grad = loss_vol(pred, true)
+    _, grad, _ = vol(pred, true)
     np.testing.assert_allclose(grad[0], 0.5, atol=1e-15)
     np.testing.assert_allclose(grad[1], -0.5, atol=1e-15)
 
@@ -184,12 +195,13 @@ def test_loss_bc_identities_and_gradient_support():
     true = rng.uniform(0.5, 5.0, (2, 9))
     pred = true.copy()
     pred[:, 1:] += 3.0  # everything but the dam station is wrong
-    assert loss_bc(pred, true)[0] == 0.0
+    assert bc(pred, true)[0] == 0.0
     pred[0, 0] = true[0, 0] + 0.5
-    value, grad = loss_bc(pred, true)
+    value, grad, n_clamped = bc(pred, true)
     assert value == pytest.approx(0.25, rel=1e-12)  # mean over batch of |0.5|, |0|
     assert np.all(grad[:, 1:] == 0.0)
     assert grad[0, 0] == 0.5
+    assert n_clamped == 0
 
 
 # ---------------------------------------------------------------- #
@@ -296,11 +308,12 @@ def bits(value):
     return value.shape, value.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(40, 1), (12, 9)])
+@pytest.mark.parametrize("shape", [(40, 1), (12, 9), (10, 301)])
 def test_kernels_match_validated_point_functions_bitwise(shape):
     # The kernels on gathered per-view constants equal the same expressions
-    # written with the depth-checking point functions on a per-batch aux dict,
-    # with some predictions below the floor.
+    # written with the depth-checking point functions on a per-batch aux dict
+    # (the volume and boundary terms: on the batch's targets), with some
+    # predictions below the floor.
     for seed in range(20):
         pred, true, aux = random_profile_batch(seed, batch=shape[0], n_pts=shape[1])
         rng = np.random.default_rng(100 + seed)
@@ -309,12 +322,14 @@ def test_kernels_match_validated_point_functions_bitwise(shape):
         pred = np.where(low, floor * rng.uniform(-2.0, 0.999, shape), pred)
         rows = rng.permutation(shape[0])[: shape[0] // 2 + 1]
         aux_b = {k: v[rows] if isinstance(v, np.ndarray) else v for k, v in aux.items()}
-        strategies = [("en", loss_en), ("fr", loss_fr)] + ([("pde", loss_pde)] if shape[1] >= 3 else [])
-        for strategy, kernel in strategies:
+        for strategy, kernel in PHYSICS_TERMS.items():
+            if strategy == "pde" and shape[1] < 3:
+                continue
             consts = physics_constants(strategy, aux, true)
             got = kernel(pred[rows], tuple(a[rows] for a in consts))
             want = reference_losses.physics_term(strategy, pred[rows], true[rows], aux_b)
-            assert got[2] == want[2] == int(low[rows].sum())
+            clamped = 0 if strategy in ("vol", "bc") else int(low[rows].sum())
+            assert got[2] == want[2] == clamped, strategy
             assert bits(got[0]) == bits(want[0]), strategy
             assert bits(got[1]) == bits(want[1]), strategy
 
@@ -326,7 +341,15 @@ def test_physics_constants_shapes():
             assert a.shape in ((4, 1), (4, 6))
     pointwise, true1, aux1 = random_pointwise_batch(22, size=5)
     assert all(a.shape == (5,) for a in physics_constants("en", aux1, true1))
-    assert physics_constants("vol", aux, true) == physics_constants("bc", aux, true) == ()
+    (volume,) = physics_constants("vol", aux, true)
+    (dam,) = physics_constants("bc", aux, true)
+    assert volume.shape == dam.shape == (4,)
+    assert bits(volume) == bits(true.sum(axis=1)) and bits(dam) == bits(true[:, 0])
+
+
+def test_physics_terms_table_names_every_strategy():
+    assert STRATEGIES == ("dd", *PHYSICS_TERMS)
+    assert PHYSICS_TERMS == {"en": loss_en, "fr": loss_fr, "vol": loss_vol, "bc": loss_bc, "pde": loss_pde}
 
 
 def test_physics_constants_validate_where_training_starts():
@@ -339,5 +362,8 @@ def test_physics_constants_validate_where_training_starts():
                 physics_constants(strategy, aux, targets)
         with pytest.raises(ValueError, match="discharge must be non-negative"):
             physics_constants(strategy, dict(aux, Q=-aux["Q"]), true)
+    for strategy in ("vol", "bc", "pde"):
+        with pytest.raises(ValueError, match="2-D"):
+            physics_constants(strategy, aux, true[:, 0])
     with pytest.raises(ValueError, match="no physics term"):
         physics_constants("dd", aux, true)

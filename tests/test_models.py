@@ -28,7 +28,7 @@ from backwater.models import (
     save_model,
     train,
 )
-from backwater.losses import physics_constants
+from backwater.losses import PHYSICS_TERMS, physics_constants
 from backwater.network import (
     AdamState,
     NetworkParams,
@@ -336,21 +336,21 @@ def bits(value):
 
 def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
     # Each epoch's minibatches are the rows and targets of the view shuffled by
-    # that epoch's seed and then cut into consecutive slices; the physics term
-    # gets the run's physics_constants gathered at the same rows.
-    seen_inputs, seen_physics = [], []
-    real_forward, real_physics = models.forward, models._physics_term
+    # that epoch's seed and then cut into consecutive slices; the strategy's
+    # physics term gets the run's physics_constants gathered at the same rows.
+    seen_inputs, seen_targets, seen_consts = [], [], []
+    real_forward, real_dmse = models.forward, models.dmse_dpred
 
     def spy_forward(params, inputs):
         seen_inputs.append(inputs.copy())
         return real_forward(params, inputs)
 
-    def spy_physics(strategy, pred, true, consts):
-        seen_physics.append((true.copy(), [a.copy() for a in consts]))
-        return real_physics(strategy, pred, true, consts)
+    def spy_dmse(pred, targets):  # called once per minibatch, with its targets
+        seen_targets.append(targets.copy())
+        return real_dmse(pred, targets)
 
     monkeypatch.setattr(models, "forward", spy_forward)
-    monkeypatch.setattr(models, "_physics_term", spy_physics)
+    monkeypatch.setattr(models, "dmse_dpred", spy_dmse)
     config = TrainConfig(max_epochs=2, batch_size=64, seed=4)
     cases = (
         ("sp", "en", view_sp),
@@ -359,12 +359,19 @@ def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
         ("vts", "pde", view_vts),
     )
     for arch, strategy, view in cases:
-        seen_inputs.clear()
-        seen_physics.clear()
+        real_term = PHYSICS_TERMS[strategy]
+
+        def spy_term(pred, consts, real_term=real_term):
+            seen_consts.append([a.copy() for a in consts])
+            return real_term(pred, consts)
+
+        monkeypatch.setitem(PHYSICS_TERMS, strategy, spy_term)
+        for seen in (seen_inputs, seen_targets, seen_consts):
+            seen.clear()
         train(ModelSpec(arch, strategy, 0.5, 8), small_ds, config)
         full, val = view(small_ds, "train"), view(small_ds, "val")
         consts = physics_constants(strategy, full.aux, full.targets)
-        assert len(consts) == {"en": 5, "fr": 6, "vol": 0, "pde": 8}[strategy]
+        assert len(consts) == {"en": 5, "fr": 6, "vol": 1, "pde": 8}[strategy]
         want_inputs, want_physics = [], []
         for seed in np.random.SeedSequence(config.seed).generate_state(config.max_epochs):
             order = np.random.default_rng(int(seed)).permutation(len(full))
@@ -376,8 +383,8 @@ def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
                 want_physics.append((targets[sl], [a[sl] for a in shuffled]))
             want_inputs.append(val.inputs)  # the validation pass that ends the epoch
         assert [bits(a) for a in seen_inputs] == [bits(a) for a in want_inputs]
-        assert len(seen_physics) == len(want_physics)
-        for (got_targets, got_consts), (targets, batch_consts) in zip(seen_physics, want_physics):
+        assert len(seen_targets) == len(seen_consts) == len(want_physics)
+        for got_targets, got_consts, (targets, batch_consts) in zip(seen_targets, seen_consts, want_physics):
             assert bits(got_targets) == bits(targets)
             assert [bits(a) for a in got_consts] == [bits(a) for a in batch_consts]
 

@@ -71,6 +71,11 @@ def test_grid_point_count_and_stations():
         with pytest.raises(ValueError, match="whole number"):
             GridSpec(dx=10.0, length=length)
     assert GridSpec(0.1, 1000.0).n_points == 10001
+    # a value that is not a real number, as a JSON manifest can hold
+    for dx, length in (("10", 100.0), (True, 100.0), (10.0, None)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            GridSpec(dx=dx, length=length)
+    assert GridSpec(np.float64(10.0), 100).n_points == 11
 
 
 # ---------------------------------------------------------------- #
