@@ -1,10 +1,12 @@
 """Command-line driver: data generation, training, sweeps, and reports.
 
 Subcommands mirror the experiment protocol: ``gen-data`` builds a corpus,
-``train``/``evaluate`` handle single runs, ``sweep-size``/``sweep-width``
-run the stress-test axes, ``extrapolate`` builds out-of-range evaluation
+``train``/``evaluate`` handle single runs, ``sweep-size`` trains cells over
+training fractions and ``sweep-width`` trains them over widths (each width
+replaces the cells' own), ``extrapolate`` builds out-of-range evaluation
 sets, ``lambda-search`` picks the loss weight, and ``report`` aggregates
-run directories into one CSV.
+run directories into one CSV.  Every run is one (cell, fraction, seed) and
+has one run directory, whichever command trained it.
 
 Most experiment commands also accept ``--config plan.json``::
 
@@ -231,9 +233,8 @@ def cmd_train(args) -> None:
     ds = _dataset(args, cfg)
     spec = ModelSpec(args.arch, args.strategy, args.lam, args.width)
     config = _train_config(args, cfg)
-    axis = "none" if args.fraction is None else "fraction"
     sink: list = []
-    record = run_one(ds, spec, args.seed, config, axis, args.fraction, model_sink=sink)
+    record = run_one(ds, spec, args.seed, config, args.fraction, model_sink=sink)
     run_dir = Path(args.out) / record_dir_name(record)
     save_record(record, run_dir)
     save_model(sink[0], run_dir / "model.json")
@@ -259,18 +260,11 @@ def cmd_evaluate(args) -> None:
     )
 
 
-def _run_sweep(args, cfg: dict, axis: str, values) -> None:
+def _run_sweep(args, cfg: dict, cells, fractions=(1.0,)) -> None:
     ds = _dataset(args, cfg)
-    cells = _plan_cells(args, cfg)
     seeds = args.seeds if args.seeds is not None else tuple(cfg.get("seeds", DEFAULT_SEEDS))
     extrapolation = bool(args.extrapolate or cfg.get("extrapolation", False))
-    plan = ExperimentPlan(
-        cells=cells,
-        seeds=seeds,
-        axis=axis,
-        axis_values=tuple(values),
-        extrapolation=extrapolation,
-    )
+    plan = ExperimentPlan(cells=cells, seeds=seeds, fractions=fractions, extrapolation=extrapolation)
     records = execute_plan(
         ds, plan, _train_config(args, cfg), out_dir=args.out, ext_seed=args.ext_seed
     )
@@ -281,13 +275,13 @@ def _run_sweep(args, cfg: dict, axis: str, values) -> None:
 def cmd_sweep_size(args) -> None:
     cfg = _plan_config(args.config)
     fractions = args.fractions or tuple(cfg.get("fractions", DEFAULT_FRACTIONS))
-    _run_sweep(args, cfg, "fraction", fractions)
+    _run_sweep(args, cfg, _plan_cells(args, cfg), fractions)
 
 
 def cmd_sweep_width(args) -> None:
     cfg = _plan_config(args.config)
     widths = args.widths or tuple(cfg.get("widths", DEFAULT_WIDTH_SWEEP))
-    _run_sweep(args, cfg, "width", widths)
+    _run_sweep(args, cfg, tuple(replace(c, width=w) for c in _plan_cells(args, cfg) for w in widths))
 
 
 def cmd_extrapolate(args) -> None:
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="dd")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--width", type=int, default=None)
-    p.add_argument("--fraction", type=_fraction, default=None, help="training fraction in (0, 1]")
+    p.add_argument("--fraction", type=_fraction, default=1.0, help="training fraction in (0, 1]")
     p.add_argument("--out", required=True)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -374,17 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    for name, handler, axis_flag in (
+    for name, handler, sweep_flag in (
         ("sweep-size", cmd_sweep_size, "fractions"),
         ("sweep-width", cmd_sweep_width, "widths"),
     ):
-        p = sub.add_parser(name, help=f"train cells across a {axis_flag[:-1]} grid")
+        p = sub.add_parser(name, help=f"train cells across a {sweep_flag[:-1]} grid")
         p.add_argument("--dataset")
         p.add_argument("--config")
         p.add_argument("--cells", nargs="+", help="arch[:strategy[:lam[:width]]] ...")
         p.add_argument("--width", type=int, default=None, help="default width for cells")
         p.add_argument("--seeds", type=_ints, default=None)
-        if axis_flag == "fractions":
+        if sweep_flag == "fractions":
             p.add_argument("--fractions", type=_floats, default=None)
         else:
             p.add_argument("--widths", type=_ints, default=None)

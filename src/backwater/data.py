@@ -205,6 +205,24 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n - n_val - n_test, n_val, n_test
 
 
+def _sort_outcomes(scenarios, outcomes) -> tuple[list[WaterProfile], list[dict]]:
+    """Split solve outcomes into kept profiles and rejection entries.
+
+    A rejection (an ``InsufficientEnergyError`` or ``ConvergenceError``) is
+    logged as ``{s, b, n, zd, Q, reason}``; any other exception is raised.
+    """
+    profiles: list[WaterProfile] = []
+    rejected: list[dict] = []
+    for row, outcome in zip(scenario_table(scenarios).tolist(), outcomes):
+        if isinstance(outcome, WaterProfile):
+            profiles.append(outcome)
+        elif isinstance(outcome, (InsufficientEnergyError, ConvergenceError)):
+            rejected.append({**dict(zip(PARAM_NAMES, row)), "reason": str(outcome)})
+        else:
+            raise outcome
+    return profiles, rejected
+
+
 def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDataset:
     """Solve the full scenario grid in one batched march, split it, and fit the scaler.
 
@@ -212,17 +230,8 @@ def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDatas
     manifest; more than 10% rejections means the ranges are poorly chosen
     and raises instead of silently shrinking the corpus.
     """
-    profiles: list[WaterProfile] = []
-    rejected: list[dict] = []
     scenarios = list(ranges.scenarios())
-    rows = scenario_table(scenarios).tolist()
-    for row, outcome in zip(rows, solve_profiles(scenarios, grid)):
-        if isinstance(outcome, WaterProfile):
-            profiles.append(outcome)
-        elif isinstance(outcome, (InsufficientEnergyError, ConvergenceError)):
-            rejected.append({**dict(zip(PARAM_NAMES, row)), "reason": str(outcome)})
-        else:
-            raise outcome
+    profiles, rejected = _sort_outcomes(scenarios, solve_profiles(scenarios, grid))
     total = ranges.n_combinations
     if len(rejected) > 0.10 * total:
         raise ValueError(

@@ -1,14 +1,15 @@
 """Experiment driver: plans, runs, stress tests, and result persistence.
 
 A plan is a tuple of :class:`~backwater.models.ModelSpec` cells crossed with
-seeds and optionally a sweep axis (training fraction or network width).
-Every run goes through :func:`run_one`: it trains one model, scores it on
-the validation and test splits (plus the extrapolation dataset, when given
-one), and returns a record that a run directory (``manifest.json``,
-``history.csv``, ``metrics.csv``, ``summary.json``) persists.
-:func:`execute_plan` runs a plan, :func:`lambda_search` runs a plan of one
-cell per lambda, and :func:`replay` re-runs one record.  ``report`` rows
-aggregate seed means per cell, width and axis value.
+training fractions and seeds, so every run is one (cell, fraction, seed); a
+width sweep is a plan whose cells differ in width.  Every run goes through
+:func:`run_one`: it trains one model, scores it on the validation and test
+splits (plus the extrapolation dataset, when given one), and returns a
+record that a run directory (``manifest.json``, ``history.csv``,
+``metrics.csv``, ``summary.json``) persists.  :func:`execute_plan` runs a
+plan, :func:`lambda_search` runs a plan of one cell per lambda, and
+:func:`replay` re-runs one record.  ``report`` rows aggregate seed means per
+cell, width, fraction and split.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .data import (
     PARAM_NAMES,
     ParameterRanges,
     ProfileDataset,
+    _sort_outcomes,
     fit_scaler,
     subsample_training,
 )
-from .hydraulics import ChannelScenario, ConvergenceError, InsufficientEnergyError
+from .hydraulics import ChannelScenario
 from .metrics import (
     ProfileMetrics,
     evaluate_set,
@@ -44,7 +46,6 @@ from .solver import GridSpec, WaterProfile, solve_profiles
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (1.0, 0.5, 0.25, 0.1, 0.05)
 DEFAULT_WIDTH_SWEEP = (4, 8, 16, 30, 64)
-PLAN_AXES = ("none", "fraction", "width")
 #: seed for the shared extrapolation set, fixed so every cell sees the same one
 EXTRAPOLATION_SEED = 7919
 
@@ -56,7 +57,7 @@ EXTRAPOLATION_SEED = 7919
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Cells x seeds x optional sweep axis, plus the extrapolation switch.
+    """Cells x training fractions x seeds, plus the extrapolation switch.
 
     Each run needs a run directory of its own (:func:`record_dir_name`), so a
     plan whose runs repeat one is rejected.
@@ -64,8 +65,7 @@ class ExperimentPlan:
 
     cells: tuple[ModelSpec, ...]
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    axis: str = "none"
-    axis_values: tuple = ()
+    fractions: tuple[float, ...] = (1.0,)
     extrapolation: bool = False
 
     def __post_init__(self):
@@ -73,35 +73,26 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one cell")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
-        if self.axis not in PLAN_AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
-        if self.axis == "none" and self.axis_values:
-            raise ValueError("axis 'none' takes no axis values")
-        if self.axis != "none" and not self.axis_values:
-            raise ValueError(f"axis {self.axis!r} needs axis values")
-        for v in self.axis_values:
-            if self.axis == "fraction" and not 0.0 < v <= 1.0:
-                raise ValueError("training fractions must lie in (0, 1]")
-            if self.axis == "width" and (int(v) != v or v < 2):
-                raise ValueError("widths must be integers >= 2")
+        if not self.fractions:
+            raise ValueError("plan needs at least one training fraction")
+        if not all(0.0 < f <= 1.0 for f in self.fractions):
+            raise ValueError("training fractions must lie in (0, 1]")
         names = set()
-        for cell, value, seed in self.runs():
-            width = int(value) if self.axis == "width" else cell.neurons
-            name = _dir_name(cell.arch, cell.strategy, cell.lam, width, self.axis, value, seed)
+        for cell, fraction, seed in self.runs():
+            name = _dir_name(cell.arch, cell.strategy, cell.lam, cell.neurons, fraction, seed)
             if name in names:
                 raise ValueError(
-                    f"plan runs {name} twice: a repeated seed, axis value or cell (dd pins "
-                    "lam to 1, the width axis replaces cell widths) would overwrite its run directory"
+                    f"plan runs {name} twice: a repeated seed, fraction or cell (dd pins lam "
+                    "to 1, sweep-width replaces cell widths) would overwrite its run directory"
                 )
             names.add(name)
 
     def runs(self):
-        """Yield every (cell, axis_value, seed) the plan calls for."""
-        values = self.axis_values if self.axis != "none" else (None,)
+        """Yield every (cell, fraction, seed) the plan calls for."""
         for cell in self.cells:
-            for value in values:
+            for fraction in self.fractions:
                 for seed in self.seeds:
-                    yield cell, value, seed
+                    yield cell, fraction, seed
 
 
 def desk_plan() -> tuple[ExperimentPlan, TrainConfig]:
@@ -126,13 +117,7 @@ def desk_plan() -> tuple[ExperimentPlan, TrainConfig]:
         ModelSpec("vts", "fr", 0.5, 16),
         ModelSpec("vts", "vol", 0.3, 16),
     )
-    plan = ExperimentPlan(
-        cells=cells,
-        seeds=DEFAULT_SEEDS,
-        axis="fraction",
-        axis_values=(0.05,),
-        extrapolation=True,
-    )
+    plan = ExperimentPlan(cells=cells, seeds=DEFAULT_SEEDS, fractions=(0.05,), extrapolation=True)
     config = TrainConfig(
         initial_lr=1e-2,
         max_epochs=2000,
@@ -165,12 +150,16 @@ def _draw_scenario(rng, ranges: ParameterRanges) -> ChannelScenario:
     return ChannelScenario(*row)
 
 
-def make_extrapolation_set(ranges: ParameterRanges, grid: GridSpec, count: int, seed: int):
+def make_extrapolation_set(
+    ranges: ParameterRanges, grid: GridSpec, count: int, seed: int
+) -> tuple[list[WaterProfile], list[dict]]:
     """Solve `count` scenarios that step 10% outside the training ranges.
 
     All draws are solved in one batched march.  Scenarios the solver rejects
     are redrawn; sustained rejection above 25% means the ranges hug an
-    infeasible corner and is a configuration error.
+    infeasible corner and is a configuration error.  Returns the profiles
+    and the rejected draws before the last kept one, logged as
+    :func:`~.data.generate` logs its rejections.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -179,22 +168,16 @@ def make_extrapolation_set(ranges: ParameterRanges, grid: GridSpec, count: int, 
     # the draws do not depend on solve outcomes, so drawing every attempt up
     # front and keeping the first `count` successes is the draw-one, solve-one loop
     scenarios = [_draw_scenario(rng, ranges) for _ in range(max_attempts)]
-    profiles = []
-    attempts = 0
-    for outcome in solve_profiles(scenarios, grid):
-        if len(profiles) == count:
-            break
-        attempts += 1
-        if isinstance(outcome, WaterProfile):
-            profiles.append(outcome)
-        elif not isinstance(outcome, (InsufficientEnergyError, ConvergenceError)):
-            raise outcome
-    if len(profiles) < count or (attempts - count) > 0.25 * attempts:
+    outcomes = solve_profiles(scenarios, grid)
+    solved = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, WaterProfile)]
+    attempts = solved[count - 1] + 1 if len(solved) >= count else max_attempts
+    profiles, rejected = _sort_outcomes(scenarios[:attempts], outcomes[:attempts])
+    if len(profiles) < count or len(rejected) > 0.25 * attempts:
         raise ValueError(
             f"extrapolation sampling rejected too often "
-            f"({attempts - len(profiles)}/{attempts} draws failed, >25%)"
+            f"({len(rejected)}/{attempts} draws failed, >25%)"
         )
-    return profiles
+    return profiles, rejected
 
 
 def extrapolation_dataset(ds: ProfileDataset, count: int | None = None, seed: int = EXTRAPOLATION_SEED) -> ProfileDataset:
@@ -202,7 +185,7 @@ def extrapolation_dataset(ds: ProfileDataset, count: int | None = None, seed: in
     ranges = ParameterRanges.from_dict(ds.manifest["ranges"])
     if count is None:
         count = len(ds.indices("test"))
-    profiles = make_extrapolation_set(ranges, ds.grid, count, seed)
+    profiles, rejected = make_extrapolation_set(ranges, ds.grid, count, seed)
     manifest = {
         "format_version": ds.manifest["format_version"],
         "kind": "extrapolation",
@@ -210,8 +193,8 @@ def extrapolation_dataset(ds: ProfileDataset, count: int | None = None, seed: in
         "base_ranges": ds.manifest["ranges"],
         "dx": ds.grid.dx,
         "length": ds.grid.length,
-        "rejected": [],
-        "counts": {"grid": count, "retained": count, "train": 0, "val": 0, "test": count},
+        "rejected": rejected,
+        "counts": {"grid": count + len(rejected), "retained": count, "train": 0, "val": 0, "test": count},
     }
     return ProfileDataset(
         profiles, ["test"] * count, fit_scaler(profiles), ds.grid, manifest
@@ -231,8 +214,7 @@ class RunRecord:
     strategy: str
     lam: float
     width: int
-    axis: str
-    axis_value: float | None
+    fraction: float
     seed: int
     dataset_checksum: str
     config: dict
@@ -250,12 +232,12 @@ def run_one(
     spec: ModelSpec,
     seed: int,
     config: TrainConfig | None = None,
-    axis: str = "none",
-    axis_value=None,
+    fraction: float = 1.0,
     ext: ProfileDataset | None = None,
     model_sink: list | None = None,
 ) -> RunRecord:
-    """Train one cell at one seed and score it on val/test (+ extrapolation).
+    """Train one cell at one training fraction and seed, and score it on
+    val/test (+ extrapolation).
 
     ``ext`` is an :func:`extrapolation_dataset`; the record's config keeps
     its seed and size as ``ext_seed``/``ext_count`` so :func:`replay` can
@@ -263,12 +245,8 @@ def run_one(
     itself (e.g. for checkpointing); the record alone is enough to replay
     the run.
     """
-    config = config or TrainConfig()
-    config = replace(config, seed=seed)
-    fraction = float(axis_value) if axis == "fraction" else 1.0
-    if axis == "width":
-        spec = replace(spec, width=int(axis_value))
-
+    config = replace(config or TrainConfig(), seed=seed)
+    fraction = float(fraction)
     started = time.perf_counter()
     ds_run = ds if fraction >= 1.0 else subsample_training(ds, fraction, seed)
     model = train(spec, ds_run, config)
@@ -300,7 +278,6 @@ def run_one(
     summaries["diagnostics"] = model.diagnostics
 
     run_config = asdict(config)
-    run_config["fraction"] = fraction
     if ext is not None:
         run_config.update(ext_seed=ext.manifest["seed"], ext_count=len(ext.profiles))
 
@@ -309,8 +286,7 @@ def run_one(
         strategy=spec.strategy,
         lam=spec.lam,
         width=spec.neurons,
-        axis=axis,
-        axis_value=None if axis_value is None else float(axis_value),
+        fraction=fraction,
         seed=seed,
         dataset_checksum=ds.content_hash(),
         config=run_config,
@@ -328,11 +304,11 @@ def execute_plan(
     out_dir=None,
     ext_seed: int = EXTRAPOLATION_SEED,
 ) -> list[RunRecord]:
-    """Run every (cell, axis value, seed) of a plan; optionally persist each."""
+    """Run every (cell, fraction, seed) of a plan; optionally persist each."""
     ext = extrapolation_dataset(ds, seed=ext_seed) if plan.extrapolation else None
     results = []
-    for cell, axis_value, seed in plan.runs():
-        record = run_one(ds, cell, seed, config, plan.axis, axis_value, ext)
+    for cell, fraction, seed in plan.runs():
+        record = run_one(ds, cell, seed, config, fraction, ext)
         if out_dir is not None:
             save_record(record, Path(out_dir) / record_dir_name(record))
         results.append(record)
@@ -353,7 +329,7 @@ def replay(record: RunRecord, ds: ProfileDataset) -> RunRecord:
     ext = None
     if "ext_seed" in record.config:
         ext = extrapolation_dataset(ds, count=record.config["ext_count"], seed=record.config["ext_seed"])
-    return run_one(ds, spec, record.seed, config, record.axis, record.axis_value, ext)
+    return run_one(ds, spec, record.seed, config, record.fraction, ext)
 
 
 # ---------------------------------------------------------------------- #
@@ -361,30 +337,28 @@ def replay(record: RunRecord, ds: ProfileDataset) -> RunRecord:
 # ---------------------------------------------------------------------- #
 
 HISTORY_HEADER = ("epoch", "train_loss", "val_loss", "lr")
-#: RunRecord fields stored in a run directory's manifest.json
-MANIFEST_KEYS = (
-    "arch",
-    "strategy",
-    "lam",
-    "width",
-    "axis",
-    "axis_value",
-    "seed",
-    "dataset_checksum",
-    "config",
-    "wall_time",
-)
+#: RunRecord fields stored in a run directory's manifest.json, and their JSON types
+MANIFEST_KEYS = {
+    "arch": str,
+    "strategy": str,
+    "lam": float,
+    "width": int,
+    "fraction": float,
+    "seed": int,
+    "dataset_checksum": str,
+    "config": dict,
+    "wall_time": float,
+}
 
 
-def _dir_name(arch, strategy, lam, width, axis, axis_value, seed) -> str:
-    label = "base" if axis == "none" else f"{axis}{axis_value:g}"
-    return f"{arch}-{strategy}-lam{lam:g}-w{width}-{label}-seed{seed}"
+def _dir_name(arch, strategy, lam, width, fraction, seed) -> str:
+    # shortest round-trip decimals, so distinct floats never share a name
+    lam, fraction = (np.format_float_positional(v, trim="-") for v in (lam, fraction))
+    return f"{arch}-{strategy}-lam{lam}-w{width}-fraction{fraction}-seed{seed}"
 
 
 def record_dir_name(record: RunRecord) -> str:
-    return _dir_name(
-        record.arch, record.strategy, record.lam, record.width, record.axis, record.axis_value, record.seed
-    )
+    return _dir_name(record.arch, record.strategy, record.lam, record.width, record.fraction, record.seed)
 
 
 def save_record(record: RunRecord, run_dir) -> None:
@@ -404,8 +378,9 @@ def save_record(record: RunRecord, run_dir) -> None:
 def load_record(run_dir) -> RunRecord:
     """Read a run directory written by :func:`save_record`.
 
-    A manifest that is not an object of exactly :data:`MANIFEST_KEYS` raises
-    a ``ValueError`` naming the missing or unexpected keys.
+    A manifest that is not an object of exactly :data:`MANIFEST_KEYS` with
+    values of their JSON types (an integer is a float, a bool is neither)
+    raises a ``ValueError`` naming the missing, unexpected or mistyped keys.
     """
     run_dir = Path(run_dir)
     path = run_dir / "manifest.json"
@@ -418,6 +393,10 @@ def load_record(run_dir) -> RunRecord:
     unexpected = sorted(set(manifest) - set(MANIFEST_KEYS))
     if unexpected:
         raise ValueError(f"run manifest {path} has unexpected {', '.join(map(repr, unexpected))}")
+    for key, kind in MANIFEST_KEYS.items():
+        value = manifest[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"run manifest {path}: {key!r} must be {kind.__name__}, not {value!r}")
     history = []
     path = run_dir / "history.csv"
     with open(path, newline="") as fh:
@@ -490,10 +469,7 @@ def lambda_search(
     if not lam_grid:
         raise ValueError("lambda grid is empty")
     plan = ExperimentPlan(
-        cells=tuple(replace(spec, lam=lam) for lam in lam_grid),
-        seeds=tuple(seeds),
-        axis="fraction",
-        axis_values=(fraction,),
+        cells=tuple(replace(spec, lam=lam) for lam in lam_grid), seeds=tuple(seeds), fractions=(fraction,)
     )
     records = execute_plan(ds, plan, config)
     n_seeds = len(plan.seeds)
@@ -520,29 +496,28 @@ def lambda_search(
 # ---------------------------------------------------------------------- #
 
 REPORT_HEADER = (
-    "arch", "strategy", "lambda", "width", "axis", "axis_value", "seed_mean_nmae", "seed_mean_nnse"
+    "arch", "strategy", "lambda", "width", "fraction", "split", "seed_mean_nmae", "seed_mean_nnse"
 )
-#: the summary each report row is scored on, and the prefix of its axis
-REPORT_SPLITS = (("test", ""), ("extrapolation", "ext_"))
+#: the summaries a report row is scored on, in row order
+REPORT_SPLITS = ("test", "extrapolation")
 
 
 def aggregate(records: list[RunRecord]) -> list[dict]:
-    """Seed-mean NMAE/NNSE per cell, width and axis value; extrapolation rows
-    get an ``ext_``-prefixed axis so the schema stays flat."""
+    """Seed-mean NMAE/NNSE per cell, width and fraction: one row per split
+    the records were scored on."""
     groups: dict[tuple, dict[str, list]] = {}
     for record in records:
-        key = (record.arch, record.strategy, record.lam, record.width, record.axis, record.axis_value)
-        entry = groups.setdefault(key, {split: [] for split, _ in REPORT_SPLITS})
+        key = (record.arch, record.strategy, record.lam, record.width, record.fraction)
+        entry = groups.setdefault(key, {split: [] for split in REPORT_SPLITS})
         for split, scores in entry.items():
             if split in record.summaries:
                 scores.append((record.seed_metrics(split, "nmae"), record.seed_metrics(split, "nnse")))
     rows = []
-    for key, entry in sorted(groups.items(), key=lambda kv: tuple(map(repr, kv[0]))):
-        *cell, axis, axis_value = key
-        for split, prefix in REPORT_SPLITS:
-            if entry[split]:
-                nmae, nnse = zip(*entry[split])
-                values = (*cell, prefix + axis, axis_value, float(np.mean(nmae)), float(np.mean(nnse)))
+    for key, entry in sorted(groups.items()):
+        for split, scores in entry.items():
+            if scores:
+                nmae, nnse = zip(*scores)
+                values = (*key, split, float(np.mean(nmae)), float(np.mean(nnse)))
                 rows.append(dict(zip(REPORT_HEADER, values)))
     return rows
 
@@ -553,5 +528,5 @@ def write_report(records: list[RunRecord], path) -> list[dict]:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
         for row in rows:  # rows are built in header order
-            writer.writerow("" if v is None else v if isinstance(v, str) else repr(v) for v in row.values())
+            writer.writerow(v if isinstance(v, str) else repr(v) for v in row.values())
     return rows

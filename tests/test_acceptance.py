@@ -430,9 +430,10 @@ def desk_outcome():
     test_means, ext_means = {}, {}
     for row in aggregate(records):
         key = (row["arch"], row["strategy"])
-        if row["axis"] == "fraction":
+        assert row["fraction"] == 0.05
+        if row["split"] == "test":
             test_means[key] = row["seed_mean_nmae"]
-        elif row["axis"] == "ext_fraction":
+        elif row["split"] == "extrapolation":
             ext_means[key] = row["seed_mean_nmae"]
     return ds, records, test_means, ext_means, elapsed
 
@@ -446,7 +447,7 @@ def test_desk_experiment_shape_and_budget(desk_outcome):
     assert len(records) == 30
     assert {r.width for r in records} == {16}
     assert {r.seed for r in records} == {0, 1, 2}
-    assert {r.axis_value for r in records} == {0.05}
+    assert {r.fraction for r in records} == {0.05}
     assert set(test_means) == set(ext_means)
 
 
@@ -510,8 +511,7 @@ def test_run_record_replays_bitwise(small_corpus, wide_corpus):
         ModelSpec("vts", "en", 0.5, 8),
         seed=1,
         config=config,
-        axis="fraction",
-        axis_value=0.5,
+        fraction=0.5,
     )
     replayed = replay(record, small_corpus)
     assert replayed.history == record.history

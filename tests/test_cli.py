@@ -2,12 +2,16 @@
 
 import json
 import math
+import re
+import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from backwater.cli import main, parse_cell
+from backwater.cli import build_parser, main, parse_cell
 from backwater.data import load
+from backwater.harness import _dir_name, discover_records, record_dir_name
 from backwater.models import ModelSpec
 from backwater.network import init
 
@@ -114,16 +118,60 @@ def test_sweep_size_and_report(tmp_path, dataset_csv):
             "--out", str(out),
         ]
     ) == 0
-    run_dirs = [p for p in out.iterdir() if p.is_dir()]
-    assert len(run_dirs) == 4  # 2 cells x 2 fractions x 1 seed
+    run_dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
+    assert run_dirs == [  # 2 cells x 2 fractions x 1 seed
+        "sp-dd-lam1-w8-fraction0.5-seed0", "sp-dd-lam1-w8-fraction1-seed0",
+        "sp-en-lam0.7-w8-fraction0.5-seed0", "sp-en-lam0.7-w8-fraction1-seed0",
+    ]
     report = (out / "report.csv").read_text().splitlines()
-    assert report[0] == "arch,strategy,lambda,width,axis,axis_value,seed_mean_nmae,seed_mean_nnse"
+    assert report[0] == "arch,strategy,lambda,width,fraction,split,seed_mean_nmae,seed_mean_nnse"
     assert len(report) == 5
     assert all(len(line.split(",")) == 8 for line in report)
+    keys = [line.split(",")[:6] for line in report[1:]]
+    assert keys == [
+        ["sp", "dd", "1.0", "8", "0.5", "test"], ["sp", "dd", "1.0", "8", "1.0", "test"],
+        ["sp", "en", "0.7", "8", "0.5", "test"], ["sp", "en", "0.7", "8", "1.0", "test"],
+    ]
 
     regen = tmp_path / "report2.csv"
     assert main(["report", "--runs", str(out), "--out", str(regen)]) == 0
     assert regen.read_bytes() == (out / "report.csv").read_bytes()
+
+
+def test_train_without_fraction_is_fraction_one(tmp_path, dataset_csv):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(train_args(dataset_csv, a)) == 0
+    assert main(train_args(dataset_csv, b) + ["--fraction", "1.0"]) == 0
+    (run_a,), (run_b,) = list(a.iterdir()), list(b.iterdir())
+    assert run_a.name == run_b.name == "sp-en-lam0.7-w8-fraction1-seed1"
+    for name in ("metrics.csv", "history.csv"):
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
+
+
+def test_sweep_width_run_equals_sweep_size_run(tmp_path, dataset_csv):
+    common = ["--dataset", str(dataset_csv), "--seeds", "2", "--max-epochs", "3", "--batch-size", "64",
+              "--extrapolate"]
+    assert main(["sweep-width", *common, "--cells", "int:en:0.5:30", "--widths", "8",
+                 "--out", str(tmp_path / "w")]) == 0
+    assert main(["sweep-size", *common, "--cells", "int:en:0.5:8", "--fractions", "1.0",
+                 "--out", str(tmp_path / "f")]) == 0
+    (by_width,) = discover_records(tmp_path / "w")
+    (by_size,) = discover_records(tmp_path / "f")
+    assert record_dir_name(by_width) == record_dir_name(by_size) == "int-en-lam0.5-w8-fraction1-seed2"
+    assert replace(by_width, wall_time=0.0) == replace(by_size, wall_time=0.0)
+    assert {(p.name, p.read_bytes()) for p in (tmp_path / "w").glob("*/*.csv")} == {
+        (p.name, p.read_bytes()) for p in (tmp_path / "f").glob("*/*.csv")
+    }
+
+
+def test_near_equal_lambdas_get_their_own_run_directories(tmp_path, dataset_csv):
+    out = tmp_path / "near"
+    assert main(["sweep-size", "--dataset", str(dataset_csv), "--cells", "sp:en:0.3:8", "sp:en:0.3000001:8",
+                 "--fractions", "1.0", "--seeds", "0", "--max-epochs", "1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+        "sp-en-lam0.3-w8-fraction1-seed0", "sp-en-lam0.3000001-w8-fraction1-seed0",
+    ]
+    assert len((out / "report.csv").read_text().splitlines()) == 3
 
 
 def test_report_keeps_cells_of_different_widths_apart(tmp_path, dataset_csv):
@@ -252,11 +300,29 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
     main(train_args(dataset_csv, runs))
     run_manifest = next(runs.iterdir()) / "manifest.json"
     stored = json.loads(run_manifest.read_text())
-    for broken in ({k: v for k, v in stored.items() if k != "seed"}, dict(stored, extra=1)):
+    for broken, expected in (
+        ({k: v for k, v in stored.items() if k != "seed"}, "lacks 'seed'"),
+        (dict(stored, extra=1), "unexpected 'extra'"),
+        (dict(stored, fraction="0.5"), "'fraction' must be float, not '0.5'"),
+        (dict(stored, width=8.0), "'width' must be int, not 8.0"),
+        (dict(stored, seed=True), "'seed' must be int, not True"),
+        (dict(stored, config=[]), "'config' must be dict"),
+    ):
         run_manifest.write_text(json.dumps(broken))
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
+        assert expected in capsys.readouterr().err
+    # a run directory written before runs had a fraction field
+    old_format = {k: v for k, v in stored.items() if k != "fraction"}
+    old_format.update(axis="none", axis_value=None, config=dict(stored["config"], fraction=1.0))
+    run_manifest.write_text(json.dumps(old_format))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    assert "lacks 'fraction'" in capsys.readouterr().err
     run_manifest.write_text(json.dumps(stored))
 
     # a malformed summary or history row, each named in the message
@@ -298,7 +364,7 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         (["sweep-size", "--cells", "vts:dd", "--fractions", "0.5,0.5", "--seeds", "0"],
          "vts-dd-lam1-w40-fraction0.5-seed0 twice"),
         (["sweep-width", "--cells", "vts:dd::8", "vts:dd::16", "--widths", "4", "--seeds", "0"],
-         "vts-dd-lam1-w4-width4-seed0 twice"),
+         "vts-dd-lam1-w4-fraction1-seed0 twice"),
         (["lambda-search", "--arch", "vts", "--strategy", "dd", "--seeds", "0"], "no lambda to search"),
     ):
         capsys.readouterr()
@@ -399,3 +465,28 @@ def test_report_with_no_records_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--runs", str(tmp_path / "empty"), "--out", str(tmp_path / "r.csv")])
     assert exc.value.code == 2
+
+
+def readme_commands() -> list[str]:
+    """The ``backwater`` lines of README's command-line block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines() if line.strip().startswith("backwater ")]
+
+
+def test_readme_command_block_parses():
+    commands = readme_commands()
+    parser = build_parser()
+    assert [shlex.split(c)[1] for c in commands] == [
+        "gen-data", "train", "evaluate", "sweep-size", "sweep-width", "extrapolate", "lambda-search", "report",
+    ]
+    for command in commands:
+        args = parser.parse_args(shlex.split(command)[1:])
+        if args.command == "evaluate":
+            run_dir = Path(args.model).parent.name
+            match = re.fullmatch(r"(\w+)-(\w+)-lam([\d.]+)-w(\d+)-fraction([\d.]+)-seed(\d+)", run_dir)
+            assert match, run_dir
+            arch, strategy, lam, width, fraction, seed = match.groups()
+            assert _dir_name(arch, strategy, float(lam), int(width), float(fraction), int(seed)) == run_dir

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from backwater.data import DESK_GRID, ParameterRanges, desk_ranges, generate
 from backwater.harness import (
     ExperimentPlan,
+    _dir_name,
     _draw_scenario,
     aggregate,
     discover_records,
@@ -56,13 +59,15 @@ def test_plan_run_arithmetic():
     plan = ExperimentPlan(
         cells=(ModelSpec("sp"), ModelSpec("sp", "en", 0.7)),
         seeds=(0, 1, 2),
-        axis="fraction",
-        axis_values=(1.0, 0.5, 0.25, 0.1, 0.05),
+        fractions=(1.0, 0.5, 0.25, 0.1, 0.05),
     )
     runs = list(plan.runs())
     assert len(runs) == 2 * 5 * 3
     assert runs[0] == (ModelSpec("sp"), 1.0, 0)
     assert runs[-1] == (ModelSpec("sp", "en", 0.7), 0.05, 2)
+    # without fractions a plan trains on the whole training split
+    (run,) = ExperimentPlan(cells=(ModelSpec("sp"),), seeds=(4,)).runs()
+    assert run == (ModelSpec("sp"), 1.0, 4)
 
 
 def test_plan_validation():
@@ -70,28 +75,43 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(cells=())
     with pytest.raises(ValueError):
-        ExperimentPlan(cells=(cell,), axis="depth", axis_values=(1,))
+        ExperimentPlan(cells=(cell,), seeds=())
+    with pytest.raises(ValueError, match="fractions"):
+        ExperimentPlan(cells=(cell,), fractions=(0.0,))
+    with pytest.raises(ValueError, match="fractions"):
+        ExperimentPlan(cells=(cell,), fractions=(1.5,))
+    with pytest.raises(ValueError, match="fraction"):
+        ExperimentPlan(cells=(cell,), fractions=())
     with pytest.raises(ValueError):
-        ExperimentPlan(cells=(cell,), axis="fraction", axis_values=(0.0,))
-    with pytest.raises(ValueError):
-        ExperimentPlan(cells=(cell,), axis="width", axis_values=(1,))
-    with pytest.raises(ValueError):
-        ExperimentPlan(cells=(cell,), axis="fraction", axis_values=())
+        ModelSpec("sp", width=1)  # what sweep-width puts in a cell is checked there
     with pytest.raises(ValueError):
         ModelSpec("sp", "vol")  # vts-only strategy
     # runs that would share one run directory, each named in the message
+    widened = tuple(replace(c, width=4) for c in (ModelSpec("vts", width=8), ModelSpec("vts", width=16)))
     for plan, name in (
-        (dict(cells=(cell,), seeds=(0, 0)), "sp-dd-lam1-w30-base-seed0"),
-        (dict(cells=(cell,), seeds=(0,), axis="fraction", axis_values=(0.5, 0.5)),
-         "sp-dd-lam1-w30-fraction0.5-seed0"),
-        (dict(cells=(cell, ModelSpec("sp", width=30)), seeds=(1,)), "sp-dd-lam1-w30-base-seed1"),
+        (dict(cells=(cell,), seeds=(0, 0)), "sp-dd-lam1-w30-fraction1-seed0"),
+        (dict(cells=(cell,), seeds=(0,), fractions=(0.5, 0.5)), "sp-dd-lam1-w30-fraction0.5-seed0"),
+        (dict(cells=(cell, ModelSpec("sp", width=30)), seeds=(1,)), "sp-dd-lam1-w30-fraction1-seed1"),
         (dict(cells=(ModelSpec("vts", "dd", 0.5), ModelSpec("vts", "dd", 0.9)), seeds=(0,)),
-         "vts-dd-lam1-w40-base-seed0"),
-        (dict(cells=(ModelSpec("vts", width=8), ModelSpec("vts", width=16)), seeds=(0,), axis="width",
-              axis_values=(4,)), "vts-dd-lam1-w4-width4-seed0"),
+         "vts-dd-lam1-w40-fraction1-seed0"),
+        (dict(cells=widened, seeds=(0,)), "vts-dd-lam1-w4-fraction1-seed0"),
     ):
         with pytest.raises(ValueError, match=f"plan runs {name} twice"):
             ExperimentPlan(**plan)
+    # lambdas or fractions that print alike at six digits are distinct runs
+    for plan in (
+        ExperimentPlan(cells=(ModelSpec("sp", "en", 0.3), ModelSpec("sp", "en", 0.3000001)), seeds=(0,)),
+        ExperimentPlan(cells=(cell,), seeds=(0,), fractions=(0.1, 0.1000001)),
+    ):
+        names = [_dir_name(c.arch, c.strategy, c.lam, c.neurons, f, s) for c, f, s in plan.runs()]
+        assert len(set(names)) == 2, names
+
+
+def test_dir_names_are_shortest_round_trip_decimals():
+    for value, text in ((1.0, "1"), (1, "1"), (0.05, "0.05"), (0.3, "0.3"), (0.123456, "0.123456"), (0.0, "0"),
+                        (0.3000001, "0.3000001"), (0.1234567, "0.1234567"), (1e-5, "0.00001")):
+        assert _dir_name("sp", "en", value, 8, value, 2) == f"sp-en-lam{text}-w8-fraction{text}-seed2"
+        assert float(text) == value
 
 
 # ---------------------------------------------------------------- #
@@ -100,8 +120,9 @@ def test_plan_validation():
 
 
 def test_extrapolation_set_construction(ds):
-    profiles = make_extrapolation_set(RANGES, GRID, count=20, seed=11)
+    profiles, rejected = make_extrapolation_set(RANGES, GRID, count=20, seed=11)
     assert len(profiles) == 20
+    assert rejected == []
     for prof in profiles:
         scen = prof.scenario
         values = {"s": scen.s, "b": scen.b, "n": scen.n, "zd": scen.z_d, "Q": scen.Q}
@@ -114,8 +135,8 @@ def test_extrapolation_set_construction(ds):
 
 
 def test_extrapolation_set_deterministic():
-    a = make_extrapolation_set(RANGES, GRID, count=5, seed=3)
-    b = make_extrapolation_set(RANGES, GRID, count=5, seed=3)
+    a, _ = make_extrapolation_set(RANGES, GRID, count=5, seed=3)
+    b, _ = make_extrapolation_set(RANGES, GRID, count=5, seed=3)
     for pa, pb in zip(a, b):
         assert pa.scenario == pb.scenario
         np.testing.assert_array_equal(pa.depths, pb.depths)
@@ -139,7 +160,7 @@ def draw_one_solve_one(ranges, grid, count, seed):
     """Reference extrapolation set: draw a scenario, solve it, repeat."""
     rng = np.random.default_rng(seed)
     max_attempts = max(40, math.ceil(count / 0.75) + 10)
-    profiles = []
+    profiles, rejected = [], []
     attempts = 0
     while len(profiles) < count:
         if attempts >= max_attempts:
@@ -151,25 +172,39 @@ def draw_one_solve_one(ranges, grid, count, seed):
         attempts += 1
         try:
             profiles.append(solve_profile(scen, grid))
-        except (InsufficientEnergyError, ConvergenceError):
-            continue
+        except (InsufficientEnergyError, ConvergenceError) as exc:
+            params = (scen.s, scen.b, scen.n, scen.z_d, scen.Q)
+            rejected.append({**dict(zip(("s", "b", "n", "zd", "Q"), params)), "reason": str(exc)})
     if (attempts - count) > 0.25 * attempts:
         raise ValueError(
             f"extrapolation sampling rejected too often "
             f"({attempts - count}/{attempts} draws failed, >25%)"
         )
-    return profiles
+    return profiles, rejected
 
 
 @pytest.mark.parametrize("ranges,seed", [(desk_ranges(), 7919), (WIDE_RANGES, 11)], ids=["desk", "wide"])
 def test_extrapolation_set_matches_draw_one_solve_one(ranges, seed):
-    batched = make_extrapolation_set(ranges, DESK_GRID, count=75, seed=seed)
-    reference = draw_one_solve_one(ranges, DESK_GRID, count=75, seed=seed)
+    batched, rejected = make_extrapolation_set(ranges, DESK_GRID, count=75, seed=seed)
+    reference, want_rejected = draw_one_solve_one(ranges, DESK_GRID, count=75, seed=seed)
     assert len(batched) == len(reference) == 75
+    assert rejected == want_rejected
     for got, want in zip(batched, reference):
         assert got.scenario == want.scenario
         assert np.array_equal(got.depths, want.depths)
         assert (got.regime, got.jump_index) == (want.regime, want.jump_index)
+
+
+def test_extrapolation_manifest_records_rejected_draws():
+    # the wide box at the shared seed: 74 draws, two of them rejected
+    ds = generate(WIDE_RANGES, DESK_GRID, seed=0)
+    ext = extrapolation_dataset(ds)
+    reference, rejected = draw_one_solve_one(WIDE_RANGES, DESK_GRID, count=72, seed=7919)
+    assert len(ext.profiles) == len(ds.indices("test")) == 72
+    assert [p.scenario for p in ext.profiles] == [p.scenario for p in reference]
+    assert len(rejected) == 2
+    assert ext.manifest["rejected"] == rejected
+    assert ext.manifest["counts"] == {"grid": 74, "retained": 72, "train": 0, "val": 0, "test": 72}
 
 
 @pytest.mark.parametrize(
@@ -203,21 +238,25 @@ def test_extrapolation_rejection_errors_match_draw_one_solve_one(s_range, seed, 
 def test_run_one_record_shape(ds):
     record = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST)
     assert record.arch == "sp" and record.width == 8
-    assert record.axis == "none" and record.axis_value is None
+    assert record.fraction == 1.0
     assert record.dataset_checksum == ds.content_hash()
     assert record.wall_time > 0.0
     assert len(record.history) == 4
     assert {r.split for r in record.records} == {"val", "test"}
     assert set(record.summaries) == {"val", "test", "diagnostics"}
-    assert record.config["fraction"] == 1.0
+    assert "fraction" not in record.config
+    assert record_dir_name(record) == "sp-dd-lam1-w8-fraction1-seed0"
 
 
 def test_run_one_fraction_axis(ds):
-    record = run_one(
-        ds, ModelSpec("sp", width=8), seed=0, config=FAST, axis="fraction", axis_value=0.5
-    )
-    assert record.config["fraction"] == 0.5
-    assert record.axis_value == 0.5
+    record = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST, fraction=0.5)
+    assert record.fraction == 0.5
+    assert "fraction" not in record.config
+    assert record_dir_name(record) == "sp-dd-lam1-w8-fraction0.5-seed0"
+    # fewer training profiles, as many val and test scores
+    full = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST)
+    assert [r.split for r in record.records] == [r.split for r in full.records]
+    assert record.history != full.history
 
 
 def test_run_one_int_reports_station_curve(ds):
@@ -304,18 +343,17 @@ def test_replay_reproduces_metrics_bitwise(ds):
 
 
 def test_replay_with_extrapolation_is_bitwise_on_both_axes(ds):
-    for axis, values in (("fraction", (0.5,)), ("width", (6,))):
+    for width, fraction in ((8, 0.5), (6, 1.0)):
         plan = ExperimentPlan(
-            cells=(ModelSpec("int", "en", 0.5, 8),),
+            cells=(ModelSpec("int", "en", 0.5, width),),
             seeds=(1,),
-            axis=axis,
-            axis_values=values,
+            fractions=(fraction,),
             extrapolation=True,
         )
         (record,) = execute_plan(ds, plan, FAST, ext_seed=31)
         assert record.config["ext_seed"] == 31
         again = replay(record, ds)
-        assert (again.axis, again.axis_value, again.width) == (record.axis, record.axis_value, record.width)
+        assert (again.fraction, again.width) == (fraction, width) == (record.fraction, record.width)
         assert again.config == record.config
         assert again.history == record.history
         assert again.records == record.records
@@ -378,18 +416,27 @@ def test_aggregate_seed_means(ds):
     assert len(rows) == 1
     expected = np.mean([r.seed_metrics("test", "nmae") for r in records])
     assert rows[0]["seed_mean_nmae"] == pytest.approx(expected, rel=1e-15)
-    assert rows[0]["axis"] == "none"
+    assert (rows[0]["fraction"], rows[0]["split"]) == (1.0, "test")
+
+
+def test_aggregate_sorts_rows_by_value(ds):
+    template = run_one(ds, ModelSpec("sp", width=8), seed=0, config=FAST)
+    records = [replace(template, width=w) for w in (16, 30, 4, 64, 8)]
+    records += [replace(template, fraction=0.05), replace(template, fraction=0.5)]
+    keys = [(row["width"], row["fraction"]) for row in aggregate(records)]
+    assert keys == [(4, 1.0), (8, 0.05), (8, 0.5), (8, 1.0), (16, 1.0), (30, 1.0), (64, 1.0)]
 
 
 def test_report_includes_extrapolation_rows(ds, tmp_path):
     plan = ExperimentPlan(cells=(ModelSpec("sp", width=8),), seeds=(0,), extrapolation=True)
     records = execute_plan(ds, plan, FAST, out_dir=tmp_path / "runs")
     rows = write_report(records, tmp_path / "report.csv")
-    axes = [row["axis"] for row in rows]
-    assert axes == ["none", "ext_none"]
+    assert [row["split"] for row in rows] == ["test", "extrapolation"]
     text = (tmp_path / "report.csv").read_text().splitlines()
-    assert text[0] == "arch,strategy,lambda,width,axis,axis_value,seed_mean_nmae,seed_mean_nnse"
-    assert text[1].split(",")[:5] == ["sp", "dd", "1.0", "8", "none"]
+    assert text[0] == "arch,strategy,lambda,width,fraction,split,seed_mean_nmae,seed_mean_nnse"
+    assert text[1].split(",")[:6] == ["sp", "dd", "1.0", "8", "1.0", "test"]
+    assert text[2].split(",")[:6] == ["sp", "dd", "1.0", "8", "1.0", "extrapolation"]
+    assert float(text[2].split(",")[6]) == records[0].seed_metrics("extrapolation", "nmae")
     assert len(text) == 3
     # records reload cleanly for aggregation
     again = discover_records(tmp_path / "runs")
