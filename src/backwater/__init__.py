@@ -117,6 +117,7 @@ from .models import (
     reconstruct,
     save_model,
     train,
+    train_stack,
 )
 from .network import (
     AdamState,

@@ -2,12 +2,15 @@
 
 A plan is a tuple of :class:`~backwater.models.ModelSpec` cells crossed with
 training fractions and seeds, so every run is one (cell, fraction, seed); a
-width sweep is a plan whose cells differ in width.  Every run goes through
-:func:`run_one`: it trains one model, scores it on the validation and test
-splits (plus the extrapolation dataset, when given one), and returns a
-record that a run directory (``manifest.json``, ``history.csv``,
-``metrics.csv``, ``summary.json``) persists.  :func:`execute_plan` runs a
-plan, :func:`lambda_search` runs a plan of one cell per lambda, and
+width sweep is a plan whose cells differ in width.  Runs train in stacks
+(:func:`~backwater.models.train_stack`): :func:`execute_plan` trains the
+runs of one architecture, width and fraction as one stack, and
+:func:`run_one` is the stack of one.  Each run is then scored on the
+validation and test splits (plus the extrapolation dataset, when given
+one) into a record that a run directory (``manifest.json``,
+``history.csv``, ``metrics.csv``, ``summary.json``) persists; a stacked
+run's record equals its solo one, all but ``wall_time``.
+:func:`lambda_search` runs a plan of one cell per lambda, and
 :func:`replay` re-runs one record.  ``report`` rows aggregate seed means per
 cell, width, fraction and split.
 """
@@ -39,7 +42,7 @@ from .metrics import (
     read_metrics_csv,
     write_metrics_csv,
 )
-from .models import ModelSpec, predict, train
+from .models import ModelSpec, predict, train_stack
 from .network import TrainConfig
 from .solver import GridSpec, WaterProfile, solve_profiles
 
@@ -237,7 +240,7 @@ def run_one(
     model_sink: list | None = None,
 ) -> RunRecord:
     """Train one cell at one training fraction and seed, and score it on
-    val/test (+ extrapolation).
+    val/test (+ extrapolation): the stack of one.
 
     ``ext`` is an :func:`extrapolation_dataset`; the record's config keeps
     its seed and size as ``ext_seed``/``ext_count`` so :func:`replay` can
@@ -245,15 +248,42 @@ def run_one(
     itself (e.g. for checkpointing); the record alone is enough to replay
     the run.
     """
-    config = replace(config or TrainConfig(), seed=seed)
-    fraction = float(fraction)
-    started = time.perf_counter()
-    ds_run = ds if fraction >= 1.0 else subsample_training(ds, fraction, seed)
-    model = train(spec, ds_run, config)
-    if model_sink is not None:
-        model_sink.append(model)
+    return _run_stack(ds, [(spec, fraction, seed)], config, ext, model_sink)[0]
 
-    splits = [(s, ds_run.profiles_in(s), ds_run.indices(s)) for s in ("val", "test")]
+
+def _run_stack(ds, runs, config, ext, model_sink=None) -> list[RunRecord]:
+    """Train (cell, fraction, seed) runs as one :func:`~.models.train_stack`
+    and score each.
+
+    A record's ``wall_time`` is its share of the stack's subsampling and
+    training time plus its own scoring time.
+    """
+    config = config or TrainConfig()
+    started = time.perf_counter()
+    members = []
+    for spec, fraction, seed in runs:
+        ds_run = ds if fraction >= 1.0 else subsample_training(ds, fraction, seed)
+        members.append((spec, ds_run, replace(config, seed=seed)))
+    trained = train_stack(members)
+    share = (time.perf_counter() - started) / len(runs)
+    if model_sink is not None:
+        model_sink.extend(trained)
+    checksum = ds.content_hash()
+    return [
+        _score(ds, model, run_config, float(fraction), ext, checksum, share)
+        for model, (_, _, run_config), (_, fraction, _) in zip(trained, members, runs)
+    ]
+
+
+def _score(ds, model, config, fraction, ext, checksum, share) -> RunRecord:
+    """Score a trained run on val/test (+ extrapolation) and record it.
+
+    Validation and test profiles are scored under their ids in ``ds``:
+    subsampling drops training profiles only and keeps the others in order.
+    """
+    started = time.perf_counter()
+    spec = model.spec
+    splits = [(s, ds.profiles_in(s), ds.indices(s)) for s in ("val", "test")]
     if ext is not None:
         splits.append(("extrapolation", ext.profiles, None))
     all_records: list[ProfileMetrics] = []
@@ -287,10 +317,10 @@ def run_one(
         lam=spec.lam,
         width=spec.neurons,
         fraction=fraction,
-        seed=seed,
-        dataset_checksum=ds.content_hash(),
+        seed=config.seed,
+        dataset_checksum=checksum,
         config=run_config,
-        wall_time=time.perf_counter() - started,
+        wall_time=share + time.perf_counter() - started,
         history=model.history,
         records=all_records,
         summaries=summaries,
@@ -304,14 +334,29 @@ def execute_plan(
     out_dir=None,
     ext_seed: int = EXTRAPOLATION_SEED,
 ) -> list[RunRecord]:
-    """Run every (cell, fraction, seed) of a plan; optionally persist each."""
+    """Run every (cell, fraction, seed) of a plan; optionally persist each.
+
+    Runs that share an architecture, a width and a fraction train as one
+    stack (their views have equal lengths: every seed of a fraction keeps
+    ``ceil(fraction * n_train)`` profiles).  Stacks run in the order their
+    first run appears in the plan.  Records come back in ``plan.runs()``
+    order, and a run directory is written once its stack and the stacks of
+    every earlier run have finished, so directories appear in that order too.
+    """
     ext = extrapolation_dataset(ds, seed=ext_seed) if plan.extrapolation else None
-    results = []
-    for cell, fraction, seed in plan.runs():
-        record = run_one(ds, cell, seed, config, fraction, ext)
-        if out_dir is not None:
-            save_record(record, Path(out_dir) / record_dir_name(record))
-        results.append(record)
+    runs = list(plan.runs())
+    stacks: dict[tuple, list[int]] = {}
+    for k, (cell, fraction, _) in enumerate(runs):
+        stacks.setdefault((cell.arch, cell.neurons, fraction), []).append(k)
+    results: list = [None] * len(runs)
+    saved = 0
+    for members in stacks.values():
+        for k, record in zip(members, _run_stack(ds, [runs[k] for k in members], config, ext)):
+            results[k] = record
+        while saved < len(runs) and results[saved] is not None:
+            if out_dir is not None:
+                save_record(results[saved], Path(out_dir) / record_dir_name(results[saved]))
+            saved += 1
     return results
 
 

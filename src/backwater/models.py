@@ -9,6 +9,12 @@ physics term is the strategy's kernel in :data:`~.losses.PHYSICS_TERMS`, fed
 its :func:`~.losses.physics_constants` (built once per run) at each
 minibatch's rows.
 
+:func:`train_stack` is the only training loop: it fits S runs of one
+architecture and layer-size list as one stacked network, each member with
+its own data, seed, physics term, schedule and stopping, and leaves each
+member bitwise where training it alone would.  :func:`train` is its stack
+of one.
+
 :func:`predict` reconstructs a batch of scenarios as one (P, n_points) depth
 array, with one branch per architecture; :func:`reconstruct` is its batch of one.
 Its input rows are the training views' rows: ``[x | params]`` (sp), ``[h | params]``
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,106 +123,220 @@ class TrainedModel:
 
 
 def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None) -> TrainedModel:
-    """Fit a model of the given spec on a dataset's train/val splits.
+    """Fit a model of the given spec on a dataset's train/val splits: the
+    :func:`train_stack` of one member."""
+    return train_stack([(spec, ds, config or TrainConfig())])[0]
 
-    Each epoch visits the training samples in a fresh permutation drawn from
-    a stream seeded by ``config.seed``, so equal (spec, dataset, config)
-    reruns produce bit-identical histories.  Validation loss is always the
-    plain data MSE; the best epoch is its first minimum, and training stops
-    once ``early_stop_patience`` epochs pass without a new one.  A
-    non-finite loss aborts the run and returns the best checkpoint so far
-    with ``diagnostics["diverged"]`` set.
+
+class _Member:
+    """One run of a training stack: its views, physics term and bookkeeping."""
+
+    def __init__(self, spec: ModelSpec, ds: ProfileDataset, config: TrainConfig):
+        self.spec, self.ds, self.config = spec, ds, config
+        self.train_view = _VIEW_BUILDERS[spec.arch](ds, "train")
+        self.val_view = _VIEW_BUILDERS[spec.arch](ds, "val")
+        if len(self.train_view) == 0:
+            raise ValueError("training split is empty")
+        if len(self.val_view) == 0:
+            raise ValueError("validation split is empty")
+        self.layer_sizes = spec.layer_sizes(ds.grid.n_points)
+        self.epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs)
+        # The physics term vanishes from the objective at lam == 1, so skipping it
+        # keeps e.g. en@1.0 bit-identical to dd rather than merely close.
+        self.term = None
+        if spec.strategy != "dd" and spec.lam < 1.0:
+            self.term = PHYSICS_TERMS[spec.strategy]
+            # the term's per-sample constants, built and checked once per run
+            self.consts = physics_constants(spec.strategy, self.train_view.aux, self.train_view.targets)
+        self.plateau = ReduceLROnPlateau(config.lr_factor, config.lr_patience, config.min_lr)
+        self.lr = config.initial_lr
+        # the initial weights, which the stack copies, are the checkpoint until an epoch beats them
+        self.best_params = init(self.layer_sizes, config.seed)
+        self.best_val, self.best_epoch = np.inf, 0
+        self.history: list[dict] = []
+        self.losses: list = []  # the current epoch's minibatch objectives
+        self.clamp_events, self.diverged, self.stopped_epoch = 0, False, None
+
+    def record(self, epoch: int, params: NetworkParams) -> float:
+        """Append the epoch's history row, scored on the validation view; returns its loss."""
+        val_loss = mse(forward(params, self.val_view.inputs)[0], self.val_view.targets)
+        self.history.append(
+            {"epoch": epoch, "train_loss": float(np.mean(self.losses)), "val_loss": val_loss, "lr": self.lr}
+        )
+        self.losses = []
+        return val_loss
+
+    def end_epoch(self, epoch: int, params: NetworkParams) -> bool:
+        """Close an epoch the member finished with ``params``; True when it
+        leaves the stack."""
+        val_loss = self.record(epoch, params)
+        if not math.isfinite(val_loss):
+            self.diverged = True
+            return True
+        if val_loss < self.best_val:
+            self.best_val = val_loss
+            self.best_params = params.copy()
+            self.best_epoch = epoch
+        self.lr = self.plateau.update(val_loss, self.lr)
+        if epoch - self.best_epoch >= self.config.early_stop_patience:
+            self.stopped_epoch = epoch
+            return True
+        return False
+
+    def result(self) -> TrainedModel:
+        diagnostics = {
+            "best_epoch": self.best_epoch,
+            "best_val_loss": None if self.best_val == np.inf else self.best_val,
+            "clamp_events": self.clamp_events,
+            "diverged": self.diverged,
+            "stopped_epoch": self.stopped_epoch,
+            "epochs_run": len(self.history),
+            "config": asdict(self.config),
+        }
+        return TrainedModel(
+            self.spec, self.best_params, self.ds.scaler, self.ds.grid, self.history, diagnostics
+        )
+
+
+class _Stack:
+    """The stacked arrays of the members still training, one row each.
+
+    ``views[k]`` is member k's network as a 2-D view of its row; validation
+    runs member by member through it, so a stack holds one member's
+    validation activations at a time, as a solo run does.
     """
-    config = config or TrainConfig()
-    train_view = _VIEW_BUILDERS[spec.arch](ds, "train")
-    val_view = _VIEW_BUILDERS[spec.arch](ds, "val")
-    n = len(train_view)
-    if n == 0:
-        raise ValueError("training split is empty")
-    if len(val_view) == 0:
-        raise ValueError("validation split is empty")
 
-    params = init(spec.layer_sizes(ds.grid.n_points), config.seed)
-    batch_size = config.batch_size or DEFAULT_BATCH_SIZES[spec.arch]
-    adam = AdamState(params, config.initial_lr)
-    plateau = ReduceLROnPlateau(config.lr_factor, config.lr_patience, config.min_lr)
-    epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs)
+    def __init__(self, members: list[_Member]):
+        self.members = members
+        self._stacked(
+            NetworkParams(list(members[0].layer_sizes), np.stack([m.best_params.flat for m in members]))
+        )
+        self.adam = AdamState(self.params, np.array([[m.lr] for m in members], dtype=float))
+        # one gradient buffer for every step
+        self.grad = NetworkParams(self.params.layer_sizes, np.empty_like(self.params.flat))
+        self.inputs = np.stack([m.train_view.inputs for m in members])
+        self.targets = np.stack([m.train_view.targets for m in members])
 
-    # The physics term vanishes from the objective at lam == 1, so skipping it
-    # keeps e.g. en@1.0 bit-identical to dd rather than merely close.
-    term = None
-    if spec.strategy != "dd" and spec.lam < 1.0:
-        term = PHYSICS_TERMS[spec.strategy]
-        # the term's per-sample constants, built and checked once per run
-        consts = physics_constants(spec.strategy, train_view.aux, train_view.targets)
-    grad = NetworkParams(params.layer_sizes, np.empty_like(params.flat))
+    def _stacked(self, params: NetworkParams) -> None:
+        self.params = params
+        self.views = [NetworkParams(params.layer_sizes, row) for row in params.flat]
+        self.axis = np.arange(len(params.flat))[:, None]
 
-    best_params, best_val, best_epoch = params.copy(), np.inf, 0
-    history: list[dict] = []
-    clamp_events, diverged, stopped_epoch = 0, False, None
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the members where ``mask`` is False."""
+        self.members = [m for m, kept in zip(self.members, mask) if kept]
+        self._stacked(NetworkParams(self.params.layer_sizes, self.params.flat[mask]))
+        self.grad = NetworkParams(self.params.layer_sizes, self.grad.flat[mask])
+        adam = self.adam
+        adam.m, adam.v, adam.lr = adam.m[mask], adam.v[mask], adam.lr[mask]
+        self.inputs, self.targets = self.inputs[mask], self.targets[mask]
 
+    def diverge(self, mask: np.ndarray, epoch: int) -> None:
+        """Members where ``mask`` is False leave mid-epoch without this step's
+        update; an epoch with steps behind it still gets its history row."""
+        for k in np.flatnonzero(~mask):
+            member = self.members[k]
+            member.diverged = True
+            if member.losses:  # empty only when the epoch's first step diverged
+                member.record(epoch, self.views[k])
+        self.keep(mask)
+
+
+def train_stack(members) -> list[TrainedModel]:
+    """Fit S runs together, one stacked network per step, bitwise as if alone.
+
+    ``members`` are ``(spec, dataset, config)`` triples that share one
+    architecture, one layer-size list, one training-view length, and a
+    ``TrainConfig`` equal in every field except ``seed``.
+    Returns one :class:`TrainedModel` per member, in order.
+
+    Each member keeps its own state: every epoch visits its training samples
+    in a fresh permutation drawn from a stream seeded by its
+    ``config.seed``, its minibatch gathers its own rows, and its strategy's
+    kernel in :data:`~.losses.PHYSICS_TERMS` sees its own
+    :func:`~.losses.physics_constants` at those rows.  Validation loss is
+    always the plain data MSE; a member's best epoch is its first minimum,
+    its rate follows its own plateau, and it stops once
+    ``early_stop_patience`` epochs pass without a new best.  It then leaves
+    the stack at the end of that epoch, as it does at ``max_epochs``.  A
+    member whose data term, objective or gradient turns non-finite leaves at
+    once, without that step's update, and returns its best checkpoint so far
+    with ``diagnostics["diverged"]`` set.  Equal (spec, dataset, config)
+    members produce bit-identical histories and weights in any stack.
+
+    Raises:
+        ValueError: on an empty list, members that cannot share one stack,
+            or an empty training or validation split.
+    """
+    runs = [_Member(spec, ds, config) for spec, ds, config in members]
+    if not runs:
+        raise ValueError("train_stack needs at least one member")
+    first = runs[0]
+    shape = (first.spec.arch, first.layer_sizes, len(first.train_view))
+    for run in runs[1:]:
+        for what, mine, theirs in zip(
+            ("architectures", "layer sizes", "training-view lengths"),
+            (run.spec.arch, run.layer_sizes, len(run.train_view)),
+            shape,
+        ):
+            if mine != theirs:
+                raise ValueError(f"stack members differ in {what}: {theirs} and {mine}")
+        if replace(run.config, seed=first.config.seed) != first.config:
+            raise ValueError("stack members' configs differ in more than the seed")
+
+    config = first.config
+    n = len(first.train_view)
+    batch_size = config.batch_size or DEFAULT_BATCH_SIZES[first.spec.arch]
+    stack = _Stack(runs)
     for epoch in range(config.max_epochs):
-        order = np.random.default_rng(int(epoch_seeds[epoch])).permutation(n)
-        batch_losses = []
+        orders = np.stack(
+            [np.random.default_rng(int(m.epoch_seeds[epoch])).permutation(n) for m in stack.members]
+        )
         for start in range(0, n, batch_size):
-            rows = order[start : start + batch_size]
-            yb = train_view.targets[rows]
-            out, cache = forward(params, train_view.inputs[rows])
-            data_term = mse(out, yb)
-            # a non-finite prediction would poison the clamped physics terms
-            if not math.isfinite(data_term):
-                diverged = True
-                break
-            total, d_out = data_term, dmse_dpred(out, yb)
-            if term is not None:
-                phys, d_phys, n_clamped = term(out, tuple(a[rows] for a in consts))
-                clamp_events += n_clamped
-                total = spec.lam * data_term + (1.0 - spec.lam) * phys
-                d_out = spec.lam * d_out + (1.0 - spec.lam) * d_phys
-            if not np.isfinite(total):
-                diverged = True
-                break
-            backward(params, cache, d_out, grad)
+            rows = orders[:, start : start + batch_size]
+            yb = stack.targets[stack.axis, rows]
+            out, cache = forward(stack.params, stack.inputs[stack.axis, rows])
+            totals = mse(out, yb).tolist()
+            d_out = dmse_dpred(out, yb)
+            for k, member in enumerate(stack.members):
+                # a non-finite prediction would poison the clamped physics terms
+                if member.term is not None and math.isfinite(totals[k]):
+                    phys, d_phys, n_clamped = member.term(out[k], tuple(a[rows[k]] for a in member.consts))
+                    member.clamp_events += n_clamped
+                    lam = member.spec.lam
+                    totals[k] = lam * totals[k] + (1.0 - lam) * phys
+                    d_out[k] = lam * d_out[k] + (1.0 - lam) * d_phys
+            if not all(map(math.isfinite, totals)):
+                finite = np.isfinite(totals)
+                stack.diverge(finite, epoch)
+                orders, d_out = orders[finite], d_out[finite]
+                totals = [t for t, kept in zip(totals, finite) if kept]
+                cache = {key: [a[finite] for a in arrays] for key, arrays in cache.items()}
+                if not stack.members:
+                    break
+            backward(stack.params, cache, d_out, stack.grad)
             try:
-                adam_step(adam, params, grad.flat)
-            except ValueError:  # non-finite gradient; adam_step updated nothing
-                diverged = True
+                adam_step(stack.adam, stack.params, stack.grad.flat)
+            except ValueError:  # a non-finite gradient; adam_step updated nothing
+                finite = np.isfinite(stack.grad.flat).all(axis=1)
+                stack.diverge(finite, epoch)
+                orders = orders[finite]
+                totals = [t for t, kept in zip(totals, finite) if kept]
+                if not stack.members:
+                    break
+                adam_step(stack.adam, stack.params, stack.grad.flat)
+            for member, total in zip(stack.members, totals):
+                member.losses.append(total)
+        if not stack.members:
+            break
+
+        leaving = np.array([m.end_epoch(epoch, view) for m, view in zip(stack.members, stack.views)])
+        stack.adam.lr[:, 0] = [m.lr for m in stack.members]
+        if leaving.any():
+            stack.keep(~leaving)
+            if not stack.members:
                 break
-            batch_losses.append(total)
-
-        if batch_losses:  # empty only when the epoch's first step diverged
-            val_loss = mse(forward(params, val_view.inputs)[0], val_view.targets)
-            history.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": float(np.mean(batch_losses)),
-                    "val_loss": float(val_loss),
-                    "lr": adam.lr,
-                }
-            )
-            diverged = diverged or not np.isfinite(val_loss)
-        if diverged:
-            break
-
-        if val_loss < best_val:
-            best_val = float(val_loss)
-            best_params = params.copy()
-            best_epoch = epoch
-        adam.lr = plateau.update(val_loss, adam.lr)
-        if epoch - best_epoch >= config.early_stop_patience:
-            stopped_epoch = epoch
-            break
-
-    diagnostics = {
-        "best_epoch": best_epoch,
-        "best_val_loss": None if best_val == np.inf else best_val,
-        "clamp_events": clamp_events,
-        "diverged": diverged,
-        "stopped_epoch": stopped_epoch,
-        "epochs_run": len(history),
-        "config": asdict(config),
-    }
-    return TrainedModel(spec, best_params, ds.scaler, ds.grid, history, diagnostics)
+    return [run.result() for run in runs]
 
 
 # ---------------------------------------------------------------------- #

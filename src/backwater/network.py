@@ -3,8 +3,16 @@
 Hidden layers use ReLU (subgradient 0 at 0), the output layer is linear.
 Training utilities are Adam with bias correction and a ReduceLROnPlateau
 scheduler; early stopping and the best-weights checkpoint live in
-:func:`backwater.models.train`.  Everything is plain numpy and
+:func:`backwater.models.train_stack`.  Everything is plain numpy and
 deterministic for a given seed.
+
+Parameters, inputs and gradients may carry a leading member axis: a stack of
+S networks with equal layer sizes is one ``(S, P)`` buffer, and
+:func:`forward`, :func:`backward`, :func:`mse`, :func:`dmse_dpred` and
+:func:`adam_step` treat each member as if it were alone.  Stacked products are
+``np.matmul`` over ``(S, rows, fan_in) x (S, fan_in, fan_out)``, which BLAS
+computes slice by slice, so every member's values are bitwise those of its
+own 2-D call (``einsum`` would not be).
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ class NetworkParams:
     The buffer holds W0, b0, W1, b1, ... in order, each weight matrix
     row-major.  ``weights[i]`` (fan_in, fan_out) and ``biases[i]`` (fan_out,)
     are views into it, so editing a view edits the buffer and whole-network
-    updates are single array operations on ``flat``.
+    updates are single array operations on ``flat``.  A stack of S networks
+    has a ``(S, P)`` buffer, one row per member, and ``(S, fan_in, fan_out)``
+    and ``(S, fan_out)`` views.
     """
 
     layer_sizes: list[int]
@@ -40,14 +50,19 @@ class NetworkParams:
     def __post_init__(self):
         sizes = self.layer_sizes
         size = _n_params(sizes)
-        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
-            raise ValueError(f"expected a flat float64 buffer of {size} values")
+        if (
+            self.flat.dtype != np.float64
+            or self.flat.ndim not in (1, 2)
+            or self.flat.shape[-1] != size
+        ):
+            raise ValueError(f"expected a flat float64 buffer of {size} values per member")
+        members = self.flat.shape[:-1]
         self.weights, self.biases = [], []
         start = 0
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             stop = start + fan_in * fan_out
-            self.weights.append(self.flat[start:stop].reshape(fan_in, fan_out))
-            self.biases.append(self.flat[stop : stop + fan_out])
+            self.weights.append(self.flat[..., start:stop].reshape(*members, fan_in, fan_out))
+            self.biases.append(self.flat[..., stop : stop + fan_out])
             start = stop + fan_out
 
     def copy(self) -> "NetworkParams":
@@ -95,27 +110,33 @@ def forward(params: NetworkParams, inputs: np.ndarray):
     """Batched forward pass.
 
     Args:
-        params: the network.
-        inputs: (batch, layer_sizes[0]) array.
+        params: the network, or a stack of S networks.
+        inputs: (batch, layer_sizes[0]) array, or (S, batch, layer_sizes[0])
+            for a stack: member s reads ``inputs[s]``.
 
     Returns:
-        (outputs, cache): outputs is (batch, layer_sizes[-1]); the cache keeps
-        layer activations and pre-activations for :func:`backward`.
+        (outputs, cache): outputs is (batch, layer_sizes[-1]), with the
+        stack's leading axis when it has one; the cache keeps the inputs and
+        every layer's activations for :func:`backward`.  A ReLU passes its
+        gradient where its output is positive, which is where its
+        pre-activation is, so the pre-activations are not kept: each layer
+        writes its bias and ReLU into its product's buffer.
     """
     a = np.asarray(inputs, dtype=float)
-    if a.ndim != 2 or a.shape[1] != params.layer_sizes[0]:
+    members = params.flat.shape[:-1]
+    if a.shape[:-2] != members or a.ndim != len(members) + 2 or a.shape[-1] != params.layer_sizes[0]:
         raise ValueError(
-            f"expected inputs of shape (batch, {params.layer_sizes[0]}), got {a.shape}"
+            f"expected inputs of shape {(*members, 'batch', params.layer_sizes[0])}, got {a.shape}"
         )
     activations = [a]
-    pre_acts = []
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        pre_acts.append(z)
-        a = z if layer == last else np.maximum(z, 0.0)
+        a = np.matmul(a, w)
+        a += b[..., None, :]
+        if layer != last:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
-    return a, {"activations": activations, "pre_acts": pre_acts}
+    return a, {"activations": activations}
 
 
 def backward(
@@ -124,9 +145,9 @@ def backward(
     """Exact gradients of (loss composed with the network) w.r.t. parameters.
 
     Args:
-        params: the network used in the matching forward call.
+        params: the network (or stack) used in the matching forward call.
         cache: activation cache from that call.
-        d_outputs: dLoss/dOutputs, shape (batch, layer_sizes[-1]).
+        d_outputs: dLoss/dOutputs, shaped like that call's outputs.
         grad: optional buffer laid out like ``params`` whose every value is
             overwritten; a training loop passes one buffer for all its steps.
 
@@ -137,34 +158,39 @@ def backward(
     """
     delta = np.asarray(d_outputs, dtype=float)
     activations = cache["activations"]
-    pre_acts = cache["pre_acts"]
-    if delta.shape != pre_acts[-1].shape:
+    if delta.shape != activations[-1].shape:
         raise ValueError("d_outputs shape does not match the cached forward pass")
     if grad is None:
         grad = NetworkParams(params.layer_sizes, np.empty_like(params.flat))
     for layer in range(len(params.weights) - 1, -1, -1):
-        np.matmul(activations[layer].T, delta, out=grad.weights[layer])
-        np.sum(delta, axis=0, out=grad.biases[layer])
+        np.matmul(activations[layer].swapaxes(-1, -2), delta, out=grad.weights[layer])
+        np.add.reduce(delta, axis=-2, out=grad.biases[layer])
         if layer > 0:
-            delta = (delta @ params.weights[layer].T) * (pre_acts[layer - 1] > 0.0)
+            delta = np.matmul(delta, params.weights[layer].swapaxes(-1, -2)) * (activations[layer] > 0.0)
     return grad.flat
 
 
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over all elements."""
+def mse(pred: np.ndarray, target: np.ndarray):
+    """Mean squared error over all elements of a (batch, outputs) pair.
+
+    Stacked (S, batch, outputs) arrays give one mean per member, an (S,)
+    array; 2-D ones give a float.
+    """
     pred, target = np.asarray(pred, dtype=float), np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError("pred and target shapes differ")
     diff = pred - target
+    if diff.ndim == 3:  # np.mean per member: the same sum, divided by the same count
+        return np.add.reduce((diff * diff).reshape(len(diff), -1), axis=1) / math.prod(diff.shape[1:])
     return float(np.mean(diff * diff))
 
 
 def dmse_dpred(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`mse`: 2 (pred - target) / N."""
+    """Gradient of :func:`mse`: 2 (pred - target) / N, N counted per member."""
     pred, target = np.asarray(pred, dtype=float), np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError("pred and target shapes differ")
-    return 2.0 * (pred - target) / pred.size
+    return 2.0 * (pred - target) / math.prod(pred.shape[-2:])
 
 
 @dataclass
@@ -196,9 +222,12 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam moment estimates, flat like ``NetworkParams.flat``."""
+    """Adam moment estimates, flat like ``NetworkParams.flat``.
 
-    def __init__(self, params: NetworkParams, lr: float):
+    ``lr`` is a float, or an (S, 1) array of per-member rates for a stack.
+    """
+
+    def __init__(self, params: NetworkParams, lr):
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
         self.step = 0

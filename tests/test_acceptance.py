@@ -254,7 +254,8 @@ def test_backward_matches_finite_differences_100_trials():
         x = rng.normal(0.0, 1.0, (int(rng.integers(2, 7)), sizes[0]))
         c = rng.normal(0.0, 1.0, (x.shape[0], sizes[-1]))
         out, cache = forward(params, x)
-        if min(np.abs(z).min() for z in cache["pre_acts"][:-1]) < 1e-3:
+        hidden = zip(cache["activations"][:-2], params.weights, params.biases)
+        if min(np.abs(a @ w + b).min() for a, w, b in hidden) < 1e-3:
             continue  # a unit sits on the ReLU kink; finite differences
             # would straddle it, so this draw cannot be checked
         done += 1

@@ -308,6 +308,54 @@ def test_run_one_records_the_extrapolation_set_it_is_given(ds):
     assert "ext_seed" not in plain.config and "ext_count" not in plain.config
 
 
+def test_val_and_test_profile_ids_are_the_datasets_at_every_fraction(ds):
+    # subsampling drops training profiles only, so scores keep the ids of the
+    # dataset the record names by checksum
+    records = [run_one(ds, ModelSpec("sp", width=8), seed=1, config=FAST, fraction=f) for f in (0.5, 1.0)]
+    for split in ("val", "test"):
+        ids = [[r.profile_id for r in record.records if r.split == split] for record in records]
+        assert ids[0] == ids[1] == ds.indices(split).tolist()
+
+
+def test_execute_plan_stacks_runs_and_keeps_plan_order(ds, tmp_path, monkeypatch):
+    import backwater.harness
+    import backwater.models
+
+    # the sp cells share a stack that the int cell interleaves
+    cells = (ModelSpec("sp", width=8), ModelSpec("int", width=8), ModelSpec("sp", "en", 0.5, 8))
+    plan = ExperimentPlan(cells=cells, seeds=(0, 1), fractions=(0.5,), extrapolation=True)
+    stacks, saved = [], []
+    real_stack, real_save = backwater.models.train_stack, backwater.harness.save_record
+
+    def spy_stack(members):
+        stacks.append([(spec, config.seed) for spec, _, config in members])
+        return real_stack(members)
+
+    def spy_save(record, run_dir):
+        saved.append(run_dir.name)
+        real_save(record, run_dir)
+
+    monkeypatch.setattr(backwater.harness, "train_stack", spy_stack)
+    monkeypatch.setattr(backwater.harness, "save_record", spy_save)
+    records = execute_plan(ds, plan, FAST, out_dir=tmp_path)
+    # one training stack per (arch, width, fraction), in order of first appearance
+    assert stacks == [
+        [(cells[0], 0), (cells[0], 1), (cells[2], 0), (cells[2], 1)],
+        [(cells[1], 0), (cells[1], 1)],
+    ]
+    names = [_dir_name(c.arch, c.strategy, c.lam, c.neurons, f, s) for c, f, s in plan.runs()]
+    assert [record_dir_name(r) for r in records] == saved == names
+    assert [load_record(tmp_path / name).history for name in names] == [r.history for r in records]
+    # each stacked record is its solo run, all but the wall time
+    ext = extrapolation_dataset(ds)
+    stacks.clear()
+    for record, (cell, fraction, seed) in zip(records, plan.runs()):
+        solo = run_one(ds, cell, seed, FAST, fraction, ext)
+        assert record.wall_time > 0.0
+        assert replace(record, wall_time=0.0) == replace(solo, wall_time=0.0)
+    assert stacks == [[run] for run in ((c, s) for c, _, s in plan.runs())]
+
+
 def test_execute_plan_with_extrapolation(ds, tmp_path):
     plan = ExperimentPlan(
         cells=(ModelSpec("sp", width=8),),

@@ -1,7 +1,7 @@
 """Tests for architecture specs, training loops, and profile reconstruction."""
 
 import pickle
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from backwater.data import (
     ParameterRanges,
     desk_ranges,
     generate,
+    subsample_training,
     view_int,
     view_sp,
     view_vts,
@@ -338,6 +339,8 @@ def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
     # Each epoch's minibatches are the rows and targets of the view shuffled by
     # that epoch's seed and then cut into consecutive slices; the strategy's
     # physics term gets the run's physics_constants gathered at the same rows.
+    # train is a stack of one, so its steps feed the network (1, rows, ...)
+    # arrays and the physics term its member's 2-D slice.
     seen_inputs, seen_targets, seen_consts = [], [], []
     real_forward, real_dmse = models.forward, models.dmse_dpred
 
@@ -379,9 +382,9 @@ def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
             shuffled = [a[order] for a in consts]
             for start in range(0, len(full), config.batch_size):
                 sl = slice(start, start + config.batch_size)
-                want_inputs.append(inputs[sl])
-                want_physics.append((targets[sl], [a[sl] for a in shuffled]))
-            want_inputs.append(val.inputs)  # the validation pass that ends the epoch
+                want_inputs.append(inputs[sl][None])
+                want_physics.append((targets[sl][None], [a[sl] for a in shuffled]))
+            want_inputs.append(val.inputs)  # the validation pass that ends the epoch, member by member
         assert [bits(a) for a in seen_inputs] == [bits(a) for a in want_inputs]
         assert len(seen_targets) == len(seen_consts) == len(want_physics)
         for got_targets, got_consts, (targets, batch_consts) in zip(seen_targets, seen_consts, want_physics):
@@ -468,8 +471,16 @@ def test_train_reuses_one_gradient_buffer(small_ds, monkeypatch):
         fresh = backward(params, cache, d_out)
         assert backward(params, cache, d_out, buffer) is buffer.flat
         assert bits(buffer.flat) == bits(fresh)
-    # ... and train builds NetworkParams only for init, that buffer and the
-    # best-weights copies, never per step.
+    # ... also for a stack, whose buffer rows are its members' gradients ...
+    stacked = NetworkParams(params.layer_sizes, np.stack([params.flat, params.flat + 0.5]))
+    buffer = NetworkParams(params.layer_sizes, np.full_like(stacked.flat, np.nan))
+    out, cache = forward(stacked, rng.normal(size=(2, 7, 6)))
+    d_out = rng.normal(size=out.shape)
+    assert backward(stacked, cache, d_out, buffer) is buffer.flat
+    assert bits(buffer.flat) == bits(backward(stacked, cache, d_out))
+    # ... and train_stack builds NetworkParams only for each member's initial
+    # weights, the stacked buffer, that gradient buffer, each member's view
+    # of its row and the best-weights copies, never per step.
     built = []
     real_post_init = NetworkParams.__post_init__
 
@@ -478,10 +489,108 @@ def test_train_reuses_one_gradient_buffer(small_ds, monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(NetworkParams, "__post_init__", counting_post_init)
-    model = train(ModelSpec("sp", "en", 0.5, 8), small_ds, TrainConfig(max_epochs=4, batch_size=64, seed=0))
+    config = TrainConfig(max_epochs=4, batch_size=64, seed=0)
+    model = train(ModelSpec("sp", "en", 0.5, 8), small_ds, config)
+    assert len(built) == 4 + improvements(model)
+    built.clear()
+    spec = ModelSpec("sp", "dd", width=8)
+    trained = models.train_stack([(spec, small_ds, replace(config, seed=s)) for s in (0, 1, 2)])
+    assert len(built) == 3 + 2 + 3 + sum(improvements(m) for m in trained)
+
+
+def improvements(model):
+    """Epochs whose validation loss beat every earlier one."""
     vals = [row["val_loss"] for row in model.history]
-    improvements = sum(v < min(vals[:k], default=np.inf) for k, v in enumerate(vals))
-    assert len(built) == 3 + improvements
+    return sum(v < min(vals[:k], default=np.inf) for k, v in enumerate(vals))
+
+
+def assert_same_run(got, want):
+    """A stacked member equals its solo run: history, diagnostics, weights."""
+    assert pickle.dumps(got.history) == pickle.dumps(want.history)
+    assert pickle.dumps(got.diagnostics) == pickle.dumps(want.diagnostics)
+    assert bits(got.params.flat) == bits(want.params.flat)
+    assert got.params.layer_sizes == want.params.layer_sizes
+
+
+def test_mixed_stack_members_equal_their_solo_runs_bitwise(small_ds):
+    config = TrainConfig(initial_lr=1e-2, lr_patience=1, early_stop_patience=2, max_epochs=30, batch_size=64)
+    cells = (ModelSpec("sp", "dd", width=8), ModelSpec("sp", "en", 0.5, 8), ModelSpec("sp", "en", 1.0, 8))
+    members = [(cell, small_ds, replace(config, seed=s)) for cell in cells for s in (0, 1, 2)]
+    stacked = models.train_stack(members)
+    assert len(stacked) == len(members)
+    for got, (spec, ds, run_config) in zip(stacked, members):
+        assert got.spec == spec
+        assert_same_run(got, train(spec, ds, run_config))
+    # members left the stack at different epochs, early or at max_epochs, and lambda 1 is dd
+    assert len({m.diagnostics["epochs_run"] for m in stacked}) >= 4
+    assert {m.diagnostics["stopped_epoch"] is None for m in stacked} == {True, False}
+    for dd, en1 in zip(stacked[:3], stacked[6:]):
+        assert pickle.dumps(dd.history) == pickle.dumps(en1.history)
+
+
+def test_a_diverging_member_leaves_the_stack_mid_epoch(small_ds, monkeypatch):
+    real_fr = PHYSICS_TERMS["fr"]
+
+    def patch_fr():
+        """Patch the fr kernel to return a non-finite gradient from its 5th call on."""
+        calls = []
+
+        def broken_fr(pred, consts):
+            calls.append(1)
+            value, grad, n_clamped = real_fr(pred, consts)
+            return value, (grad if len(calls) < 5 else np.full_like(grad, np.nan)), n_clamped
+
+        monkeypatch.setitem(PHYSICS_TERMS, "fr", broken_fr)
+        return calls
+
+    config = TrainConfig(max_epochs=3, batch_size=64, seed=1)
+    en, fr = ModelSpec("sp", "en", 0.5, 8), ModelSpec("sp", "fr", 0.5, 8)
+    calls = patch_fr()
+    got_en, got_fr = models.train_stack([(en, small_ds, config), (fr, small_ds, replace(config, seed=2))])
+    assert len(calls) == 5  # the fr member took no step after its fifth
+    calls = patch_fr()
+    solo_fr = train(fr, small_ds, replace(config, seed=2))
+    assert len(calls) == 5
+    assert_same_run(got_fr, solo_fr)
+    assert got_fr.diagnostics["diverged"] is True
+    assert [row["epoch"] for row in got_fr.history] == [0]  # the partial epoch of four steps
+    assert_same_run(got_en, train(en, small_ds, config))
+    assert got_en.diagnostics["diverged"] is False
+    assert got_en.diagnostics["epochs_run"] == 3
+
+
+def test_train_stack_rejects_members_that_cannot_share_a_stack(small_ds):
+    config = TrainConfig(max_epochs=1, batch_size=64)
+    spec = ModelSpec("sp", width=8)
+    half = subsample_training(small_ds, 0.5, 0)
+    cases = (
+        ((ModelSpec("sp", width=6), small_ds, config), "layer sizes"),
+        ((spec, half, config), "training-view lengths"),
+        ((ModelSpec("int", width=8), small_ds, config), "architectures"),
+        ((spec, small_ds, replace(config, initial_lr=2e-3)), "more than the seed"),
+    )
+    for other, message in cases:
+        with pytest.raises(ValueError, match=message):
+            models.train_stack([(spec, small_ds, config), other])
+    with pytest.raises(ValueError, match="at least one member"):
+        models.train_stack([])
+    # configs that differ in the seed alone do stack
+    assert len(models.train_stack([(spec, small_ds, config), (spec, small_ds, replace(config, seed=9))])) == 2
+
+
+def test_train_is_train_stack_of_one(small_ds, monkeypatch):
+    calls = []
+    real = models.train_stack
+
+    def spy(members):
+        calls.append(list(members))
+        return real(calls[-1])
+
+    monkeypatch.setattr(models, "train_stack", spy)
+    spec, config = ModelSpec("vts", "vol", 0.5, 8), TrainConfig(max_epochs=2, batch_size=16, seed=3)
+    model = train(spec, small_ds, config)
+    assert calls == [[(spec, small_ds, config)]]
+    assert model.spec == spec and len(model.history) == 2
 
 
 def test_any_strategy_at_lambda_one_matches_dd(small_ds):

@@ -186,7 +186,10 @@ def test_flat_backward_matches_per_layer_products_bitwise():
         assert grad.weights[layer].tobytes() == (cache["activations"][layer].T @ delta).tobytes()
         assert grad.biases[layer].tobytes() == delta.sum(axis=0).tobytes()
         if layer > 0:
-            delta = (delta @ params.weights[layer].T) * (cache["pre_acts"][layer - 1] > 0.0)
+            # the ReLU mask of the layer's output, as positive as its pre-activation
+            z = cache["activations"][layer - 1] @ params.weights[layer - 1] + params.biases[layer - 1]
+            assert ((cache["activations"][layer] > 0.0) == (z > 0.0)).all()
+            delta = (delta @ params.weights[layer].T) * (z > 0.0)
 
 
 def test_backward_shape_guard():
@@ -405,3 +408,77 @@ def test_checkpoint_dict_loads_to_a_bitwise_equal_forward():
             a = np.maximum(a, 0.0)
     assert forward(params, x)[0].tobytes() == a.tobytes()
 
+
+
+# ---------------------------------------------------------------- #
+#  Stacks: a leading member axis
+# ---------------------------------------------------------------- #
+
+
+def stack_of(members: list[NetworkParams]) -> NetworkParams:
+    return NetworkParams(members[0].layer_sizes, np.stack([m.flat for m in members]))
+
+
+def member(stack: NetworkParams, s: int) -> NetworkParams:
+    return NetworkParams(stack.layer_sizes, stack.flat[s].copy())
+
+
+def test_stacked_views_are_per_member_views_of_one_buffer():
+    stack = stack_of([init([3, 4, 2], seed=s) for s in (1, 2, 3)])
+    assert [w.shape for w in stack.weights] == [(3, 3, 4), (3, 4, 2)]
+    assert [b.shape for b in stack.biases] == [(3, 4), (3, 2)]
+    stack.weights[1][2, 3, 0] = 9.0
+    assert stack.flat[2, 3 * 4 + 4 + 3 * 2] == 9.0
+    for s in range(3):
+        alone = member(stack, s)
+        for got, want in zip(stack.weights + stack.biases, alone.weights + alone.biases):
+            assert got[s].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="per member"):
+        NetworkParams([3, 4, 2], np.zeros((2, 3, 38)))
+
+
+@pytest.mark.parametrize("sizes,rows", [([6, 16, 16, 16, 1], 16), ([6, 16, 16, 16, 1], 7), ([5, 16, 16, 16, 101], 16)])
+def test_stacked_forward_backward_equal_each_member_alone_bitwise(sizes, rows):
+    rng = np.random.default_rng(13)
+    stack = stack_of([init(sizes, seed=s) for s in range(4)])
+    x = rng.normal(size=(4, rows, sizes[0]))
+    target = rng.normal(size=(4, rows, sizes[-1]))
+    out, cache = forward(stack, x)
+    d_out = dmse_dpred(out, target)
+    grad = backward(stack, cache, d_out)
+    assert out.shape == (4, rows, sizes[-1]) and grad.shape == stack.flat.shape
+    losses = mse(out, target)
+    assert losses.shape == (4,)
+    for s in range(4):
+        alone = member(stack, s)
+        out_s, cache_s = forward(alone, x[s])
+        assert out[s].tobytes() == out_s.tobytes()
+        assert losses[s] == mse(out_s, target[s])
+        assert d_out[s].tobytes() == dmse_dpred(out_s, target[s]).tobytes()
+        assert grad[s].tobytes() == backward(alone, cache_s, d_out[s]).tobytes()
+    with pytest.raises(ValueError, match="expected inputs"):
+        forward(stack, x[0])
+
+
+def test_stacked_adam_equals_each_member_alone_bitwise():
+    sizes = [6, 16, 16, 16, 1]
+    stack = stack_of([init(sizes, seed=s) for s in range(3)])
+    alone = [member(stack, s) for s in range(3)]
+    rates = [0.01, 0.003, 0.02]
+    state = AdamState(stack, np.array([[lr] for lr in rates]))
+    states = [AdamState(p, lr) for p, lr in zip(alone, rates)]
+    rng = np.random.default_rng(5)
+    for step in range(40):
+        if step == 20:  # one member's plateau cut
+            state.lr[1, 0] = states[1].lr = 0.0015
+        grad = rng.normal(size=stack.flat.shape)
+        adam_step(state, stack, grad)
+        for s in range(3):
+            adam_step(states[s], alone[s], grad[s].copy())
+            assert stack.flat[s].tobytes() == alone[s].flat.tobytes()
+    grad = np.zeros_like(stack.flat)
+    grad[2, 0] = np.inf
+    before = stack.copy()
+    with pytest.raises(ValueError, match="non-finite"):
+        adam_step(state, stack, grad)
+    assert stack.flat.tobytes() == before.flat.tobytes()
