@@ -22,7 +22,11 @@ Most experiment commands also accept ``--config plan.json``::
 
 Explicit flags override config values.  ``gen-data --config`` instead wants
 ``{"ranges": {"s": [lo, hi, count], ...}, "grid": {"dx": .., "length": ..}}``.
-A config key with an unknown name or a value of the wrong JSON type is a
+
+Every JSON file the program reads follows one rule: an integer is a float,
+a bool is neither, and a file that is not valid JSON, or not a JSON object,
+is named in the error.  It covers these configs, dataset-manifest ranges,
+run manifests and checkpoints; an unknown, missing or mistyped key is a
 usage error (exit 2) that names the key.
 """
 
@@ -30,14 +34,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import typing
-from dataclasses import MISSING, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
     DESK_GRID,
     FULL_GRID,
     ParameterRanges,
+    _checked_keys,
+    _checked_type,
+    _read_json,
     desk_ranges,
     full_ranges,
     generate,
@@ -114,57 +120,9 @@ PLAN_CONFIG_TYPES = {
 }
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a type hint; an integer is a float, a bool is neither."""
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    allowed = typing.get_args(hint) or (hint,)
-    if isinstance(value, bool):
-        return bool in allowed
-    return isinstance(value, allowed) or (float in allowed and isinstance(value, int))
-
-
-def _checked_type(what: str, key: str, value, hint):
-    if not _fits(value, hint):
-        name = str(hint) if typing.get_args(hint) else hint.__name__
-        raise ValueError(f"{what} {key!r} must be {name}, not {value!r}")
-
-
-def _read_config(path) -> dict:
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValueError(f"malformed config {path}: expected a JSON object")
-    return cfg
-
-
-def _checked_keys(d, cls, what: str) -> dict:
-    """``d`` if it is an object the dataclass ``cls`` can be built from.
-
-    Raises:
-        ValueError: naming the unknown keys, the first required key missing,
-            or the first value whose JSON type does not fit its field.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {unknown}")
-    hints = typing.get_type_hints(cls)
-    for f in fields(cls):
-        if f.name in d:
-            _checked_type(what, f.name, d[f.name], hints[f.name])
-        elif f.default is MISSING:
-            raise ValueError(f"{what} lacks {f.name!r}")
-    return d
-
-
 def _plan_config(path) -> dict:
     """The plan config at ``path`` (``{}`` for none), its values type-checked."""
-    cfg = _read_config(path) if path else {}
+    cfg = _read_json(path) if path else {}
     for key, hint in PLAN_CONFIG_TYPES.items():
         if key in cfg:
             _checked_type("config", key, cfg[key], hint)
@@ -210,7 +168,7 @@ def _dataset(args, cfg: dict):
 
 def cmd_gen_data(args) -> None:
     if args.config:
-        cfg = _read_config(args.config)
+        cfg = _read_json(args.config)
         for key in ("ranges", "grid"):
             if key not in cfg:
                 raise ValueError(f"gen-data config {args.config} lacks {key!r}")
@@ -224,7 +182,7 @@ def cmd_gen_data(args) -> None:
         raise ValueError("gen-data needs --preset desk|full or --config")
     ds = generate(ranges, grid, seed=args.seed)
     save(ds, args.out)
-    manifest = json.loads(Path(args.out).with_suffix(".manifest.json").read_text())
+    manifest = _read_json(Path(args.out).with_suffix(".manifest.json"))
     print(json.dumps({"out": str(args.out), "counts": manifest["counts"], "csv_sha256": manifest["csv_sha256"]}))
 
 

@@ -10,6 +10,8 @@ Scenario parameters are read in one place, :func:`~.hydraulics.scenario_table`,
 and standardized in one, :meth:`Scaler.scale_table`.  A network input row is
 those five columns after the scaled station ``x`` (sp) or depth ``h`` (int),
 or alone (vts); :func:`~.models.predict` forms its rows the same way.
+Every JSON file the program reads goes through :func:`_read_json`, and each
+value read against a type hint through :func:`_fits`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,76 @@ DESK_RANGES = {
 DESK_GRID = GridSpec(dx=10.0, length=1000.0)
 
 
+# ---------------------------------------------------------------------- #
+#  JSON inputs
+# ---------------------------------------------------------------------- #
+
+
+def _read_json(path) -> dict:
+    """The JSON object in the file at ``path``; a ``ValueError`` names a file that is not one."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    return value
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a type hint.
+
+    An integer is a float when it converts to a finite one; a bool is
+    neither.  A fixed-length ``tuple[...]`` hint takes a list or a tuple.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_fits, value, args))
+    if origin is dict:  # a JSON object's keys are strings
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+    allowed = args or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and int not in allowed:
+        try:
+            return float in allowed and math.isfinite(value)
+        except OverflowError:  # an integer beyond float range
+            return False
+    return isinstance(value, allowed)
+
+
+def _checked_type(what: str, key: str, value, hint):
+    if not _fits(value, hint):
+        name = str(hint) if typing.get_args(hint) else hint.__name__
+        raise ValueError(f"{what} {key!r} must be {name}, not {value!r}")
+
+
+def _checked_keys(d, cls, what: str) -> dict:
+    """``d`` if it is an object the dataclass ``cls`` can be built from.
+
+    A field with a default may be left out; one with a ``default_factory``
+    (a run's history, records, summaries) is filled in from elsewhere, so
+    ``d`` may not hold it.  A ``ValueError`` names the missing keys, else
+    the unexpected ones, else the first value whose type does not fit.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    read = [f for f in fields(cls) if f.default_factory is MISSING]
+    missing = [f.name for f in read if f.default is MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    unexpected = sorted(set(d) - {f.name for f in read})
+    if unexpected:
+        raise ValueError(f"{what} has unexpected {', '.join(map(repr, unexpected))}")
+    hints = typing.get_type_hints(cls)
+    for f in read:
+        if f.name in d:
+            _checked_type(what, f.name, d[f.name], hints[f.name])
+    return d
+
+
 @dataclass(frozen=True)
 class ParameterRanges:
     """Uniform (min, max, count) grid per scenario parameter."""
@@ -77,29 +150,11 @@ class ParameterRanges:
                 raise ValueError(f"range for {name!r} needs min < max")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ParameterRanges":
-        """Read ``{name: [min, max, count]}`` for each of the five parameters.
-
-        Raises:
-            ValueError: naming a missing, unknown or malformed parameter.
-        """
-        if not isinstance(d, dict):
-            raise ValueError("ranges must be an object of [min, max, count] per parameter")
-        unknown = sorted(set(d) - set(PARAM_NAMES))
-        if unknown:
-            raise ValueError(f"unknown ranges keys: {unknown}")
-        ranges = {}
-        for name in PARAM_NAMES:
-            if name not in d:
-                raise ValueError(f"ranges lacks {name!r}")
-            try:
-                lo, hi, count = d[name]
-                ranges[name] = (float(lo), float(hi), int(count))
-                if ranges[name] != (lo, hi, count):  # a string, or a fractional count
-                    raise TypeError(f"{[lo, hi, count]} are not two numbers and an integer")
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"range for {name!r} must be [min, max, count]: {exc}") from exc
-        return cls(**ranges)
+    def from_dict(cls, d) -> "ParameterRanges":
+        """Read ``{name: [min, max, count]}`` for each of the five parameters;
+        a ``ValueError`` names a missing, unexpected or mistyped one."""
+        d = _checked_keys(d, cls, "'ranges'")
+        return cls(**{k: (float(lo), float(hi), count) for k, (lo, hi, count) in d.items()})
 
     def to_dict(self) -> dict:
         return {k: list(getattr(self, k)) for k in PARAM_NAMES}
@@ -449,16 +504,15 @@ def load(path) -> ProfileDataset:
     non-positive value raises a ``ValueError`` that names the key and row.
     """
     path = Path(path)
-    with open(_manifest_path(path)) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
+    manifest = _read_json(_manifest_path(path))
+    if manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported dataset format version")
     per_profile = ("split", "regimes", "jump_indices")
     missing = [k for k in ("csv_sha256", "dx", "length", *per_profile) if k not in manifest]
     if missing:
         raise ValueError(f"dataset manifest lacks {', '.join(map(repr, missing))}")
     for key in per_profile:
-        if not isinstance(manifest[key], list):
+        if not _fits(manifest[key], list):
             raise ValueError(f"dataset manifest {key!r} must be a list")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     if digest != manifest["csv_sha256"]:

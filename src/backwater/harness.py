@@ -30,6 +30,9 @@ from .data import (
     PARAM_NAMES,
     ParameterRanges,
     ProfileDataset,
+    _checked_keys,
+    _fits,
+    _read_json,
     _sort_outcomes,
     fit_scaler,
     subsample_training,
@@ -185,7 +188,7 @@ def make_extrapolation_set(
 
 def extrapolation_dataset(ds: ProfileDataset, count: int | None = None, seed: int = EXTRAPOLATION_SEED) -> ProfileDataset:
     """Wrap an extrapolation set as an eval-only corpus (all profiles 'test')."""
-    ranges = ParameterRanges.from_dict(ds.manifest["ranges"])
+    ranges = ParameterRanges.from_dict(ds.manifest.get("ranges"))
     if count is None:
         count = len(ds.indices("test"))
     profiles, rejected = make_extrapolation_set(ranges, ds.grid, count, seed)
@@ -382,18 +385,10 @@ def replay(record: RunRecord, ds: ProfileDataset) -> RunRecord:
 # ---------------------------------------------------------------------- #
 
 HISTORY_HEADER = ("epoch", "train_loss", "val_loss", "lr")
-#: RunRecord fields stored in a run directory's manifest.json, and their JSON types
-MANIFEST_KEYS = {
-    "arch": str,
-    "strategy": str,
-    "lam": float,
-    "width": int,
-    "fraction": float,
-    "seed": int,
-    "dataset_checksum": str,
-    "config": dict,
-    "wall_time": float,
-}
+#: RunRecord fields stored in a run directory's manifest.json
+MANIFEST_KEYS = (
+    "arch", "strategy", "lam", "width", "fraction", "seed", "dataset_checksum", "config", "wall_time"
+)
 
 
 def _dir_name(arch, strategy, lam, width, fraction, seed) -> str:
@@ -424,24 +419,13 @@ def load_record(run_dir) -> RunRecord:
     """Read a run directory written by :func:`save_record`.
 
     A manifest that is not an object of exactly :data:`MANIFEST_KEYS` with
-    values of their JSON types (an integer is a float, a bool is neither)
-    raises a ``ValueError`` naming the missing, unexpected or mistyped keys.
+    values of :class:`RunRecord`'s types (an integer is a float, a bool is
+    neither) raises a ``ValueError`` naming the missing, unexpected or
+    mistyped keys.
     """
     run_dir = Path(run_dir)
     path = run_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"run manifest {path} is not a JSON object")
-    missing = [k for k in MANIFEST_KEYS if k not in manifest]
-    if missing:
-        raise ValueError(f"run manifest {path} lacks {', '.join(map(repr, missing))}")
-    unexpected = sorted(set(manifest) - set(MANIFEST_KEYS))
-    if unexpected:
-        raise ValueError(f"run manifest {path} has unexpected {', '.join(map(repr, unexpected))}")
-    for key, kind in MANIFEST_KEYS.items():
-        value = manifest[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise ValueError(f"run manifest {path}: {key!r} must be {kind.__name__}, not {value!r}")
+    manifest = _checked_keys(_read_json(path), RunRecord, f"run manifest {path}")
     history = []
     path = run_dir / "history.csv"
     with open(path, newline="") as fh:
@@ -468,17 +452,15 @@ def _checked_summary(path) -> dict:
     """The summary at ``path``; each split it holds (``test`` at least) needs
     ``nmae``/``nnse`` objects with a finite numeric ``mean``, or a
     ``ValueError`` names the key."""
-    summaries = json.loads(path.read_text())
-    if not isinstance(summaries, dict) or "test" not in summaries:
-        raise ValueError(f"run summary {path} is not a JSON object with a 'test' split")
+    summaries = _read_json(path)
+    if "test" not in summaries:
+        raise ValueError(f"run summary {path} has no 'test' split")
     for split in [s for s in ("val", "test", "extrapolation") if s in summaries]:
         for metric in ("nmae", "nnse"):
             entry = summaries[split].get(metric) if isinstance(summaries[split], dict) else None
             mean = entry.get("mean") if isinstance(entry, dict) else None
-            if type(mean) not in (int, float) or not math.isfinite(mean):
-                raise ValueError(
-                    f"run summary {path}: {split!r} {metric!r} needs a finite numeric 'mean'"
-                )
+            if not (_fits(mean, float) and math.isfinite(mean)):
+                raise ValueError(f"run summary {path}: {split!r} {metric!r} needs a finite numeric 'mean'")
     return summaries
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ProfileDataset, Scaler, view_int, view_sp, view_vts
+from .data import ProfileDataset, Scaler, _checked_keys, _fits, _read_json, view_int, view_sp, view_vts
 from .hydraulics import ChannelScenario, ConvergenceError, scenario_table
 from .losses import MIN_DEPTH, PHYSICS_TERMS, STRATEGIES, VTS_ONLY_STRATEGIES, physics_constants
 from .network import (
@@ -445,21 +445,21 @@ def load_model(path) -> TrainedModel:
             network's layer sizes when they are not the ones its spec and
             grid call for.
     """
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or payload.get("format_version") != CHECKPOINT_VERSION:
+    payload = _read_json(path)
+    if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint version")
     readers = (  # in TrainedModel's field order
-        ("spec", dict, lambda d: ModelSpec(**d)),
+        ("spec", dict, lambda d: ModelSpec(**_checked_keys(d, ModelSpec, "spec"))),
         ("network", dict, NetworkParams.from_dict),
-        ("scaler", dict, lambda d: Scaler(mean=d["mean"], std=d["std"])),
-        ("grid", dict, lambda d: GridSpec(**d)),
+        ("scaler", dict, lambda d: Scaler(**_checked_keys(d, Scaler, "scaler"))),
+        ("grid", dict, lambda d: GridSpec(**_checked_keys(d, GridSpec, "grid"))),
         ("history", list, lambda d: d),
         ("diagnostics", dict, lambda d: d),
     )
     fields = {}
     for name, kind, read in readers:
         value = payload.get(name)
-        if not isinstance(value, kind):
+        if not _fits(value, kind):
             raise ValueError(f"checkpoint field {name!r} is missing or not a JSON {kind.__name__}")
         try:
             fields[name] = read(value)

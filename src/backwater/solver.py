@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,11 +59,13 @@ class GridSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"grid {name} must be a real number, not {value!r}")
-        if not (np.isfinite(self.dx) and self.dx > 0.0):
+        if not 0.0 < self.dx <= sys.float_info.max:  # exact, so a huge integer fails too
             raise ValueError("dx must be positive and finite")
-        if not (np.isfinite(self.length) and self.length >= self.dx):
-            raise ValueError("length must be at least one station spacing")
+        if not self.dx <= self.length <= sys.float_info.max:
+            raise ValueError("length must be finite and at least one station spacing")
         steps = self.length / self.dx
+        if not math.isfinite(steps):
+            raise ValueError(f"length / dx = {self.length} / {self.dx} is not finite")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"length {self.length} is not a whole number of dx = {self.dx} steps")
 

@@ -263,9 +263,11 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
 
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("{not json")
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--config", str(bad_cfg), "--out", str(tmp_path / "z.csv")])
     assert exc.value.code == 2
+    assert "bad.json is not valid JSON" in capsys.readouterr().err
 
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"format_version": 1, "spec": {}}))
@@ -325,7 +327,7 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
     assert "lacks 'fraction'" in capsys.readouterr().err
     run_manifest.write_text(json.dumps(stored))
 
-    # a malformed summary or history row, each named in the message
+    # a malformed run or dataset file, each named in the message
     summary_path = run_manifest.parent / "summary.json"
     summary = json.loads(summary_path.read_text())
     history_path = run_manifest.parent / "history.csv"
@@ -333,23 +335,42 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
     n_epochs = len(history.splitlines()) - 1
     metrics_path = run_manifest.parent / "metrics.csv"
     metrics = metrics_path.read_text()
+    corpus_manifest = corpus.with_suffix(".manifest.json")
+    corpus_manifest.write_text(json.dumps(manifest))
+    bool_bound = {**manifest["ranges"], "n": [0.015, True, 2]}
+    report = ["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")]
+    extrapolate = ["extrapolate", "--dataset", str(corpus), "--out", str(tmp_path / "ext.csv")]
+    sweep = ["sweep-size", "--dataset", str(corpus), "--cells", "vts:dd", "--fractions", "1.0",
+             "--seeds", "0", "--extrapolate", "--max-epochs", "1", "--out", str(tmp_path / "sweep")]
     cases = (
-        (summary_path, json.dumps({"test": {}}), "summary.json: 'test' 'nmae'"),
-        (summary_path, json.dumps({**summary, "test": {**summary["test"], "nmae": {"mean": "0.5"}}}),
+        (report, summary_path, json.dumps({"test": {}}), "summary.json: 'test' 'nmae'"),
+        (report, summary_path, json.dumps({**summary, "test": {**summary["test"], "nmae": {"mean": "0.5"}}}),
          "summary.json: 'test' 'nmae'"),
-        (summary_path, json.dumps({**summary, "val": {**summary["val"], "nnse": {"mean": math.nan}}}),
+        (report, summary_path, json.dumps({**summary, "val": {**summary["val"], "nnse": {"mean": math.nan}}}),
          "summary.json: 'val' 'nnse'"),
-        (summary_path, json.dumps([]), "summary.json is not a JSON object"),
-        (history_path, history + "7,0.5\n", f"history.csv row {n_epochs + 1}: 2 fields, not 4"),
-        (metrics_path, metrics + "3,test\n", f"metrics.csv row {len(metrics.splitlines())}: not enough"),
-        (metrics_path, "", "unexpected metrics header in"),
+        (report, summary_path, json.dumps([]), "summary.json is not a JSON object"),
+        (report, summary_path, json.dumps(summary)[:100], "summary.json is not valid JSON"),
+        (report, run_manifest, json.dumps(stored)[:100], "manifest.json is not valid JSON"),
+        (report, history_path, history + "7,0.5\n", f"history.csv row {n_epochs + 1}: 2 fields, not 4"),
+        (report, metrics_path, metrics + "3,test\n",
+         f"metrics.csv row {len(metrics.splitlines())}: not enough"),
+        (report, metrics_path, "", "unexpected metrics header in"),
+        (extrapolate, corpus_manifest, json.dumps(manifest)[:100], "corpus.manifest.json is not valid JSON"),
+        (extrapolate, corpus_manifest, json.dumps({**manifest, "ranges": bool_bound}),
+         "'n' must be tuple[float, float, int], not [0.015, True, 2]"),
+        # an extrapolation corpus keeps only 'base_ranges', so no new set can be drawn from it
+        *((argv, corpus_manifest, json.dumps({k: v for k, v in manifest.items() if k != "ranges"}),
+           "'ranges' must be a JSON object") for argv in (extrapolate, sweep)),
+        (extrapolate, corpus_manifest, json.dumps({**manifest, "dx": 1e-300, "length": 1e300}),
+         "length / dx = 1e+300 / 1e-300 is not finite"),
+        (extrapolate, corpus_manifest, json.dumps({**manifest, "length": 10**400}), "length must be finite"),
     )
-    for path, broken, expected in cases:
+    for argv, path, broken, expected in cases:
         intact = path.read_text()
         path.write_text(broken)
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
+            main(argv)
         assert exc.value.code == 2
         assert expected in capsys.readouterr().err
         path.write_text(intact)
@@ -444,6 +465,14 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
          "'b'"),
         ("gen-data", dict(TINY_CONFIG, ranges=dict(TINY_CONFIG["ranges"], n=["0.015", 0.03, 2])),
          "'n'"),
+        # a bool count, and integers beyond float range
+        ("gen-data", dict(TINY_CONFIG, ranges=dict(TINY_CONFIG["ranges"], zd=[1.5, 3.0, True])),
+         "'zd' must be tuple[float, float, int], not [1.5, 3.0, True]"),
+        ("gen-data", dict(TINY_CONFIG, ranges=dict(TINY_CONFIG["ranges"], Q=[30.0, 10**400, 2])),
+         "'Q' must be tuple[float, float, int]"),
+        ("gen-data", dict(TINY_CONFIG, grid={"dx": 10.0, "length": 10**400}), "grid 'length' must be float"),
+        # a grid of more stations than a float counts
+        ("gen-data", dict(TINY_CONFIG, grid={"dx": 1e-300, "length": 1e300}), "length / dx"),
         ("sweep-size", dict(plan, fractions=["0.5"]), "'fractions'"),
         ("sweep-size", dict(plan, cells=[{"arch": "sp", "strategy": "en", "lam": "0.5"}]), "'lam'"),
         # a floor rate that is not finite or lies outside [0, initial_lr]

@@ -3,14 +3,18 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backwater.data import (
     DESK_GRID,
     PARAM_NAMES,
     ParameterRanges,
+    _checked_keys,
     assign_splits,
     desk_ranges,
     fit_scaler,
@@ -24,6 +28,9 @@ from backwater.data import (
     view_vts,
 )
 from backwater.hydraulics import ChannelScenario, scenario_table
+from backwater.losses import STRATEGIES
+from backwater.models import ARCHITECTURES, ModelSpec
+from backwater.network import TrainConfig
 from backwater.solver import GridSpec
 
 SMALL_RANGES = ParameterRanges(
@@ -137,6 +144,52 @@ def test_parameter_ranges_validation():
             zd=(1.0, 3.0, 2),
             Q=(100.0, 250.0, 2),
         )
+
+
+# ---------------------------------------------------------------- #
+#  JSON inputs
+# ---------------------------------------------------------------- #
+
+# positive floats reach the smallest and largest ones often; 10**400 is beyond float range
+NUMBERS = st.integers() | st.floats() | st.floats(min_value=0.0, exclude_min=True) | st.just(10**400)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=10,
+)
+
+
+def json_objects(likely: dict):
+    """Any JSON value; or an object with every key of ``likely``, each holding
+    a value drawn from its strategy there; or some of those keys and an
+    unknown one, each holding either kind of value."""
+    optional = {key: strategy | JSON_VALUES for key, strategy in {**likely, "x": JSON_VALUES}.items()}
+    return JSON_VALUES | st.fixed_dictionaries(likely) | st.fixed_dictionaries({}, optional=optional)
+
+
+def reader(cls):
+    return lambda d: cls(**_checked_keys(d, cls, cls.__name__))
+
+
+RANGE = st.tuples(NUMBERS, NUMBERS, st.integers()).map(list)
+READERS = (
+    (json_objects(dict.fromkeys(PARAM_NAMES, RANGE)), ParameterRanges.from_dict),
+    (json_objects(dict.fromkeys(["dx", "length"], NUMBERS)), reader(GridSpec)),
+    (json_objects({"arch": st.sampled_from(ARCHITECTURES), "strategy": st.sampled_from(STRATEGIES),
+                   "lam": NUMBERS, "width": NUMBERS | st.none()}), reader(ModelSpec)),
+    (json_objects({f.name: NUMBERS | st.none() for f in fields(TrainConfig)}), reader(TrainConfig)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_any_json_value_is_read_or_raises_value_error(data):
+    for objects, read in READERS:
+        value = data.draw(objects)
+        try:
+            read(value)
+        except ValueError:
+            pass
 
 
 # ---------------------------------------------------------------- #

@@ -715,8 +715,12 @@ def test_load_model_names_the_bad_field(tmp_path, sp_model):
         ({**good, "scaler": {"mean": {}}}, "malformed checkpoint field 'scaler'"),
         ({**good, "grid": {"dx": 10.0, "length": 305.0}}, "malformed checkpoint field 'grid'"),
         ({**good, "history": {}}, "'history' is missing or not a JSON list"),
+        ({**good, "spec": {**good["spec"], "lam": True}}, "'spec': spec 'lam' must be float, not True"),
+        ({**good, "grid": {"dx": 10.0, "length": 10**400}}, "'grid': grid 'length' must be float"),
+        ({**good, "scaler": {**good["scaler"], "std": {"x": "1"}}}, r"'std' must be dict\[str, float\]"),
+        (json.dumps(good)[:100], "model.json is not valid JSON"),  # a truncated file
     )
     for payload, message in cases:
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         with pytest.raises(ValueError, match=message):
             load_model(path)
