@@ -20,21 +20,22 @@ Most experiment commands also accept ``--config plan.json``::
       "train": {"max_epochs": 1000, "batch_size": null, "initial_lr": 0.001}
     }
 
-Explicit flags override config values.  ``gen-data --config`` instead wants
+Each setting comes from its flag if one is given, else from the config
+file, else from its default.  ``gen-data --config`` instead wants
 ``{"ranges": {"s": [lo, hi, count], ...}, "grid": {"dx": .., "length": ..}}``.
 
 Every JSON file the program reads follows one rule: an integer is a float,
 a bool is neither, and a file that is not valid JSON, or not a JSON object,
 is named in the error.  It covers these configs, dataset-manifest ranges,
-run manifests and checkpoints; an unknown, missing or mistyped key is a
-usage error (exit 2) that names the key.
+run manifests and checkpoints, their ``network`` and ``scaler`` included;
+an unknown, missing or mistyped key is a usage error (exit 2) naming it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .data import (
@@ -42,7 +43,6 @@ from .data import (
     FULL_GRID,
     ParameterRanges,
     _checked_keys,
-    _checked_type,
     _read_json,
     desk_ranges,
     full_ranges,
@@ -108,57 +108,56 @@ def parse_cell(text: str) -> ModelSpec:
     return ModelSpec(arch, strategy, lam, width)
 
 
-#: the JSON type of each plan-config value
-PLAN_CONFIG_TYPES = {
-    "dataset": str,
-    "cells": list[dict],
-    "seeds": list[int],
-    "fractions": list[float],
-    "widths": list[int],
-    "extrapolation": bool,
-    "train": dict,
-}
+@dataclass(frozen=True)
+class PlanConfig:
+    """An experiment command's settings; ``--config plan.json`` holds any of them."""
+
+    dataset: str | None = None
+    cells: tuple[ModelSpec, ...] = ()
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
+    widths: tuple[int, ...] = DEFAULT_WIDTH_SWEEP
+    extrapolation: bool = False
+    train: TrainConfig = TrainConfig()
+
+    @classmethod
+    def from_dict(cls, d, what: str = "config") -> "PlanConfig":
+        """Read a plan object; a ``ValueError`` names an unknown or mistyped key."""
+        d = dict(_checked_keys(d, cls, what))
+        d["cells"] = tuple(ModelSpec(**_checked_keys(c, ModelSpec, f"{what} cell")) for c in d.get("cells", ()))
+        d["train"] = TrainConfig(**_checked_keys(d.get("train", {}), TrainConfig, f"{what} 'train'"))
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
-def _plan_config(path) -> dict:
-    """The plan config at ``path`` (``{}`` for none), its values type-checked."""
-    cfg = _read_json(path) if path else {}
-    for key, hint in PLAN_CONFIG_TYPES.items():
-        if key in cfg:
-            _checked_type("config", key, cfg[key], hint)
-    return cfg
+@dataclass(frozen=True)
+class CorpusConfig:
+    """The keys of a ``gen-data --config`` file."""
+
+    ranges: ParameterRanges
+    grid: GridSpec
 
 
-def _train_config(args, cfg: dict) -> TrainConfig:
-    base = dict(_checked_keys(cfg.get("train", {}), TrainConfig, "train config"))
-    if getattr(args, "max_epochs", None) is not None:
-        base["max_epochs"] = args.max_epochs
-    if getattr(args, "batch_size", None) is not None:
-        base["batch_size"] = args.batch_size
-    if getattr(args, "lr", None) is not None:
-        base["initial_lr"] = args.lr
-    return TrainConfig(**base)
-
-
-def _plan_cells(args, cfg: dict) -> tuple[ModelSpec, ...]:
-    if getattr(args, "cells", None):
-        cells = tuple(parse_cell(c) for c in args.cells)
-    elif cfg.get("cells"):
-        cells = tuple(ModelSpec(**_checked_keys(c, ModelSpec, "cell")) for c in cfg["cells"])
-    else:
-        raise ValueError("no cells given (use --cells or a config file)")
-    if getattr(args, "width", None) is not None:
-        cells = tuple(c if c.width is not None else replace(c, width=args.width) for c in cells)
-    return cells
-
-
-def _dataset(args, cfg: dict):
-    path = getattr(args, "dataset", None) or cfg.get("dataset")
-    if not path:
+def plan_config(args) -> PlanConfig:
+    """A command's settings: each from its flag if given, else from the
+    ``--config`` file, else its default.  The training flags set keys of
+    ``train``; ``--width`` sets the width of cells that name none."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    path = given.get("config")
+    d = _read_json(path) if path else {}
+    train = {k: given[k] for k in ("max_epochs", "batch_size", "initial_lr") if k in given}
+    if isinstance(d.get("train", {}), dict):  # the flags and the file make one TrainConfig
+        d["train"] = {**d.get("train", {}), **train}
+    cfg = PlanConfig.from_dict(d, f"config {path}")
+    if "cells" in given:
+        given["cells"] = tuple(parse_cell(c) for c in given["cells"])
+    cfg = replace(cfg, **{f.name: given[f.name] for f in fields(PlanConfig) if f.name in given})
+    if "width" in given:
+        cfg = replace(cfg, cells=tuple(replace(c, width=c.width or given["width"]) for c in cfg.cells))
+    if not cfg.dataset:
         raise ValueError("no dataset given (use --dataset or a config file)")
-    if not Path(path).exists():
-        raise ValueError(f"dataset not found: {path}")
-    return load(path)
+    if not Path(cfg.dataset).exists():
+        raise ValueError(f"dataset not found: {cfg.dataset}")
+    return cfg
 
 
 # ---------------------------------------------------------------------- #
@@ -168,10 +167,7 @@ def _dataset(args, cfg: dict):
 
 def cmd_gen_data(args) -> None:
     if args.config:
-        cfg = _read_json(args.config)
-        for key in ("ranges", "grid"):
-            if key not in cfg:
-                raise ValueError(f"gen-data config {args.config} lacks {key!r}")
+        cfg = _checked_keys(_read_json(args.config), CorpusConfig, f"gen-data config {args.config}")
         ranges = ParameterRanges.from_dict(cfg["ranges"])
         grid = GridSpec(**_checked_keys(cfg["grid"], GridSpec, "grid"))
     elif args.preset == "desk":
@@ -187,12 +183,10 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg = _plan_config(args.config)
-    ds = _dataset(args, cfg)
+    cfg = plan_config(args)
     spec = ModelSpec(args.arch, args.strategy, args.lam, args.width)
-    config = _train_config(args, cfg)
     sink: list = []
-    record = run_one(ds, spec, args.seed, config, args.fraction, model_sink=sink)
+    record = run_one(load(cfg.dataset), spec, args.seed, cfg.train, args.fraction, model_sink=sink)
     run_dir = Path(args.out) / record_dir_name(record)
     save_record(record, run_dir)
     save_model(sink[0], run_dir / "model.json")
@@ -201,7 +195,7 @@ def cmd_train(args) -> None:
 
 def cmd_evaluate(args) -> None:
     model = load_model(args.model)
-    ds = _dataset(args, {})
+    ds = load(plan_config(args).dataset)
     profiles = ds.profiles_in(args.split)
     if not profiles:
         raise ValueError(f"dataset has no {args.split!r} profiles")
@@ -218,49 +212,38 @@ def cmd_evaluate(args) -> None:
     )
 
 
-def _run_sweep(args, cfg: dict, cells, fractions=(1.0,)) -> None:
-    ds = _dataset(args, cfg)
-    seeds = args.seeds if args.seeds is not None else tuple(cfg.get("seeds", DEFAULT_SEEDS))
-    extrapolation = bool(args.extrapolate or cfg.get("extrapolation", False))
-    plan = ExperimentPlan(cells=cells, seeds=seeds, fractions=fractions, extrapolation=extrapolation)
-    records = execute_plan(
-        ds, plan, _train_config(args, cfg), out_dir=args.out, ext_seed=args.ext_seed
-    )
+def _run_sweep(args, cfg: PlanConfig, cells, fractions=(1.0,)) -> None:
+    if not cfg.cells:
+        raise ValueError("no cells given (use --cells or a config file)")
+    ds = load(cfg.dataset)
+    plan = ExperimentPlan(cells=cells, seeds=cfg.seeds, fractions=fractions, extrapolation=cfg.extrapolation)
+    records = execute_plan(ds, plan, cfg.train, out_dir=args.out, ext_seed=args.ext_seed)
     rows = write_report(records, Path(args.out) / "report.csv")
     print(json.dumps({"runs": len(records), "report_rows": len(rows), "out": str(args.out)}))
 
 
 def cmd_sweep_size(args) -> None:
-    cfg = _plan_config(args.config)
-    fractions = args.fractions or tuple(cfg.get("fractions", DEFAULT_FRACTIONS))
-    _run_sweep(args, cfg, _plan_cells(args, cfg), fractions)
+    cfg = plan_config(args)
+    _run_sweep(args, cfg, cfg.cells, cfg.fractions)
 
 
 def cmd_sweep_width(args) -> None:
-    cfg = _plan_config(args.config)
-    widths = args.widths or tuple(cfg.get("widths", DEFAULT_WIDTH_SWEEP))
-    _run_sweep(args, cfg, tuple(replace(c, width=w) for c in _plan_cells(args, cfg) for w in widths))
+    cfg = plan_config(args)
+    _run_sweep(args, cfg, tuple(replace(c, width=w) for c in cfg.cells for w in cfg.widths))
 
 
 def cmd_extrapolate(args) -> None:
-    ds = _dataset(args, {})
+    ds = load(plan_config(args).dataset)
     ext = extrapolation_dataset(ds, count=args.count, seed=args.seed)
     save(ext, args.out)
     print(json.dumps({"out": str(args.out), "count": len(ext.profiles)}))
 
 
 def cmd_lambda_search(args) -> None:
-    cfg = _plan_config(args.config)
-    ds = _dataset(args, cfg)
+    cfg = plan_config(args)
     spec = ModelSpec(args.arch, args.strategy, 1.0, args.width)
-    seeds = args.seeds if args.seeds is not None else tuple(cfg.get("seeds", DEFAULT_SEEDS))
     best, table = lambda_search(
-        ds,
-        spec,
-        args.grid,
-        seeds=seeds,
-        config=_train_config(args, cfg),
-        fraction=args.fraction,
+        load(cfg.dataset), spec, args.grid, seeds=cfg.seeds, config=cfg.train, fraction=args.fraction
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,12 +268,13 @@ def cmd_report(args) -> None:
 # ---------------------------------------------------------------------- #
 
 
-def _add_train_flags(p, with_seed=True):
+def _add_plan_flags(p):
+    """The flags every command that trains shares, each read by :func:`plan_config`."""
+    p.add_argument("--dataset")
+    p.add_argument("--config")
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None, help="initial learning rate")
-    if with_seed:
-        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", dest="initial_lr", type=float, default=None, help="initial learning rate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,15 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one model and write its run directory")
-    p.add_argument("--dataset")
-    p.add_argument("--config")
+    _add_plan_flags(p)
     p.add_argument("--arch", choices=ARCHITECTURES, required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default="dd")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--fraction", type=_fraction, default=1.0, help="training fraction in (0, 1]")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a saved model on a dataset split")
@@ -330,20 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep-size", cmd_sweep_size, "fractions"),
         ("sweep-width", cmd_sweep_width, "widths"),
     ):
-        p = sub.add_parser(name, help=f"train cells across a {sweep_flag[:-1]} grid")
-        p.add_argument("--dataset")
-        p.add_argument("--config")
+        # sweep-width takes no --width, which would otherwise abbreviate --widths
+        p = sub.add_parser(name, help=f"train cells across a {sweep_flag[:-1]} grid",
+                           allow_abbrev=sweep_flag == "fractions")
+        _add_plan_flags(p)
         p.add_argument("--cells", nargs="+", help="arch[:strategy[:lam[:width]]] ...")
-        p.add_argument("--width", type=int, default=None, help="default width for cells")
         p.add_argument("--seeds", type=_ints, default=None)
         if sweep_flag == "fractions":
+            p.add_argument("--width", type=int, default=None, help="width of cells that name none")
             p.add_argument("--fractions", type=_floats, default=None)
         else:
             p.add_argument("--widths", type=_ints, default=None)
-        p.add_argument("--extrapolate", action="store_true")
+        p.add_argument("--extrapolate", dest="extrapolation", action="store_true", default=None)
         p.add_argument("--ext-seed", type=int, default=EXTRAPOLATION_SEED)
         p.add_argument("--out", required=True)
-        _add_train_flags(p, with_seed=False)
         p.set_defaults(func=handler)
 
     p = sub.add_parser("extrapolate", help="build an out-of-range evaluation set")
@@ -354,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extrapolate)
 
     p = sub.add_parser("lambda-search", help="pick lambda by validation NMAE")
-    p.add_argument("--dataset")
-    p.add_argument("--config")
+    _add_plan_flags(p)
     p.add_argument("--arch", choices=ARCHITECTURES, required=True)
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--grid", type=_floats, default=tuple(round(0.1 * k, 1) for k in range(1, 10)))
@@ -363,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=_fraction, default=1.0, help="training fraction in (0, 1]")
     p.add_argument("--seeds", type=_ints, default=None)
     p.add_argument("--out", required=True)
-    _add_train_flags(p, with_seed=False)
     p.set_defaults(func=cmd_lambda_search)
 
     p = sub.add_parser("report", help="aggregate run directories into report.csv")

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +79,15 @@ def _fits(value, hint) -> bool:
     """Whether a JSON value fits a type hint.
 
     An integer is a float when it converts to a finite one; a bool is
-    neither.  A fixed-length ``tuple[...]`` hint takes a list or a tuple.
+    neither.  ``tuple[X, ...]`` takes a list as ``list[X]`` does, and a
+    fixed-length ``tuple[...]`` a list or a tuple.  A dataclass hint takes
+    an object, which the dataclass's own reader checks.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is list:
+    if origin is list or args[-1:] == (Ellipsis,):
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if is_dataclass(hint):
+        return isinstance(value, dict)
     if origin is tuple:
         return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_fits, value, args))
     if origin is dict:  # a JSON object's keys are strings
@@ -184,6 +188,14 @@ class Scaler:
 
     mean: dict[str, float]
     std: dict[str, float]
+
+    def __post_init__(self):
+        features = ("x", "h", *PARAM_NAMES)
+        for name, stats in (("mean", self.mean), ("std", self.std)):
+            wrong = [f"lacks feature {k!r}" for k in features if k not in stats]
+            wrong += [f"has unexpected feature {k!r}" for k in stats if k not in features]
+            if wrong:
+                raise ValueError(f"scaler {name!r} {wrong[0]}")
 
     def scale(self, name: str, values):
         sd = self.std[name]

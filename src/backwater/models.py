@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ProfileDataset, Scaler, _checked_keys, _fits, _read_json, view_int, view_sp, view_vts
+from .data import ProfileDataset, Scaler, _checked_keys, _checked_type, _fits, _read_json, view_int, view_sp, view_vts
 from .hydraulics import ChannelScenario, ConvergenceError, scenario_table
 from .losses import MIN_DEPTH, PHYSICS_TERMS, STRATEGIES, VTS_ONLY_STRATEGIES, physics_constants
 from .network import (
@@ -437,6 +437,13 @@ def save_model(model: TrainedModel, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def _read_network(d: dict) -> NetworkParams:
+    """A checkpoint's ``network``, each value type-checked before it is read."""
+    for key, hint in (("layer_sizes", list[int]), ("weights", list[list[float]]), ("biases", list[list[float]])):
+        _checked_type("network", key, d.get(key), hint)
+    return NetworkParams.from_dict(d)
+
+
 def load_model(path) -> TrainedModel:
     """Read a checkpoint written by :func:`save_model`.
 
@@ -450,7 +457,7 @@ def load_model(path) -> TrainedModel:
         raise ValueError("unsupported checkpoint version")
     readers = (  # in TrainedModel's field order
         ("spec", dict, lambda d: ModelSpec(**_checked_keys(d, ModelSpec, "spec"))),
-        ("network", dict, NetworkParams.from_dict),
+        ("network", dict, _read_network),
         ("scaler", dict, lambda d: Scaler(**_checked_keys(d, Scaler, "scaler"))),
         ("grid", dict, lambda d: GridSpec(**_checked_keys(d, GridSpec, "grid"))),
         ("history", list, lambda d: d),

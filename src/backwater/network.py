@@ -77,7 +77,7 @@ class NetworkParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkParams":
-        sizes = [int(v) for v in d["layer_sizes"]]
+        sizes = list(d["layer_sizes"])
         params = cls(sizes, np.zeros(_n_params(sizes)))
         for key, views in (("weights", params.weights), ("biases", params.biases)):
             if len(d[key]) != len(views):
@@ -193,7 +193,7 @@ def dmse_dpred(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return 2.0 * (pred - target) / math.prod(pred.shape[-2:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings shared by all architectures."""
 

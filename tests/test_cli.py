@@ -4,12 +4,13 @@ import json
 import math
 import re
 import shlex
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from backwater.cli import build_parser, main, parse_cell
+from backwater import cli
+from backwater.cli import PlanConfig, build_parser, main, parse_cell
 from backwater.data import load
 from backwater.harness import _dir_name, discover_records, record_dir_name
 from backwater.models import ModelSpec
@@ -478,13 +479,18 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         # a floor rate that is not finite or lies outside [0, initial_lr]
         *(("sweep-size", dict(plan, train={"min_lr": v}), "min_lr")
           for v in (1.0, -1.0, math.nan, math.inf)),
+        # a mistyped or unknown key, named with its file
+        ("sweep-size", dict(plan, fraction=[0.5]), "cfg.json has unexpected 'fraction'"),
+        ("gen-data", dict(TINY_CONFIG, seed=5), "cfg.json has unexpected 'seed'"),
+        # sweep-width has no --width: each of its widths replaces the cells' own
+        ("sweep-width --width 8", plan, "unrecognized arguments: --width 8"),
     )
     for command, cfg, name in cases:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(path), "--out", str(tmp_path / "cfg_out")])
+            main([*command.split(), "--config", str(path), "--out", str(tmp_path / "cfg_out")])
         assert exc.value.code == 2
         assert name in capsys.readouterr().err
 
@@ -519,3 +525,13 @@ def test_readme_command_block_parses():
             assert match, run_dir
             arch, strategy, lam, width, fraction, seed = match.groups()
             assert _dir_name(arch, strategy, float(lam), int(width), float(fraction), int(seed)) == run_dir
+
+
+def test_documented_plan_configs_read():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = cli.__doc__.split("``--config plan.json``::\n\n", 1)[1].split("\n\n", 1)[0]
+    in_readme = readme.split("`--config plan.json`:\n\n```json\n", 1)[1].split("\n```", 1)[0]
+    for text in (documented, in_readme):
+        assert PlanConfig.from_dict(json.loads(text)).cells
+    # the docstring's example names every setting
+    assert list(json.loads(documented)) == [f.name for f in fields(PlanConfig)]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backwater.cli import PlanConfig
 from backwater.data import (
     DESK_GRID,
     PARAM_NAMES,
@@ -172,12 +173,17 @@ def reader(cls):
 
 
 RANGE = st.tuples(NUMBERS, NUMBERS, st.integers()).map(list)
+CELLS = json_objects({"arch": st.sampled_from(ARCHITECTURES), "strategy": st.sampled_from(STRATEGIES),
+                      "lam": NUMBERS, "width": NUMBERS | st.none()})
+TRAIN = json_objects({f.name: NUMBERS | st.none() for f in fields(TrainConfig)})
 READERS = (
     (json_objects(dict.fromkeys(PARAM_NAMES, RANGE)), ParameterRanges.from_dict),
     (json_objects(dict.fromkeys(["dx", "length"], NUMBERS)), reader(GridSpec)),
-    (json_objects({"arch": st.sampled_from(ARCHITECTURES), "strategy": st.sampled_from(STRATEGIES),
-                   "lam": NUMBERS, "width": NUMBERS | st.none()}), reader(ModelSpec)),
-    (json_objects({f.name: NUMBERS | st.none() for f in fields(TrainConfig)}), reader(TrainConfig)),
+    (CELLS, reader(ModelSpec)),
+    (TRAIN, reader(TrainConfig)),
+    (json_objects({"dataset": st.text(max_size=4) | st.none(), "cells": st.lists(CELLS, max_size=3),
+                   **dict.fromkeys(["seeds", "fractions", "widths"], st.lists(NUMBERS, max_size=3)),
+                   "extrapolation": st.booleans(), "train": TRAIN}), PlanConfig.from_dict),
 )
 
 

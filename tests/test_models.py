@@ -708,6 +708,9 @@ def test_load_model_names_the_bad_field(tmp_path, sp_model):
     save_model(sp_model, path)
     good = json.loads(path.read_text())
     network = dict(good["network"], weights=good["network"]["weights"][:-1])
+    string_biases = dict(good["network"], biases=[list(map(str, b)) for b in good["network"]["biases"]])
+    # int() would read these sizes as the [6, 8, 8, 8, 1] a width-8 sp spec needs
+    float_sizes = dict(init([6, 8, 8, 8, 1], 0).to_dict(), layer_sizes=[6.9, 8, 8, 8, True])
     cases = (
         ({"format_version": 1, "spec": {}}, "malformed checkpoint field 'spec'"),
         ({k: v for k, v in good.items() if k != "grid"}, "'grid' is missing"),
@@ -718,6 +721,10 @@ def test_load_model_names_the_bad_field(tmp_path, sp_model):
         ({**good, "spec": {**good["spec"], "lam": True}}, "'spec': spec 'lam' must be float, not True"),
         ({**good, "grid": {"dx": 10.0, "length": 10**400}}, "'grid': grid 'length' must be float"),
         ({**good, "scaler": {**good["scaler"], "std": {"x": "1"}}}, r"'std' must be dict\[str, float\]"),
+        ({**good, "network": string_biases}, r"network 'biases' must be list\[list\[float\]\]"),
+        ({**good, "spec": {**good["spec"], "width": 8}, "network": float_sizes},
+         r"network 'layer_sizes' must be list\[int\], not \[6.9, 8, 8, 8, True\]"),
+        ({**good, "scaler": {"mean": {"x": 1.0}, "std": {"x": 1.0}}}, "scaler 'mean' lacks feature 'h'"),
         (json.dumps(good)[:100], "model.json is not valid JSON"),  # a truncated file
     )
     for payload, message in cases:
