@@ -137,13 +137,22 @@ class CorpusConfig:
     grid: GridSpec
 
 
-def plan_config(args) -> PlanConfig:
+def plan_config(args, reads: tuple[str, ...] | None = None) -> PlanConfig:
     """A command's settings: each from its flag if given, else from the
     ``--config`` file, else its default.  The training flags set keys of
-    ``train``; ``--width`` sets the width of cells that name none."""
+    ``train``; ``--width`` sets the width of cells that name none.
+
+    ``reads`` names the keys the command uses (default: all of them); a
+    config file that sets another is a ``ValueError`` naming it.
+    """
     given = {k: v for k, v in vars(args).items() if v is not None}
     path = given.get("config")
     d = _read_json(path) if path else {}
+    unread = sorted(set(d) - set(reads)) if reads is not None else []
+    if unread:
+        raise ValueError(
+            f"config {path} sets {', '.join(map(repr, unread))}, which {args.command} does not read"
+        )
     train = {k: given[k] for k in ("max_epochs", "batch_size", "initial_lr") if k in given}
     if isinstance(d.get("train", {}), dict):  # the flags and the file make one TrainConfig
         d["train"] = {**d.get("train", {}), **train}
@@ -183,7 +192,7 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg = plan_config(args)
+    cfg = plan_config(args, reads=("dataset", "train"))
     spec = ModelSpec(args.arch, args.strategy, args.lam, args.width)
     sink: list = []
     record = run_one(load(cfg.dataset), spec, args.seed, cfg.train, args.fraction, model_sink=sink)
@@ -240,7 +249,7 @@ def cmd_extrapolate(args) -> None:
 
 
 def cmd_lambda_search(args) -> None:
-    cfg = plan_config(args)
+    cfg = plan_config(args, reads=("dataset", "seeds", "train"))
     spec = ModelSpec(args.arch, args.strategy, 1.0, args.width)
     best, table = lambda_search(
         load(cfg.dataset), spec, args.grid, seeds=cfg.seeds, config=cfg.train, fraction=args.fraction

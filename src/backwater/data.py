@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import math
+import reprlib
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -103,10 +104,38 @@ def _fits(value, hint) -> bool:
     return isinstance(value, allowed)
 
 
+#: The JSON name of each plain type a hint may hold.
+_JSON_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string", type(None): "null", dict: "object"}
+
+
+def _json_name(hint, plural: bool = False) -> str:
+    """What a value fitting ``hint`` is called in JSON, e.g. ``list of objects``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    s = "s" if plural else ""
+    if origin is list or args[-1:] == (Ellipsis,):
+        return f"list{s} of {_json_name(args[0], plural=True)}"
+    if origin is tuple:
+        return f"list{s} [{', '.join(map(_json_name, args))}]"
+    if origin is dict:
+        return f"object{s} of {_json_name(args[1], plural=True)}"
+    if is_dataclass(hint):
+        return f"object{s}"
+    if args:  # a union
+        return " or ".join(_json_name(a, plural) for a in args)
+    return _JSON_NAMES[hint] + s
+
+
+#: Shows a few leading items of a value that does not fit, however long it is.
+_SHORT_REPR = reprlib.Repr()
+_SHORT_REPR.maxlevel, _SHORT_REPR.maxlist, _SHORT_REPR.maxdict = 2, 5, 5
+_SHORT_REPR.maxstring = _SHORT_REPR.maxother = _SHORT_REPR.maxlong = 24
+
+
 def _checked_type(what: str, key: str, value, hint):
     if not _fits(value, hint):
-        name = str(hint) if typing.get_args(hint) else hint.__name__
-        raise ValueError(f"{what} {key!r} must be {name}, not {value!r}")
+        name = _json_name(hint)
+        article = "an" if name[0] in "aeiou" else "a"
+        raise ValueError(f"{what} {key!r} must be {article} {name}, not {_SHORT_REPR.repr(value)}")
 
 
 def _checked_keys(d, cls, what: str) -> dict:

@@ -4,7 +4,9 @@ NMAE normalizes mean absolute depth error by the dam height (the natural
 length scale of a backwater profile); NNSE rescales the Nash-Sutcliffe
 efficiency into (0, 1] so badly wrong models stay comparable.  Summaries
 carry the mean (the headline number), box-plot percentiles, skewness, and
-the full empirical CDF.
+the full empirical CDF.  A set of P profiles is scored with row reductions
+over (P, n_points) arrays; :func:`nmae` and :func:`nnse` are one row of the
+same routine.
 """
 
 from __future__ import annotations
@@ -23,33 +25,48 @@ class UndefinedMetricError(ValueError):
 
 
 # ---------------------------------------------------------------------- #
-#  Scalar metrics
+#  Row-wise metrics
 # ---------------------------------------------------------------------- #
 
 
-def _paired(pred, true):
+def _row_scores(preds: np.ndarray, trues: np.ndarray, z_d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """NMAE, NSE and the undefined-NSE mask of each row of two (P, n) arrays.
+
+    Every value is a row reduction in one profile's operand order, so row k
+    is bitwise what that profile alone gives.  A constant true row has no
+    NSE; its entry is left to the mask, without a division warning.
+    """
+    z_d = np.asarray(z_d, dtype=float)
+    if not (z_d > 0.0).all():
+        raise ValueError("z_d must be positive")
+    n = trues.shape[1]
+    row_nmae = np.add.reduce(np.abs(trues - preds), axis=1) / (n * z_d)
+    denom = np.add.reduce((trues - trues.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row_nse = 1.0 - np.add.reduce((trues - preds) ** 2, axis=1) / denom
+    return row_nmae, row_nse, denom == 0.0
+
+
+def _one_row(pred, true) -> tuple[np.ndarray, np.ndarray]:
+    """A single profile pair as the (1, n) rows of :func:`_row_scores`."""
     pred = np.asarray(pred, dtype=float)
     true = np.asarray(true, dtype=float)
     if pred.shape != true.shape:
         raise ValueError(f"profile shapes differ: {pred.shape} vs {true.shape}")
-    return pred, true
+    return pred.reshape(1, -1), true.reshape(1, -1)
 
 
 def nmae(pred, true, z_d: float) -> float:
     """Mean absolute error normalized by the dam height."""
-    pred, true = _paired(pred, true)
-    if not z_d > 0.0:
-        raise ValueError("z_d must be positive")
-    return float(np.sum(np.abs(true - pred)) / (true.size * z_d))
+    return float(_row_scores(*_one_row(pred, true), z_d)[0][0])
 
 
 def nse(pred, true) -> float:
     """Nash-Sutcliffe efficiency against the true profile's own mean."""
-    pred, true = _paired(pred, true)
-    denom = float(np.sum((true - true.mean()) ** 2))
-    if denom == 0.0:
+    _, value, undefined = _row_scores(*_one_row(pred, true), 1.0)
+    if undefined[0]:
         raise UndefinedMetricError("NSE is undefined for a constant true profile")
-    return 1.0 - float(np.sum((true - pred) ** 2)) / denom
+    return float(value[0])
 
 
 def nnse(pred, true) -> float:
@@ -150,6 +167,11 @@ def _predictions(model, profiles) -> np.ndarray:
     return pred
 
 
+def _truths(profiles) -> np.ndarray:
+    """The profiles' true depths as one (P, n_points) array."""
+    return np.stack([prof.depths for prof in profiles])
+
+
 def evaluate_set(model, profiles, ids=None, split: str = "") -> SetEvaluation:
     """Score every profile's prediction; summaries over the whole set.
 
@@ -161,30 +183,23 @@ def evaluate_set(model, profiles, ids=None, split: str = "") -> SetEvaluation:
     preds = _predictions(model, profiles)
     if ids is None:
         ids = list(range(len(profiles)))
-    records = []
-    excluded = 0
-    for pid, prof, pred in zip(ids, profiles, preds):
-        try:
-            score_nnse = nnse(pred, prof.depths)
-        except UndefinedMetricError:
-            excluded += 1
-            continue
-        records.append(
-            ProfileMetrics(
-                profile_id=int(pid),
-                split=split,
-                regime=prof.regime,
-                nmae=nmae(pred, prof.depths, prof.scenario.z_d),
-                nnse=score_nnse,
-            )
+    z_d = [prof.scenario.z_d for prof in profiles]
+    scores_nmae, scores_nse, undefined = _row_scores(preds, _truths(profiles), z_d)
+    scores_nnse = 1.0 / (2.0 - scores_nse)
+    records = [
+        ProfileMetrics(int(pid), split, prof.regime, score_nmae, score_nnse)
+        for pid, prof, score_nmae, score_nnse, skip in zip(
+            ids, profiles, scores_nmae.tolist(), scores_nnse.tolist(), undefined.tolist()
         )
+        if not skip
+    ]
     if not records:
         raise ValueError("no profiles could be evaluated")
     return SetEvaluation(
         records=records,
         nmae_summary=summarize([r.nmae for r in records]),
         nnse_summary=summarize([r.nnse for r in records]),
-        excluded=excluded,
+        excluded=int(undefined.sum()),
     )
 
 
@@ -194,10 +209,8 @@ def per_station_mae(model, profiles) -> np.ndarray:
     ``model`` is a TrainedModel or a prediction array, as in :func:`evaluate_set`.
     """
     preds = _predictions(model, profiles)
-    errors = np.zeros(preds.shape[1])
-    for pred, prof in zip(preds, profiles):
-        errors += np.abs(pred - prof.depths)
-    return errors / len(profiles)
+    # a reduction over the leading axis adds the rows in order, one at a time
+    return np.add.reduce(np.abs(preds - _truths(profiles)), axis=0) / len(profiles)
 
 
 # ---------------------------------------------------------------------- #

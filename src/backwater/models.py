@@ -54,6 +54,10 @@ ARCHITECTURES = ("sp", "int", "vts")
 DEFAULT_WIDTHS = {"sp": 30, "int": 30, "vts": 40}
 DEFAULT_BATCH_SIZES = {"sp": 256, "int": 256, "vts": 32}
 INPUT_WIDTHS = {"sp": 6, "int": 6, "vts": 5}
+#: Rows of one ``sp`` reconstruction forward: about the desk validation pass
+#: (75 profiles x 101 stations), so inference holds no more activations than
+#: training does.
+_SP_BLOCK_ROWS = 8192
 N_HIDDEN = 3
 CHECKPOINT_VERSION = 1
 
@@ -203,7 +207,9 @@ class _Stack:
 
     ``views[k]`` is member k's network as a 2-D view of its row; validation
     runs member by member through it, so a stack holds one member's
-    validation activations at a time, as a solo run does.
+    validation activations at a time, as a solo run does.  :meth:`shuffle`
+    gathers each epoch's training rows once, in every member's own order,
+    so a minibatch is a contiguous slice of them.
     """
 
     def __init__(self, members: list[_Member]):
@@ -214,13 +220,25 @@ class _Stack:
         self.adam = AdamState(self.params, np.array([[m.lr] for m in members], dtype=float))
         # one gradient buffer for every step
         self.grad = NetworkParams(self.params.layer_sizes, np.empty_like(self.params.flat))
-        self.inputs = np.stack([m.train_view.inputs for m in members])
-        self.targets = np.stack([m.train_view.targets for m in members])
+        view = members[0].train_view
+        self.epoch_inputs = np.empty((len(members), *view.inputs.shape))
+        self.epoch_targets = np.empty((len(members), *view.targets.shape))
+
+    def shuffle(self, epoch: int) -> None:
+        """Gather the epoch's inputs, targets and physics constants, each
+        member's rows in the permutation its epoch seed draws."""
+        for k, member in enumerate(self.members):
+            view = member.train_view
+            order = np.random.default_rng(int(member.epoch_seeds[epoch])).permutation(len(view))
+            # mode="raise" would gather into a temporary first; a permutation needs no bounds check
+            np.take(view.inputs, order, axis=0, out=self.epoch_inputs[k], mode="clip")
+            np.take(view.targets, order, axis=0, out=self.epoch_targets[k], mode="clip")
+            if member.term is not None:
+                member.epoch_consts = tuple(a[order] for a in member.consts)
 
     def _stacked(self, params: NetworkParams) -> None:
         self.params = params
         self.views = [NetworkParams(params.layer_sizes, row) for row in params.flat]
-        self.axis = np.arange(len(params.flat))[:, None]
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the members where ``mask`` is False."""
@@ -229,7 +247,7 @@ class _Stack:
         self.grad = NetworkParams(self.params.layer_sizes, self.grad.flat[mask])
         adam = self.adam
         adam.m, adam.v, adam.lr = adam.m[mask], adam.v[mask], adam.lr[mask]
-        self.inputs, self.targets = self.inputs[mask], self.targets[mask]
+        self.epoch_inputs, self.epoch_targets = self.epoch_inputs[mask], self.epoch_targets[mask]
 
     def diverge(self, mask: np.ndarray, epoch: int) -> None:
         """Members where ``mask`` is False leave mid-epoch without this step's
@@ -252,9 +270,9 @@ def train_stack(members) -> list[TrainedModel]:
 
     Each member keeps its own state: every epoch visits its training samples
     in a fresh permutation drawn from a stream seeded by its
-    ``config.seed``, its minibatch gathers its own rows, and its strategy's
-    kernel in :data:`~.losses.PHYSICS_TERMS` sees its own
-    :func:`~.losses.physics_constants` at those rows.  Validation loss is
+    ``config.seed``, each minibatch is the next slice of its rows in that
+    order, and its strategy's kernel in :data:`~.losses.PHYSICS_TERMS` sees
+    its own :func:`~.losses.physics_constants` at those rows.  Validation loss is
     always the plain data MSE; a member's best epoch is its first minimum,
     its rate follows its own plateau, and it stops once
     ``early_stop_patience`` epochs pass without a new best.  It then leaves
@@ -289,19 +307,17 @@ def train_stack(members) -> list[TrainedModel]:
     batch_size = config.batch_size or DEFAULT_BATCH_SIZES[first.spec.arch]
     stack = _Stack(runs)
     for epoch in range(config.max_epochs):
-        orders = np.stack(
-            [np.random.default_rng(int(m.epoch_seeds[epoch])).permutation(n) for m in stack.members]
-        )
+        stack.shuffle(epoch)
         for start in range(0, n, batch_size):
-            rows = orders[:, start : start + batch_size]
-            yb = stack.targets[stack.axis, rows]
-            out, cache = forward(stack.params, stack.inputs[stack.axis, rows])
+            batch = slice(start, start + batch_size)
+            yb = stack.epoch_targets[:, batch]
+            out, cache = forward(stack.params, stack.epoch_inputs[:, batch])
             totals = mse(out, yb).tolist()
             d_out = dmse_dpred(out, yb)
             for k, member in enumerate(stack.members):
                 # a non-finite prediction would poison the clamped physics terms
                 if member.term is not None and math.isfinite(totals[k]):
-                    phys, d_phys, n_clamped = member.term(out[k], tuple(a[rows[k]] for a in member.consts))
+                    phys, d_phys, n_clamped = member.term(out[k], tuple(a[batch] for a in member.epoch_consts))
                     member.clamp_events += n_clamped
                     lam = member.spec.lam
                     totals[k] = lam * totals[k] + (1.0 - lam) * phys
@@ -309,7 +325,7 @@ def train_stack(members) -> list[TrainedModel]:
             if not all(map(math.isfinite, totals)):
                 finite = np.isfinite(totals)
                 stack.diverge(finite, epoch)
-                orders, d_out = orders[finite], d_out[finite]
+                d_out = d_out[finite]
                 totals = [t for t, kept in zip(totals, finite) if kept]
                 cache = {key: [a[finite] for a in arrays] for key, arrays in cache.items()}
                 if not stack.members:
@@ -320,7 +336,6 @@ def train_stack(members) -> list[TrainedModel]:
             except ValueError:  # a non-finite gradient; adam_step updated nothing
                 finite = np.isfinite(stack.grad.flat).all(axis=1)
                 stack.diverge(finite, epoch)
-                orders = orders[finite]
                 totals = [t for t, kept in zip(totals, finite) if kept]
                 if not stack.members:
                     break
@@ -353,7 +368,8 @@ def predict(
     """Reconstruct one depth profile per scenario: a (P, n_points) array.
 
     ``sp`` queries the network at every station of ``grid`` (any grid is
-    legal), one forward per profile.  ``vts`` maps all scenarios in one
+    legal), one forward per block of about 8192 rows, each profile's
+    stations a slice of it.  ``vts`` maps all scenarios in one
     forward; its output stations are fixed to the training grid.  ``int``
     marches all profiles upstream together from the analytic weir depth, one
     forward per station, at the training ``dx`` (any length).
@@ -375,11 +391,15 @@ def predict(
         return forward(model.params, params)[0]
     depths = np.empty((len(table), grid.n_points))
     if model.spec.arch == "sp":
-        inputs = np.empty((grid.n_points, INPUT_WIDTHS["sp"]))
-        inputs[:, 0] = model.scaler.scale("x", grid.stations)
-        for k, row in enumerate(params):
-            inputs[:, 1:] = row
-            depths[k] = forward(model.params, inputs)[0][:, 0]
+        # a block of profiles is one forward; each profile is its own
+        # (n_points, 6) product, so batching across profiles keeps its bits
+        block = max(1, _SP_BLOCK_ROWS // grid.n_points)
+        inputs = np.empty((min(block, len(table)), grid.n_points, INPUT_WIDTHS["sp"]))
+        inputs[..., 0] = model.scaler.scale("x", grid.stations)
+        for start in range(0, len(table), block):
+            rows = params[start : start + block]
+            inputs[: len(rows), :, 1:] = rows[:, None, :]
+            depths[start : start + len(rows)] = forward(model.params, inputs[: len(rows)])[0][..., 0]
         return depths
 
     if grid.dx != model.grid.dx:

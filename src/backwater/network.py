@@ -12,7 +12,9 @@ S networks with equal layer sizes is one ``(S, P)`` buffer, and
 :func:`adam_step` treat each member as if it were alone.  Stacked products are
 ``np.matmul`` over ``(S, rows, fan_in) x (S, fan_in, fan_out)``, which BLAS
 computes slice by slice, so every member's values are bitwise those of its
-own 2-D call (``einsum`` would not be).
+own 2-D call (``einsum`` would not be).  For the same reason one network's
+:func:`forward` takes inputs with any leading axes, such as a block of
+profiles, each (rows, fan_in) slice bitwise its own call.
 """
 
 from __future__ import annotations
@@ -111,12 +113,13 @@ def forward(params: NetworkParams, inputs: np.ndarray):
 
     Args:
         params: the network, or a stack of S networks.
-        inputs: (batch, layer_sizes[0]) array, or (S, batch, layer_sizes[0])
-            for a stack: member s reads ``inputs[s]``.
+        inputs: (..., batch, layer_sizes[0]) for one network, which treats
+            each (batch, layer_sizes[0]) slice as its own call; or
+            (S, batch, layer_sizes[0]) for a stack: member s reads ``inputs[s]``.
 
     Returns:
-        (outputs, cache): outputs is (batch, layer_sizes[-1]), with the
-        stack's leading axis when it has one; the cache keeps the inputs and
+        (outputs, cache): outputs is (..., batch, layer_sizes[-1]), with the
+        inputs' leading axes; the cache keeps the inputs and
         every layer's activations for :func:`backward`.  A ReLU passes its
         gradient where its output is positive, which is where its
         pre-activation is, so the pre-activations are not kept: each layer
@@ -124,10 +127,10 @@ def forward(params: NetworkParams, inputs: np.ndarray):
     """
     a = np.asarray(inputs, dtype=float)
     members = params.flat.shape[:-1]
-    if a.shape[:-2] != members or a.ndim != len(members) + 2 or a.shape[-1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"expected inputs of shape {(*members, 'batch', params.layer_sizes[0])}, got {a.shape}"
-        )
+    leading = members or a.shape[:-2]  # a single network takes any leading axes
+    if a.ndim < 2 or a.shape[:-2] != leading or a.shape[-1] != params.layer_sizes[0]:
+        expected = (*(members or ("...",)), "batch", params.layer_sizes[0])
+        raise ValueError(f"expected inputs of shape {expected}, got {a.shape}")
     activations = [a]
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):

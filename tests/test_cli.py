@@ -306,10 +306,10 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
     for broken, expected in (
         ({k: v for k, v in stored.items() if k != "seed"}, "lacks 'seed'"),
         (dict(stored, extra=1), "unexpected 'extra'"),
-        (dict(stored, fraction="0.5"), "'fraction' must be float, not '0.5'"),
-        (dict(stored, width=8.0), "'width' must be int, not 8.0"),
-        (dict(stored, seed=True), "'seed' must be int, not True"),
-        (dict(stored, config=[]), "'config' must be dict"),
+        (dict(stored, fraction="0.5"), "'fraction' must be a number, not '0.5'"),
+        (dict(stored, width=8.0), "'width' must be an integer, not 8.0"),
+        (dict(stored, seed=True), "'seed' must be an integer, not True"),
+        (dict(stored, config=[]), "'config' must be an object, not []"),
     ):
         run_manifest.write_text(json.dumps(broken))
         capsys.readouterr()
@@ -358,7 +358,7 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         (report, metrics_path, "", "unexpected metrics header in"),
         (extrapolate, corpus_manifest, json.dumps(manifest)[:100], "corpus.manifest.json is not valid JSON"),
         (extrapolate, corpus_manifest, json.dumps({**manifest, "ranges": bool_bound}),
-         "'n' must be tuple[float, float, int], not [0.015, True, 2]"),
+         "'n' must be a list [number, number, integer], not [0.015, True, 2]"),
         # an extrapolation corpus keeps only 'base_ranges', so no new set can be drawn from it
         *((argv, corpus_manifest, json.dumps({k: v for k, v in manifest.items() if k != "ranges"}),
            "'ranges' must be a JSON object") for argv in (extrapolate, sweep)),
@@ -415,6 +415,18 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         err = capsys.readouterr().err
         assert f"checkpoint network has layer sizes {expected}" in err
         assert "needs [6, " in err
+    # a long malformed value is shown by its first few items: 91 string biases of a width-30 net
+    wide = init([6, 30, 30, 30, 1], 0).to_dict()
+    wide["biases"] = [[str(v + 0.1234567890123) for v in b] for b in wide["biases"]]
+    checkpoint.write_text(json.dumps(dict(stored, network=wide)))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--model", str(checkpoint), "--dataset", str(dataset_csv),
+              "--out", str(tmp_path / "m.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "network 'biases' must be a list of lists of numbers, not [['0.1234567890123'," in err
+    assert len(err) < 800, err
     checkpoint.write_text(json.dumps(stored))
 
     # a grid value that is not a number
@@ -468,13 +480,17 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
          "'n'"),
         # a bool count, and integers beyond float range
         ("gen-data", dict(TINY_CONFIG, ranges=dict(TINY_CONFIG["ranges"], zd=[1.5, 3.0, True])),
-         "'zd' must be tuple[float, float, int], not [1.5, 3.0, True]"),
+         "'zd' must be a list [number, number, integer], not [1.5, 3.0, True]"),
         ("gen-data", dict(TINY_CONFIG, ranges=dict(TINY_CONFIG["ranges"], Q=[30.0, 10**400, 2])),
-         "'Q' must be tuple[float, float, int]"),
-        ("gen-data", dict(TINY_CONFIG, grid={"dx": 10.0, "length": 10**400}), "grid 'length' must be float"),
+         "'Q' must be a list [number, number, integer]"),
+        ("gen-data", dict(TINY_CONFIG, grid={"dx": 10.0, "length": 10**400}), "grid 'length' must be a number"),
         # a grid of more stations than a float counts
         ("gen-data", dict(TINY_CONFIG, grid={"dx": 1e-300, "length": 1e300}), "length / dx"),
         ("sweep-size", dict(plan, fractions=["0.5"]), "'fractions'"),
+        # type errors name JSON types
+        ("sweep-size", dict(plan, cells={"arch": "sp"}), "'cells' must be a list of objects, not {'arch': 'sp'}"),
+        ("sweep-size", dict(plan, train=[1]), "'train' must be an object, not [1]"),
+        ("sweep-size", dict(plan, dataset=7), "'dataset' must be a string or null, not 7"),
         ("sweep-size", dict(plan, cells=[{"arch": "sp", "strategy": "en", "lam": "0.5"}]), "'lam'"),
         # a floor rate that is not finite or lies outside [0, initial_lr]
         *(("sweep-size", dict(plan, train={"min_lr": v}), "min_lr")
@@ -482,6 +498,14 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         # a mistyped or unknown key, named with its file
         ("sweep-size", dict(plan, fraction=[0.5]), "cfg.json has unexpected 'fraction'"),
         ("gen-data", dict(TINY_CONFIG, seed=5), "cfg.json has unexpected 'seed'"),
+        # plan keys a command does not read
+        ("train --arch sp", {"dataset": str(dataset_csv), "fractions": [0.5], "seeds": [4]},
+         "cfg.json sets 'fractions', 'seeds', which train does not read"),
+        *(("train --arch sp", {"dataset": str(dataset_csv), key: value}, f"cfg.json sets {key!r}, which train does not read")
+          for key, value in (("cells", [{"arch": "sp"}]), ("widths", [4]), ("extrapolation", True))),
+        ("lambda-search --arch sp --strategy en", plan, "cfg.json sets 'cells', which lambda-search does not read"),
+        ("lambda-search --arch sp --strategy en", {"dataset": str(dataset_csv), "seeds": [0], "fractions": [0.5]},
+         "cfg.json sets 'fractions', which lambda-search does not read"),
         # sweep-width has no --width: each of its widths replaces the cells' own
         ("sweep-width --width 8", plan, "unrecognized arguments: --width 8"),
     )

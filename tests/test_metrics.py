@@ -184,6 +184,52 @@ def test_evaluate_set_ids_and_regimes(tiny_ds):
     assert all(r.regime == p.regime for r, p in zip(out.records, tiny_ds.profiles))
 
 
+def per_profile_scores(pred, true, z_d):
+    """(NMAE, NNSE) of one profile, one 1-D reduction at a time; NNSE is None when undefined."""
+    score_nmae = float(np.sum(np.abs(true - pred)) / (true.size * z_d))
+    denom = float(np.sum((true - true.mean()) ** 2))
+    if denom == 0.0:
+        return score_nmae, None
+    return score_nmae, 1.0 / (2.0 - (1.0 - float(np.sum((true - pred) ** 2)) / denom))
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_evaluate_set_rows_equal_per_profile_scores_bitwise(tiny_ds):
+    from backwater.solver import WaterProfile
+
+    first = tiny_ds.profiles[0]
+    flat = WaterProfile(first.scenario, first.grid, np.full(tiny_ds.grid.n_points, 2.0))
+    profiles = [flat] + list(tiny_ds.profiles)
+    rng = np.random.default_rng(11)
+    pred = np.array([p.depths + rng.normal(0.0, 0.2, p.depths.size) for p in profiles])
+    pred[3, 5] = np.nan
+    out = evaluate_set(pred, profiles, split="test")  # RuntimeWarnings are errors here
+    expected = []
+    for row, prof in zip(pred, profiles):
+        score_nmae, score_nnse = per_profile_scores(row, prof.depths, prof.scenario.z_d)
+        assert bits(nmae(row, prof.depths, prof.scenario.z_d)) == bits(score_nmae)
+        if score_nnse is not None:
+            expected.append((score_nmae, score_nnse))
+            assert bits(nnse(row, prof.depths)) == bits(score_nnse)
+    assert out.excluded == 1
+    got = np.array([(r.nmae, r.nnse) for r in out.records])
+    assert np.isnan(got[2]).all() and np.isfinite(np.delete(got, 2, axis=0)).all()
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_per_station_mae_equals_the_sequential_row_sum_bitwise(tiny_ds):
+    rng = np.random.default_rng(12)
+    pred = oracle(tiny_ds) + rng.normal(0.0, 0.3, (len(tiny_ds.profiles), tiny_ds.grid.n_points))
+    errors = np.zeros(tiny_ds.grid.n_points)
+    for row, prof in zip(pred, tiny_ds.profiles):
+        errors += np.abs(row - prof.depths)
+    expected = errors / len(tiny_ds.profiles)
+    assert per_station_mae(pred, tiny_ds.profiles).tobytes() == expected.tobytes()
+
+
 def test_per_station_mae_curve(tiny_ds):
     ramp = np.linspace(0.0, 0.5, tiny_ds.grid.n_points)
     curve = per_station_mae(oracle(tiny_ds) + ramp, tiny_ds.profiles)

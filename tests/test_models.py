@@ -212,8 +212,8 @@ def test_predict_input_rows_equal_view_rows_bitwise(small_ds, arch, monkeypatch)
 
     monkeypatch.setattr(models, "forward", spy)
     predict(zero_net_model(small_ds, arch, 1.0), [small_ds.profiles[i].scenario for i in idx])
-    if arch == "sp":  # one forward per profile, profile-major like the view
-        expected, got = view.inputs, np.vstack(seen)
+    if arch == "sp":  # blocks of profiles, each profile-major like the view
+        expected, got = view.inputs, np.vstack([block.reshape(-1, block.shape[-1]) for block in seen])
     elif arch == "int":  # depth 0 is the weir depth: the first step is each profile's first pair
         expected, got = view.inputs[:: small_ds.grid.n_points - 1], seen[0]
     else:
@@ -221,6 +221,24 @@ def test_predict_input_rows_equal_view_rows_bitwise(small_ds, arch, monkeypatch)
         expected = view.inputs
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def test_predict_sp_blocks_equal_per_profile_calls_bitwise(small_ds, sp_model, monkeypatch):
+    # 3 profiles of 31 stations per block: 11 profiles make blocks of 3, 3, 3 and 2
+    monkeypatch.setattr(models, "_SP_BLOCK_ROWS", 3 * small_ds.grid.n_points + 5)
+    calls = []
+
+    def spy(params, inputs):
+        calls.append(inputs.shape)
+        return forward(params, inputs)
+
+    scens = [p.scenario for p in small_ds.profiles[:11]]
+    monkeypatch.setattr(models, "forward", spy)
+    batched = predict(sp_model, scens)
+    assert [shape[0] for shape in calls] == [3, 3, 3, 2]
+    monkeypatch.undo()
+    for scen, profile in zip(scens, batched):
+        assert profile.tobytes() == reference_profile(sp_model, scen).tobytes()
 
 
 def test_reconstruct_sp_accepts_off_grid_stations(small_ds, sp_model):
@@ -718,12 +736,12 @@ def test_load_model_names_the_bad_field(tmp_path, sp_model):
         ({**good, "scaler": {"mean": {}}}, "malformed checkpoint field 'scaler'"),
         ({**good, "grid": {"dx": 10.0, "length": 305.0}}, "malformed checkpoint field 'grid'"),
         ({**good, "history": {}}, "'history' is missing or not a JSON list"),
-        ({**good, "spec": {**good["spec"], "lam": True}}, "'spec': spec 'lam' must be float, not True"),
-        ({**good, "grid": {"dx": 10.0, "length": 10**400}}, "'grid': grid 'length' must be float"),
-        ({**good, "scaler": {**good["scaler"], "std": {"x": "1"}}}, r"'std' must be dict\[str, float\]"),
-        ({**good, "network": string_biases}, r"network 'biases' must be list\[list\[float\]\]"),
+        ({**good, "spec": {**good["spec"], "lam": True}}, "'spec': spec 'lam' must be a number, not True"),
+        ({**good, "grid": {"dx": 10.0, "length": 10**400}}, "'grid': grid 'length' must be a number"),
+        ({**good, "scaler": {**good["scaler"], "std": {"x": "1"}}}, "'std' must be an object of numbers, not {'x': '1'}"),
+        ({**good, "network": string_biases}, "network 'biases' must be a list of lists of numbers"),
         ({**good, "spec": {**good["spec"], "width": 8}, "network": float_sizes},
-         r"network 'layer_sizes' must be list\[int\], not \[6.9, 8, 8, 8, True\]"),
+         r"network 'layer_sizes' must be a list of integers, not \[6.9, 8, 8, 8, True\]"),
         ({**good, "scaler": {"mean": {"x": 1.0}, "std": {"x": 1.0}}}, "scaler 'mean' lacks feature 'h'"),
         (json.dumps(good)[:100], "model.json is not valid JSON"),  # a truncated file
     )

@@ -117,6 +117,21 @@ def test_forward_rejects_wrong_width():
     params = init([6, 4, 1], seed=0)
     with pytest.raises(ValueError):
         forward(params, np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="expected inputs"):
+        forward(params, np.zeros(6))
+
+
+@pytest.mark.parametrize("shape", [(5, 101), (2, 3, 7), (1, 1)])
+def test_forward_over_leading_axes_equals_each_slice_bitwise(shape):
+    # one network over (..., rows, fan_in) runs each (rows, fan_in) slice as its own call
+    params = init([6, 16, 16, 16, 1], seed=4)
+    params.biases[-1][...] = 0.25
+    x = np.random.default_rng(8).normal(size=(*shape, 6))
+    out, cache = forward(params, x)
+    assert out.shape == (*shape, 1)
+    assert cache["activations"][0] is x
+    for index in np.ndindex(*shape[:-1]):
+        assert out[index].tobytes() == forward(params, x[index])[0].tobytes()
 
 
 # ---------------------------------------------------------------- #
