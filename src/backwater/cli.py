@@ -21,7 +21,10 @@ Most experiment commands also accept ``--config plan.json``::
     }
 
 Each setting comes from its flag if one is given, else from the config
-file, else from its default.  ``gen-data --config`` instead wants
+file, else from its default.  ``train`` reads only ``dataset`` and
+``train`` from it, ``lambda-search`` also ``seeds``, ``sweep-size`` every
+key but ``widths``, and ``sweep-width`` every key but ``fractions``; a key
+the command does not read is a usage error.  ``gen-data --config`` instead wants
 ``{"ranges": {"s": [lo, hi, count], ...}, "grid": {"dx": .., "length": ..}}``.
 
 Every JSON file the program reads follows one rule: an integer is a float,
@@ -44,6 +47,7 @@ from .data import (
     ParameterRanges,
     _checked_keys,
     _read_json,
+    _write_csv,
     desk_ranges,
     full_ranges,
     generate,
@@ -143,12 +147,12 @@ def plan_config(args, reads: tuple[str, ...] | None = None) -> PlanConfig:
     ``train``; ``--width`` sets the width of cells that name none.
 
     ``reads`` names the keys the command uses (default: all of them); a
-    config file that sets another is a ``ValueError`` naming it.
+    config file that sets another plan key is a ``ValueError`` naming it.
     """
     given = {k: v for k, v in vars(args).items() if v is not None}
     path = given.get("config")
     d = _read_json(path) if path else {}
-    unread = sorted(set(d) - set(reads)) if reads is not None else []
+    unread = sorted(set(d) & {f.name for f in fields(PlanConfig)} - set(reads or d))
     if unread:
         raise ValueError(
             f"config {path} sets {', '.join(map(repr, unread))}, which {args.command} does not read"
@@ -232,12 +236,12 @@ def _run_sweep(args, cfg: PlanConfig, cells, fractions=(1.0,)) -> None:
 
 
 def cmd_sweep_size(args) -> None:
-    cfg = plan_config(args)
+    cfg = plan_config(args, reads=("dataset", "cells", "seeds", "fractions", "extrapolation", "train"))
     _run_sweep(args, cfg, cfg.cells, cfg.fractions)
 
 
 def cmd_sweep_width(args) -> None:
-    cfg = plan_config(args)
+    cfg = plan_config(args, reads=("dataset", "cells", "seeds", "widths", "extrapolation", "train"))
     _run_sweep(args, cfg, tuple(replace(c, width=w) for c in cfg.cells for w in cfg.widths))
 
 
@@ -256,10 +260,8 @@ def cmd_lambda_search(args) -> None:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "lambda_table.csv", "w", newline="") as fh:
-        fh.write("lambda,seed_mean_val_nmae,seed_mean_test_nmae\n")
-        for row in table:
-            fh.write(f"{row['lam']!r},{row['seed_mean_val_nmae']!r},{row['seed_mean_test_nmae']!r}\n")
+    rows = ([row["lam"], row["seed_mean_val_nmae"], row["seed_mean_test_nmae"]] for row in table)
+    _write_csv(out / "lambda_table.csv", ("lambda", "seed_mean_val_nmae", "seed_mean_test_nmae"), rows)
     (out / "best.json").write_text(json.dumps({"lam": best}))
     print(json.dumps({"best_lambda": best, "candidates": len(table)}))
 

@@ -11,7 +11,8 @@ and standardized in one, :meth:`Scaler.scale_table`.  A network input row is
 those five columns after the scaled station ``x`` (sp) or depth ``h`` (int),
 or alone (vts); :func:`~.models.predict` forms its rows the same way.
 Every JSON file the program reads goes through :func:`_read_json`, and each
-value read against a type hint through :func:`_fits`.
+value read against a type hint through :func:`_fits`; every CSV table it
+keeps is written by :func:`_write_csv` and read by :func:`_read_csv`.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ DESK_GRID = GridSpec(dx=10.0, length=1000.0)
 
 
 # ---------------------------------------------------------------------- #
-#  JSON inputs
+#  JSON and CSV files
 # ---------------------------------------------------------------------- #
 
 
@@ -74,6 +75,36 @@ def _read_json(path) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{path} is not a JSON object")
     return value
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a table's header and rows, a string as it is and any other value
+    as its ``repr`` (a float's shortest round-trip decimal)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else repr(v) for v in row] for row in rows)
+
+
+def _read_csv(path, header, what: str, convert) -> list:
+    """``convert`` of each row of a table with this ``header``; a ``ValueError`` names
+    the file and a row's 0-based index: ``<what> <path> row <k>: <problem>``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])
+        if found != list(header):
+            pairs = enumerate(itertools.zip_longest(found, header))
+            k, (got, want) = next((k, pair) for k, pair in pairs if pair[0] != pair[1])
+            raise ValueError(f"{what} {path} header column {k} is {got!r}, not {want!r}")
+        rows = []
+        for k, row in enumerate(reader):
+            try:
+                if len(row) != len(found):
+                    raise ValueError(f"{len(row)} fields, not {len(found)}")
+                rows.append(convert(row))
+            except ValueError as exc:
+                raise ValueError(f"{what} {path} row {k}: {exc}") from exc
+    return rows
 
 
 def _fits(value, hint) -> bool:
@@ -475,22 +506,17 @@ def _manifest_path(path) -> Path:
     return Path(path).with_suffix(".manifest.json")
 
 
-def save(ds: ProfileDataset, path) -> None:
-    """Write the corpus as a CSV of profiles plus a JSON manifest.
+def _dataset_header(grid: GridSpec) -> list[str]:
+    return [*PARAM_NAMES, *(f"h{i}" for i in range(grid.n_points))]
 
-    CSV header is `s,b,n,zd,Q,h0..h{N-1}`; values are shortest round-trip
-    float representations, so loading is bit-exact.  The manifest records
-    generation settings, splits, regimes, and the CSV checksum.
-    """
+
+def save(ds: ProfileDataset, path) -> None:
+    """Write the corpus as a CSV of profiles, `s,b,n,zd,Q,h0..h{N-1}`, plus a
+    JSON manifest of generation settings, splits, regimes, and the CSV checksum."""
     path = Path(path)
-    n_pts = ds.grid.n_points
-    header = list(PARAM_NAMES) + [f"h{i}" for i in range(n_pts)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        table = scenario_table([p.scenario for p in ds.profiles]).tolist()
-        for params, profile in zip(table, ds.profiles):
-            writer.writerow([repr(v) for v in params + profile.depths.tolist()])
+    table = scenario_table([p.scenario for p in ds.profiles]).tolist()
+    rows = (params + profile.depths.tolist() for params, profile in zip(table, ds.profiles))
+    _write_csv(path, _dataset_header(ds.grid), rows)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
 
     manifest = dict(ds.manifest)
@@ -522,27 +548,24 @@ def _check_manifest_row(k: int, tag, regime, jump, n_pts: int) -> None:
         )
 
 
-def _csv_profile(k: int, row: list[str], grid: GridSpec, regime: str, jump) -> WaterProfile:
-    """CSV row k as a profile; a ``ValueError`` names the row and, for a depth, its column."""
-    try:
-        if len(row) != 5 + grid.n_points:
-            raise ValueError(f"{len(row)} fields, not 5 parameters and {grid.n_points} depths")
-        depths = np.array([float(v) for v in row[5:]])
-        bad = np.flatnonzero(~(np.isfinite(depths) & (depths > 0.0)))
-        if bad.size:
-            raise ValueError(f"depth 'h{bad[0]}' = {depths[bad[0]]!r} is not positive and finite")
-        return WaterProfile(ChannelScenario(*(float(v) for v in row[:5])), grid, depths, regime, jump)
-    except ValueError as exc:
-        raise ValueError(f"dataset CSV row {k}: {exc}") from exc
+def _csv_profile(row: list[str]) -> tuple[ChannelScenario, np.ndarray]:
+    """A dataset CSV row as its scenario and depths; a ``ValueError`` names a bad depth's column."""
+    values = [float(v) for v in row]
+    depths = np.array(values[5:])
+    bad = np.flatnonzero(~(np.isfinite(depths) & (depths > 0.0)))
+    if bad.size:
+        raise ValueError(f"depth 'h{bad[0]}' = {depths[bad[0]]!r} is not positive and finite")
+    return ChannelScenario(*values[:5]), depths
 
 
 def load(path) -> ProfileDataset:
     """Load a corpus saved by :func:`save`, verifying version and checksum.
 
-    A missing manifest key, a per-profile manifest list whose length is not
-    the CSV's row count, a split tag outside :data:`SPLIT_NAMES`, an unknown
-    regime, a jump index that does not fit its regime, or a non-finite or
-    non-positive value raises a ``ValueError`` that names the key and row.
+    A missing manifest key, a CSV header other than the manifest grid's, a
+    per-profile manifest list whose length is not the CSV's row count, a
+    split tag outside :data:`SPLIT_NAMES`, an unknown regime, a jump index
+    that does not fit its regime, or a non-finite or non-positive value
+    raises a ``ValueError`` that names the key and row.
     """
     path = Path(path)
     manifest = _read_json(_manifest_path(path))
@@ -552,29 +575,21 @@ def load(path) -> ProfileDataset:
     missing = [k for k in ("csv_sha256", "dx", "length", *per_profile) if k not in manifest]
     if missing:
         raise ValueError(f"dataset manifest lacks {', '.join(map(repr, missing))}")
-    for key in per_profile:
-        if not _fits(manifest[key], list):
-            raise ValueError(f"dataset manifest {key!r} must be a list")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     if digest != manifest["csv_sha256"]:
         raise ValueError("dataset CSV checksum mismatch (truncated or edited file)")
 
     grid = GridSpec(dx=manifest["dx"], length=manifest["length"])
-    n_pts = grid.n_points
-    profiles = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:5] != list(PARAM_NAMES) or len(header) != 5 + n_pts:
-            raise ValueError("dataset CSV header does not match its manifest")
-        # the reader comes last so that zip stops without consuming an unpaired row
-        for k, (*tags, row) in enumerate(zip(*(manifest[key] for key in per_profile), reader)):
-            _check_manifest_row(k, *tags, n_pts)
-            profiles.append(_csv_profile(k, row, grid, *tags[1:]))
-        n_rows = len(profiles) + sum(1 for _ in reader)
+    rows = _read_csv(path, _dataset_header(grid), "dataset CSV", _csv_profile)
     for key in per_profile:
-        if len(manifest[key]) != n_rows:
-            raise ValueError(f"dataset manifest {key!r} needs one entry per CSV row ({n_rows})")
+        if not _fits(manifest[key], list):
+            raise ValueError(f"dataset manifest {key!r} must be a list")
+        if len(manifest[key]) != len(rows):
+            raise ValueError(f"dataset manifest {key!r} needs one entry per CSV row ({len(rows)})")
+    profiles = []
+    for k, ((scenario, depths), *tags) in enumerate(zip(rows, *(manifest[key] for key in per_profile))):
+        _check_manifest_row(k, *tags, grid.n_points)
+        profiles.append(WaterProfile(scenario, grid, depths, *tags[1:]))
     split = list(manifest["split"])
     # eval-only corpora (e.g. extrapolation sets) carry no train profiles;
     # their scaler is never consulted, so fit it on everything

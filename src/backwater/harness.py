@@ -17,7 +17,6 @@ cell, width, fraction and split.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -32,8 +31,10 @@ from .data import (
     ProfileDataset,
     _checked_keys,
     _fits,
+    _read_csv,
     _read_json,
     _sort_outcomes,
+    _write_csv,
     fit_scaler,
     subsample_training,
 )
@@ -406,13 +407,14 @@ def save_record(record: RunRecord, run_dir) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {key: getattr(record, key) for key in MANIFEST_KEYS}
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    with open(run_dir / "history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
-        for row in record.history:
-            writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["val_loss"]), repr(row["lr"])])
+    history = ([row[k] for k in HISTORY_HEADER] for row in record.history)
+    _write_csv(run_dir / "history.csv", HISTORY_HEADER, history)
     write_metrics_csv(record.records, run_dir / "metrics.csv")
     (run_dir / "summary.json").write_text(json.dumps(record.summaries, indent=2))
+
+
+def _history_row(row: list[str]) -> dict:
+    return dict(zip(HISTORY_HEADER, [int(row[0])] + [float(v) for v in row[1:]]))
 
 
 def load_record(run_dir) -> RunRecord:
@@ -426,23 +428,9 @@ def load_record(run_dir) -> RunRecord:
     run_dir = Path(run_dir)
     path = run_dir / "manifest.json"
     manifest = _checked_keys(_read_json(path), RunRecord, f"run manifest {path}")
-    history = []
-    path = run_dir / "history.csv"
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != HISTORY_HEADER:
-            raise ValueError(f"run history {path} has an unexpected header")
-        for k, row in enumerate(reader, start=1):
-            try:
-                if len(row) != len(HISTORY_HEADER):
-                    raise ValueError(f"{len(row)} fields, not {len(HISTORY_HEADER)}")
-                values = [int(row[0])] + [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"run history {path} row {k}: {exc}") from exc
-            history.append(dict(zip(HISTORY_HEADER, values)))
     return RunRecord(
         **manifest,
-        history=history,
+        history=_read_csv(run_dir / "history.csv", HISTORY_HEADER, "run history", _history_row),
         records=read_metrics_csv(run_dir / "metrics.csv"),
         summaries=_checked_summary(run_dir / "summary.json"),
     )
@@ -551,9 +539,5 @@ def aggregate(records: list[RunRecord]) -> list[dict]:
 
 def write_report(records: list[RunRecord], path) -> list[dict]:
     rows = aggregate(records)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for row in rows:  # rows are built in header order
-            writer.writerow(v if isinstance(v, str) else repr(v) for v in row.values())
+    _write_csv(path, REPORT_HEADER, (row.values() for row in rows))  # rows are built in header order
     return rows

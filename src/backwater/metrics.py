@@ -11,13 +11,13 @@ same routine.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .data import SPLIT_NAMES, _read_csv, _write_csv
 from .models import TrainedModel, predict
+from .solver import MIXED, SUBCRITICAL
 
 
 class UndefinedMetricError(ValueError):
@@ -221,25 +221,20 @@ METRICS_HEADER = ("profile_id", "split", "regime", "nmae", "nnse")
 
 
 def write_metrics_csv(records: list[ProfileMetrics], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for r in records:
-            writer.writerow([r.profile_id, r.split, r.regime, repr(r.nmae), repr(r.nnse)])
+    _write_csv(path, METRICS_HEADER, ((r.profile_id, r.split, r.regime, r.nmae, r.nnse) for r in records))
+
+
+def _metrics_row(row: list[str]) -> ProfileMetrics:
+    pid, split, regime, v_nmae, v_nnse = row
+    splits = (*SPLIT_NAMES, "extrapolation")
+    if split not in splits:
+        raise ValueError(f"split {split!r} is not one of {splits}")
+    if regime not in (SUBCRITICAL, MIXED):
+        raise ValueError(f"regime {regime!r} is not {SUBCRITICAL!r} or {MIXED!r}")
+    return ProfileMetrics(int(pid), split, regime, float(v_nmae), float(v_nnse))
 
 
 def read_metrics_csv(path) -> list[ProfileMetrics]:
-    """Read a file written by :func:`write_metrics_csv`; a ``ValueError`` names a bad row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header in {path}: {header}")
-        records = []
-        for k, row in enumerate(reader, start=1):
-            try:
-                pid, split, regime, v_nmae, v_nnse = row
-                records.append(ProfileMetrics(int(pid), split, regime, float(v_nmae), float(v_nnse)))
-            except ValueError as exc:
-                raise ValueError(f"metrics file {path} row {k}: {exc}") from exc
-        return records
+    """Read a file written by :func:`write_metrics_csv`; a ``ValueError`` names
+    a bad row, e.g. one whose split or regime is unknown."""
+    return _read_csv(path, METRICS_HEADER, "metrics file", _metrics_row)

@@ -336,6 +336,7 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
     n_epochs = len(history.splitlines()) - 1
     metrics_path = run_manifest.parent / "metrics.csv"
     metrics = metrics_path.read_text()
+    n_scores = len(metrics.splitlines()) - 1
     corpus_manifest = corpus.with_suffix(".manifest.json")
     corpus_manifest.write_text(json.dumps(manifest))
     bool_bound = {**manifest["ranges"], "n": [0.015, True, 2]}
@@ -352,10 +353,13 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         (report, summary_path, json.dumps([]), "summary.json is not a JSON object"),
         (report, summary_path, json.dumps(summary)[:100], "summary.json is not valid JSON"),
         (report, run_manifest, json.dumps(stored)[:100], "manifest.json is not valid JSON"),
-        (report, history_path, history + "7,0.5\n", f"history.csv row {n_epochs + 1}: 2 fields, not 4"),
-        (report, metrics_path, metrics + "3,test\n",
-         f"metrics.csv row {len(metrics.splitlines())}: not enough"),
-        (report, metrics_path, "", "unexpected metrics header in"),
+        (report, history_path, history + "7,0.5\n", f"history.csv row {n_epochs}: 2 fields, not 4"),
+        (report, metrics_path, metrics + "3,test\n", f"metrics.csv row {n_scores}: 2 fields, not 5"),
+        (report, metrics_path, metrics + "3,testing,mixed,0.1,0.9\n",
+         f"metrics.csv row {n_scores}: split 'testing' is not one of"),
+        (report, metrics_path, metrics + "3,test,banana,0.1,0.9\n",
+         f"metrics.csv row {n_scores}: regime 'banana' is not 'subcritical' or 'mixed'"),
+        (report, metrics_path, "", "metrics.csv header column 0 is None, not 'profile_id'"),
         (extrapolate, corpus_manifest, json.dumps(manifest)[:100], "corpus.manifest.json is not valid JSON"),
         (extrapolate, corpus_manifest, json.dumps({**manifest, "ranges": bool_bound}),
          "'n' must be a list [number, number, integer], not [0.015, True, 2]"),
@@ -506,6 +510,9 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         ("lambda-search --arch sp --strategy en", plan, "cfg.json sets 'cells', which lambda-search does not read"),
         ("lambda-search --arch sp --strategy en", {"dataset": str(dataset_csv), "seeds": [0], "fractions": [0.5]},
          "cfg.json sets 'fractions', which lambda-search does not read"),
+        # each sweep reads every plan key but the other sweep's axis
+        ("sweep-size", dict(plan, widths=[4]), "cfg.json sets 'widths', which sweep-size does not read"),
+        ("sweep-width", dict(plan, fractions=[0.05]), "cfg.json sets 'fractions', which sweep-width does not read"),
         # sweep-width has no --width: each of its widths replaces the cells' own
         ("sweep-width --width 8", plan, "unrecognized arguments: --width 8"),
     )
