@@ -8,16 +8,27 @@ sets, ``lambda-search`` picks the loss weight, and ``report`` aggregates
 run directories into one CSV.  Every run is one (cell, fraction, seed) and
 has one run directory, whichever command trained it.
 
-Most experiment commands also accept ``--config plan.json``::
+Most experiment commands also accept ``--config plan.json``.  A
+``sweep-size`` plan trains its cells at each training fraction::
 
     {
       "dataset": "data/desk.csv",
       "cells": [{"arch": "sp", "strategy": "en", "lam": 0.7, "width": 16}],
       "seeds": [0, 1, 2],
       "fractions": [1.0, 0.5, 0.25, 0.1, 0.05],
-      "widths": [4, 8, 16, 30, 64],
       "extrapolation": false,
       "train": {"max_epochs": 1000, "batch_size": null, "initial_lr": 0.001}
+    }
+
+and a ``sweep-width`` plan trains them at each width, in place of their own::
+
+    {
+      "dataset": "data/desk.csv",
+      "cells": [{"arch": "vts", "strategy": "fr", "lam": 0.5}],
+      "seeds": [0, 1, 2],
+      "widths": [4, 8, 16, 30, 64],
+      "extrapolation": true,
+      "train": {"max_epochs": 1000, "batch_size": 32}
     }
 
 Each setting comes from its flag if one is given, else from the config

@@ -2,18 +2,23 @@
 
 Each term compares predicted depths with targets through a hydraulic
 quantity (specific energy, Froude number, water volume, boundary depth) or
-penalizes the discrete energy-equation residual, and returns the scalar
-loss, its analytic gradient with respect to the predicted depths and how
-many predictions it clamped.
+penalizes the discrete energy-equation residual, and returns the loss, its
+analytic gradient with respect to the predicted depths and how many
+predictions it clamped.
 
-Every term is an unvalidated kernel ``loss_X(pred, consts)`` on the
-per-sample constants that :func:`physics_constants` builds, checks and
-returns once per training view: the targets' energy, Froude number, volume
-or dam depth, the depth floor and the sub-expressions of the hydraulic
-formulas that do not involve the prediction.  A minibatch passes those
-arrays gathered at its rows.  :data:`PHYSICS_TERMS` maps each strategy tag
-to its kernel; the energy, Froude and residual kernels evaluate depths
-clamped to the floor, and the volume and boundary kernels clamp nothing.
+Every term is an unvalidated kernel ``loss_X(pred, consts)`` on a stack of
+k members: ``pred`` is (k, rows, outputs) and each constant is the
+per-sample array that :func:`physics_constants` builds, checks and returns
+once per training view, gathered at each member's minibatch rows into a
+(k, rows, ·) array.  The constants are the targets' energy, Froude number,
+volume or dam depth, the depth floor and the sub-expressions of the
+hydraulic formulas that do not involve the prediction.  A kernel returns
+per-member values (k,), the (k, rows, outputs) gradient and per-member
+clamp counts (k,); each member's slice is bitwise what a stack of one
+gives for it, since every mean is :func:`~.network.member_means`.
+:data:`PHYSICS_TERMS` maps each strategy tag to its kernel; the energy,
+Froude and residual kernels evaluate depths clamped to the floor, and the
+volume and boundary kernels clamp nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .hydraulics import (
     froude,
     specific_energy,
 )
+from .network import member_means
 
 #: Depths below this floor are clamped before evaluating E, Fr, or J, so a
 #: half-trained network emitting non-positive outputs cannot abort a run.
@@ -53,17 +59,23 @@ CRITICAL_FRACTION = 0.25
 VTS_ONLY_STRATEGIES = ("vol", "bc", "pde")
 
 
-def clamp_depths(pred: np.ndarray, floor=MIN_DEPTH) -> tuple[np.ndarray, int]:
-    """Clamp depths below the floor, returning the count of clamped entries.
+def clamp_depths(pred: np.ndarray, floor=MIN_DEPTH) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Clamp a stack's depths below the floor: the depths, the clamped mask
+    (None when nothing is clamped) and the clamp count of each member (the
+    slices along the first axis).
 
     The floor may be a scalar or an array broadcastable against ``pred``
     (see :func:`depth_floor` for the per-sample physical floor).
     """
-    pred = np.asarray(pred, dtype=float)
-    mask = pred < floor
-    if not mask.any():
-        return pred, 0
-    return np.where(mask, floor, pred), int(mask.sum())
+    low = pred < floor
+    if not low.any():
+        return pred, None, np.zeros(len(pred), dtype=int)
+    return np.where(low, floor, pred), low, np.add.reduce(low.reshape(len(low), -1), axis=1)
+
+
+def _zero_where(low: np.ndarray | None, grad: np.ndarray) -> np.ndarray:
+    """The gradient with the clamped entries zeroed: the clamped loss is flat there."""
+    return grad if low is None else np.where(low, 0.0, grad)
 
 
 def depth_floor(Q, b) -> np.ndarray:
@@ -114,7 +126,7 @@ def physics_constants(strategy: str, aux: dict, targets: np.ndarray) -> tuple:
 
 
 def loss_en(pred, consts):
-    """Mean squared mismatch of specific energy, d/d_pred, and the clamp count.
+    """Mean squared mismatch of specific energy, d/d_pred, and the clamp counts.
 
     ``consts`` is ``physics_constants("en", ...)`` at the batch's rows.  The
     gradient chains through dE/dh = 1 − Q²/(g b² h³) at the clamped
@@ -122,24 +134,22 @@ def loss_en(pred, consts):
     clamped loss is constant.
     """
     floor, e_true, qq, g2bb, gbb = consts
-    h_eff, n_clamped = clamp_depths(pred, floor)
+    h_eff, low, counts = clamp_depths(pred, floor)
     diff = e_true - _energy(h_eff, qq, g2bb)
-    value = float(np.mean(diff * diff))
-    grad = np.where(pred < floor, 0.0, -2.0 * diff * _denergy(h_eff, qq, gbb) / pred.size)
-    return value, grad, n_clamped
+    grad = _zero_where(low, -2.0 * diff * _denergy(h_eff, qq, gbb) / _member_size(pred))
+    return member_means(diff * diff), grad, counts
 
 
 def loss_fr(pred, consts):
-    """Mean squared mismatch of the Froude number, d/d_pred, and the clamp count.
+    """Mean squared mismatch of the Froude number, d/d_pred, and the clamp counts.
 
     ``consts`` is ``physics_constants("fr", ...)`` at the batch's rows.
     """
     floor, fr_true, q, b, m15q, bsg = consts
-    h_eff, n_clamped = clamp_depths(pred, floor)
+    h_eff, low, counts = clamp_depths(pred, floor)
     diff = fr_true - _froude(h_eff, q, b)
-    value = float(np.mean(diff * diff))
-    grad = np.where(pred < floor, 0.0, -2.0 * diff * _dfroude(h_eff, m15q, bsg) / pred.size)
-    return value, grad, n_clamped
+    grad = _zero_where(low, -2.0 * diff * _dfroude(h_eff, m15q, bsg) / _member_size(pred))
+    return member_means(diff * diff), grad, counts
 
 
 def loss_vol(pred, consts):
@@ -150,9 +160,9 @@ def loss_vol(pred, consts):
     the profile's volume difference; nothing is clamped.
     """
     (volume,) = consts
-    diff = volume - np.sum(pred, axis=1)
-    grad = np.repeat(-np.sign(diff)[:, None], pred.shape[1], axis=1) / len(pred)
-    return float(np.mean(np.abs(diff))), grad, 0
+    diff = volume - np.add.reduce(pred, axis=2)
+    grad = np.repeat(-np.sign(diff)[..., None], pred.shape[2], axis=2) / pred.shape[1]
+    return member_means(np.abs(diff)), grad, np.zeros(len(pred), dtype=int)
 
 
 def loss_bc(pred, consts):
@@ -162,10 +172,10 @@ def loss_bc(pred, consts):
     targets' dam depths.  Nothing is clamped.
     """
     (dam,) = consts
-    gap = pred[:, 0] - dam
+    gap = pred[..., 0] - dam
     grad = np.zeros_like(pred)
-    grad[:, 0] = np.sign(gap) / len(pred)
-    return float(np.mean(np.abs(gap))), grad, 0
+    grad[..., 0] = np.sign(gap) / pred.shape[1]
+    return member_means(np.abs(gap)), grad, np.zeros(len(pred), dtype=int)
 
 
 def loss_pde(pred, consts):
@@ -175,26 +185,28 @@ def loss_pde(pred, consts):
         r_i = (E(ĥ_{i+1}) − E(ĥ_{i−1})) / (2Δx) + s − J(ĥ_i),
     which vanishes (to scheme order) on profiles of the marching solver,
     whose x axis points upstream.  The loss is the mean of r_i² over
-    interior stations and the batch; the clamp count comes back with it.
+    interior stations and the batch; the clamp counts come back with it.
     ``consts`` is ``physics_constants("pde", ...)`` at the batch's rows.
     """
     floor, qq, g2bb, gbb, nnqq, b, s, two_dx = consts
-    h_eff, n_clamped = clamp_depths(pred, floor)
+    h_eff, low, counts = clamp_depths(pred, floor)
     energy = _energy(h_eff, qq, g2bb)
     slope = _friction_slope(h_eff, b, nnqq)
-    r = (energy[:, 2:] - energy[:, :-2]) / two_dx + s - slope[:, 1:-1]
+    r = (energy[..., 2:] - energy[..., :-2]) / two_dx + s - slope[..., 1:-1]
 
-    batch, interior = r.shape
     de = _denergy(h_eff, qq, gbb)
     dj = _dfriction_slope(h_eff, b, slope)
     grad = np.zeros_like(pred)
-    value = float(np.mean(r * r))
-    w = 2.0 * r / (batch * interior)
-    grad[:, 2:] += w * de[:, 2:] / two_dx
-    grad[:, :-2] -= w * de[:, :-2] / two_dx
-    grad[:, 1:-1] -= w * dj[:, 1:-1]
-    grad[pred < floor] = 0.0
-    return value, grad, n_clamped
+    w = 2.0 * r / _member_size(r)
+    grad[..., 2:] += w * de[..., 2:] / two_dx
+    grad[..., :-2] -= w * de[..., :-2] / two_dx
+    grad[..., 1:-1] -= w * dj[..., 1:-1]
+    return member_means(r * r), _zero_where(low, grad), counts
+
+
+def _member_size(a: np.ndarray) -> int:
+    """Values per member of a stacked array."""
+    return math.prod(a.shape[1:])
 
 
 #: Each strategy's physics term: a kernel on its :func:`physics_constants`.

@@ -12,8 +12,10 @@ minibatch's rows.
 :func:`train_stack` is the only training loop: it fits S runs of one
 architecture and layer-size list as one stacked network, each member with
 its own data, seed, physics term, schedule and stopping, and leaves each
-member bitwise where training it alone would.  :func:`train` is its stack
-of one.
+member bitwise where training it alone would.  Its step has no loop over
+members: the stack's members are sorted into strategy groups, and each
+group's kernel runs once per step on the group's slice of the stack.
+:func:`train` is its stack of one.
 
 :func:`predict` reconstructs a batch of scenarios as one (P, n_points) depth
 array, with one branch per architecture; :func:`reconstruct` is its batch of one.
@@ -26,6 +28,7 @@ also uses.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -43,10 +46,10 @@ from .network import (
     TrainConfig,
     adam_step,
     backward,
-    dmse_dpred,
     forward,
     init,
     mse,
+    mse_grad,
 )
 from .solver import GridSpec, weir_and_normal_depths
 
@@ -158,22 +161,27 @@ class _Member:
         self.best_params = init(self.layer_sizes, config.seed)
         self.best_val, self.best_epoch = np.inf, 0
         self.history: list[dict] = []
-        self.losses: list = []  # the current epoch's minibatch objectives
         self.clamp_events, self.diverged, self.stopped_epoch = 0, False, None
 
-    def record(self, epoch: int, params: NetworkParams) -> float:
-        """Append the epoch's history row, scored on the validation view; returns its loss."""
+    @property
+    def group(self) -> str:
+        """The strategy group the member trains in; "" for none (no physics term)."""
+        return self.spec.strategy if self.term is not None else ""
+
+    def record(self, epoch: int, params: NetworkParams, losses: np.ndarray) -> float:
+        """Append the epoch's history row, its training loss the mean of the
+        epoch's minibatch objectives, scored on the validation view; returns
+        its validation loss."""
         val_loss = mse(forward(params, self.val_view.inputs)[0], self.val_view.targets)
         self.history.append(
-            {"epoch": epoch, "train_loss": float(np.mean(self.losses)), "val_loss": val_loss, "lr": self.lr}
+            {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_loss": val_loss, "lr": self.lr}
         )
-        self.losses = []
         return val_loss
 
-    def end_epoch(self, epoch: int, params: NetworkParams) -> bool:
+    def end_epoch(self, epoch: int, params: NetworkParams, losses: np.ndarray) -> bool:
         """Close an epoch the member finished with ``params``; True when it
         leaves the stack."""
-        val_loss = self.record(epoch, params)
+        val_loss = self.record(epoch, params, losses)
         if not math.isfinite(val_loss):
             self.diverged = True
             return True
@@ -202,62 +210,132 @@ class _Member:
         )
 
 
+class _Group:
+    """The stack's members of one strategy group: rows ``rows`` of its arrays.
+
+    ``consts`` holds the members' :func:`~.losses.physics_constants`, each
+    gathered in its member's epoch order into a (k, n, ·) buffer, and
+    ``step_consts[step]`` their views at that minibatch's rows, made once
+    per group; ``lam`` and ``rest`` are the members' weights on the data
+    and physics terms.
+    """
+
+    def __init__(self, start: int, members: list[_Member], consts: tuple, batches: list[slice]):
+        self.term = members[0].term
+        self.rows = slice(start, start + len(members))
+        self.consts = consts
+        self.step_consts = [tuple(c[:, batch] for c in consts) for batch in batches]
+        lam = np.array([m.spec.lam for m in members])
+        self.lam, self.rest = lam, 1.0 - lam
+        self.grad_lam, self.grad_rest = lam[:, None, None], self.rest[:, None, None]
+
+    def add_physics(self, out, step: int, totals, d_out, clamp_events) -> None:
+        """Mix the group's physics term at minibatch ``step`` into the
+        stack's data term and its gradient, in place: one kernel call."""
+        rows = self.rows
+        phys, d_phys, clamped = self.term(out[rows], self.step_consts[step])
+        clamp_events[rows] += clamped
+        totals[rows] = self.lam * totals[rows] + self.rest * phys
+        d_rows = d_out[rows]
+        d_rows *= self.grad_lam
+        d_rows += self.grad_rest * d_phys
+
+
 class _Stack:
     """The stacked arrays of the members still training, one row each.
 
+    Members are sorted into strategy groups, those without a physics term
+    first, so each :class:`_Group` is a contiguous slice of every array.
     ``views[k]`` is member k's network as a 2-D view of its row; validation
     runs member by member through it, so a stack holds one member's
     validation activations at a time, as a solo run does.  :meth:`shuffle`
-    gathers each epoch's training rows once, in every member's own order,
-    so a minibatch is a contiguous slice of them.
+    gathers each epoch's training rows and physics constants once, in every
+    member's own order, so a minibatch is a contiguous slice of them.
+    ``losses`` holds the epoch's minibatch objectives, one column per step
+    (its slice of rows in ``batches``), and ``clamp_events`` each member's
+    clamp count so far.
     """
 
-    def __init__(self, members: list[_Member]):
-        self.members = members
+    def __init__(self, members: list[_Member], batch_size: int):
+        self.members = sorted(members, key=lambda m: m.group)
         self._stacked(
-            NetworkParams(list(members[0].layer_sizes), np.stack([m.best_params.flat for m in members]))
+            NetworkParams(list(members[0].layer_sizes), np.stack([m.best_params.flat for m in self.members]))
         )
-        self.adam = AdamState(self.params, np.array([[m.lr] for m in members], dtype=float))
+        self.adam = AdamState(self.params, np.array([[m.lr] for m in self.members], dtype=float))
         # one gradient buffer for every step
         self.grad = NetworkParams(self.params.layer_sizes, np.empty_like(self.params.flat))
         view = members[0].train_view
+        self.batches = [slice(start, start + batch_size) for start in range(0, len(view), batch_size)]
         self.epoch_inputs = np.empty((len(members), *view.inputs.shape))
         self.epoch_targets = np.empty((len(members), *view.targets.shape))
+        self.losses = np.empty((len(members), len(self.batches)))
+        self.clamp_events = np.zeros(len(members), dtype=int)
+        self.groups = []
+        start = 0
+        for key, grouped in itertools.groupby(self.members, key=lambda m: m.group):
+            grouped = list(grouped)
+            if key:
+                consts = tuple(np.empty((len(grouped), *a.shape)) for a in grouped[0].consts)
+                self.groups.append(_Group(start, grouped, consts, self.batches))
+            start += len(grouped)
 
     def shuffle(self, epoch: int) -> None:
         """Gather the epoch's inputs, targets and physics constants, each
         member's rows in the permutation its epoch seed draws."""
+        orders = []
         for k, member in enumerate(self.members):
             view = member.train_view
             order = np.random.default_rng(int(member.epoch_seeds[epoch])).permutation(len(view))
             # mode="raise" would gather into a temporary first; a permutation needs no bounds check
             np.take(view.inputs, order, axis=0, out=self.epoch_inputs[k], mode="clip")
             np.take(view.targets, order, axis=0, out=self.epoch_targets[k], mode="clip")
-            if member.term is not None:
-                member.epoch_consts = tuple(a[order] for a in member.consts)
+            orders.append(order)
+        for group in self.groups:
+            for j, k in enumerate(range(group.rows.start, group.rows.stop)):
+                for const, buffer in zip(self.members[k].consts, group.consts):
+                    np.take(const, orders[k], axis=0, out=buffer[j], mode="clip")
 
     def _stacked(self, params: NetworkParams) -> None:
         self.params = params
         self.views = [NetworkParams(params.layer_sizes, row) for row in params.flat]
 
     def keep(self, mask: np.ndarray) -> None:
-        """Drop the members where ``mask`` is False."""
+        """Drop the members where ``mask`` is False, with their clamp counts."""
+        for k in np.flatnonzero(~mask):
+            self.members[k].clamp_events = int(self.clamp_events[k])
         self.members = [m for m, kept in zip(self.members, mask) if kept]
         self._stacked(NetworkParams(self.params.layer_sizes, self.params.flat[mask]))
         self.grad = NetworkParams(self.params.layer_sizes, self.grad.flat[mask])
         adam = self.adam
         adam.m, adam.v, adam.lr = adam.m[mask], adam.v[mask], adam.lr[mask]
         self.epoch_inputs, self.epoch_targets = self.epoch_inputs[mask], self.epoch_targets[mask]
+        self.losses, self.clamp_events = self.losses[mask], self.clamp_events[mask]
+        groups = []
+        for group in self.groups:
+            kept = mask[group.rows]
+            if kept.any():
+                start = int(np.count_nonzero(mask[: group.rows.start]))
+                members = self.members[start : start + int(np.count_nonzero(kept))]
+                groups.append(_Group(start, members, tuple(c[kept] for c in group.consts), self.batches))
+        self.groups = groups
 
-    def diverge(self, mask: np.ndarray, epoch: int) -> None:
-        """Members where ``mask`` is False leave mid-epoch without this step's
-        update; an epoch with steps behind it still gets its history row."""
+    def diverge(self, mask: np.ndarray, epoch: int, steps: int) -> None:
+        """Members where ``mask`` is False leave mid-epoch, after ``steps``
+        minibatches, without this step's update; an epoch with steps behind
+        it still gets its history row."""
         for k in np.flatnonzero(~mask):
             member = self.members[k]
             member.diverged = True
-            if member.losses:  # empty only when the epoch's first step diverged
-                member.record(epoch, self.views[k])
+            if steps:  # none only when the epoch's first step diverged
+                member.record(epoch, self.views[k], self.losses[k, :steps])
         self.keep(mask)
+
+
+def _without(mask: np.ndarray, totals, d_out, cache):
+    """A step's objectives, output gradient and forward cache without the
+    members where ``mask`` is False."""
+    cache = {key: [a[mask] for a in arrays] for key, arrays in cache.items()}
+    return totals[mask], d_out[mask], cache
 
 
 def train_stack(members) -> list[TrainedModel]:
@@ -266,21 +344,26 @@ def train_stack(members) -> list[TrainedModel]:
     ``members`` are ``(spec, dataset, config)`` triples that share one
     architecture, one layer-size list, one training-view length, and a
     ``TrainConfig`` equal in every field except ``seed``.
-    Returns one :class:`TrainedModel` per member, in order.
+    Returns one :class:`TrainedModel` per member, in the order given.
 
     Each member keeps its own state: every epoch visits its training samples
     in a fresh permutation drawn from a stream seeded by its
     ``config.seed``, each minibatch is the next slice of its rows in that
     order, and its strategy's kernel in :data:`~.losses.PHYSICS_TERMS` sees
-    its own :func:`~.losses.physics_constants` at those rows.  Validation loss is
-    always the plain data MSE; a member's best epoch is its first minimum,
-    its rate follows its own plateau, and it stops once
+    its own :func:`~.losses.physics_constants` at those rows.  A step is
+    whole-stack array code: one forward, one data term and gradient for
+    every member (:func:`~.network.mse_grad`), then one kernel call per
+    strategy group, on the group's slice of the stack, with per-member
+    lambdas.  Members with strategy ``dd`` or lambda 1 join no group.
+    Validation loss is always the plain data MSE; a member's best epoch is
+    its first minimum, its rate follows its own plateau, and it stops once
     ``early_stop_patience`` epochs pass without a new best.  It then leaves
     the stack at the end of that epoch, as it does at ``max_epochs``.  A
     member whose data term, objective or gradient turns non-finite leaves at
     once, without that step's update, and returns its best checkpoint so far
-    with ``diagnostics["diverged"]`` set.  Equal (spec, dataset, config)
-    members produce bit-identical histories and weights in any stack.
+    with ``diagnostics["diverged"]`` set; one whose data term does leaves
+    before the physics kernels see its predictions.  Equal (spec, dataset,
+    config) members produce bit-identical histories and weights in any stack.
 
     Raises:
         ValueError: on an empty list, members that cannot share one stack,
@@ -303,54 +386,51 @@ def train_stack(members) -> list[TrainedModel]:
             raise ValueError("stack members' configs differ in more than the seed")
 
     config = first.config
-    n = len(first.train_view)
-    batch_size = config.batch_size or DEFAULT_BATCH_SIZES[first.spec.arch]
-    stack = _Stack(runs)
+    stack = _Stack(runs, config.batch_size or DEFAULT_BATCH_SIZES[first.spec.arch])
     for epoch in range(config.max_epochs):
         stack.shuffle(epoch)
-        for start in range(0, n, batch_size):
-            batch = slice(start, start + batch_size)
-            yb = stack.epoch_targets[:, batch]
+        for step, batch in enumerate(stack.batches):
             out, cache = forward(stack.params, stack.epoch_inputs[:, batch])
-            totals = mse(out, yb).tolist()
-            d_out = dmse_dpred(out, yb)
-            for k, member in enumerate(stack.members):
-                # a non-finite prediction would poison the clamped physics terms
-                if member.term is not None and math.isfinite(totals[k]):
-                    phys, d_phys, n_clamped = member.term(out[k], tuple(a[batch] for a in member.epoch_consts))
-                    member.clamp_events += n_clamped
-                    lam = member.spec.lam
-                    totals[k] = lam * totals[k] + (1.0 - lam) * phys
-                    d_out[k] = lam * d_out[k] + (1.0 - lam) * d_phys
-            if not all(map(math.isfinite, totals)):
-                finite = np.isfinite(totals)
-                stack.diverge(finite, epoch)
-                d_out = d_out[finite]
-                totals = [t for t, kept in zip(totals, finite) if kept]
-                cache = {key: [a[finite] for a in arrays] for key, arrays in cache.items()}
+            totals, d_out = mse_grad(out, stack.epoch_targets[:, batch])
+            finite = np.isfinite(totals)
+            if not finite.all():  # a non-finite prediction would poison the clamped physics terms
+                stack.diverge(finite, epoch, step)
                 if not stack.members:
                     break
+                totals, d_out, cache = _without(finite, totals, d_out, cache)
+                out = cache["activations"][-1]
+            for group in stack.groups:
+                group.add_physics(out, step, totals, d_out, stack.clamp_events)
+            finite = np.isfinite(totals)
+            if not finite.all():
+                stack.diverge(finite, epoch, step)
+                if not stack.members:
+                    break
+                totals, d_out, cache = _without(finite, totals, d_out, cache)
             backward(stack.params, cache, d_out, stack.grad)
             try:
                 adam_step(stack.adam, stack.params, stack.grad.flat)
             except ValueError:  # a non-finite gradient; adam_step updated nothing
                 finite = np.isfinite(stack.grad.flat).all(axis=1)
-                stack.diverge(finite, epoch)
-                totals = [t for t, kept in zip(totals, finite) if kept]
+                stack.diverge(finite, epoch, step)
                 if not stack.members:
                     break
+                totals = totals[finite]
                 adam_step(stack.adam, stack.params, stack.grad.flat)
-            for member, total in zip(stack.members, totals):
-                member.losses.append(total)
+            stack.losses[:, step] = totals
         if not stack.members:
             break
 
-        leaving = np.array([m.end_epoch(epoch, view) for m, view in zip(stack.members, stack.views)])
+        leaving = np.array(
+            [m.end_epoch(epoch, view, losses) for m, view, losses in zip(stack.members, stack.views, stack.losses)]
+        )
         stack.adam.lr[:, 0] = [m.lr for m in stack.members]
         if leaving.any():
             stack.keep(~leaving)
             if not stack.members:
                 break
+    for member, count in zip(stack.members, stack.clamp_events.tolist()):  # those left at max_epochs
+        member.clamp_events = count
     return [run.result() for run in runs]
 
 

@@ -8,11 +8,13 @@ deterministic for a given seed.
 
 Parameters, inputs and gradients may carry a leading member axis: a stack of
 S networks with equal layer sizes is one ``(S, P)`` buffer, and
-:func:`forward`, :func:`backward`, :func:`mse`, :func:`dmse_dpred` and
-:func:`adam_step` treat each member as if it were alone.  Stacked products are
-``np.matmul`` over ``(S, rows, fan_in) x (S, fan_in, fan_out)``, which BLAS
-computes slice by slice, so every member's values are bitwise those of its
-own 2-D call (``einsum`` would not be).  For the same reason one network's
+:func:`forward`, :func:`backward`, :func:`mse`, :func:`dmse_dpred`,
+:func:`mse_grad` and :func:`adam_step` treat each member as if it were
+alone; :func:`member_means` is the per-member mean they and the stacked
+physics kernels share.  Stacked products are ``np.matmul`` over
+``(S, rows, fan_in) x (S, fan_in, fan_out)``, which BLAS computes slice by
+slice, so every member's values are bitwise those of its own 2-D call
+(``einsum`` would not be).  For the same reason one network's
 :func:`forward` takes inputs with any leading axes, such as a block of
 profiles, each (rows, fan_in) slice bitwise its own call.
 """
@@ -183,9 +185,28 @@ def mse(pred: np.ndarray, target: np.ndarray):
     if pred.shape != target.shape:
         raise ValueError("pred and target shapes differ")
     diff = pred - target
-    if diff.ndim == 3:  # np.mean per member: the same sum, divided by the same count
-        return np.add.reduce((diff * diff).reshape(len(diff), -1), axis=1) / math.prod(diff.shape[1:])
+    if diff.ndim == 3:
+        return member_means(diff * diff)
     return float(np.mean(diff * diff))
+
+
+def member_means(values: np.ndarray) -> np.ndarray:
+    """The mean of each member's slice of a stacked (S, ...) array: an (S,) array.
+
+    Each is bitwise ``np.mean`` of that slice alone: the same pairwise sum
+    over its contiguous values, divided by the same count.
+    """
+    return np.add.reduce(values.reshape(len(values), -1), axis=1) / math.prod(values.shape[1:])
+
+
+def mse_grad(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mse` of a stack and its gradient :func:`dmse_dpred`, from one difference.
+
+    ``pred`` and ``target`` are stacked (S, batch, outputs) float arrays of
+    one shape, unchecked: the training step's own.
+    """
+    diff = pred - target
+    return member_means(diff * diff), 2.0 * diff / math.prod(diff.shape[1:])
 
 
 def dmse_dpred(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

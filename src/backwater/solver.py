@@ -22,6 +22,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -174,12 +175,12 @@ def solve_profile(scen: ChannelScenario, grid: GridSpec) -> WaterProfile:
 # ---------------------------------------------------------------------- #
 
 _OK, _NOT_FINITE, _INSUFFICIENT, _NO_CONVERGENCE, _OUT_OF_BRACKET, _STALLED = range(6)
-_libm_pow_objects = np.frompyfunc(math.pow, 2, 1)
 
 
 def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """``x ** p`` element by element through libm's ``pow``."""
-    return _libm_pow_objects(x, p).astype(float)
+    """``x ** p`` for a 1-D array, element by element through libm's ``pow``
+    (``math.pow``): its bits, and its ``OverflowError`` or ``ValueError``."""
+    return np.fromiter(map(math.pow, x.tolist(), repeat(p)), float, count=x.size)
 
 
 def _friction_slopes(h, b, nnqq):

@@ -558,11 +558,21 @@ def test_readme_command_block_parses():
             assert _dir_name(arch, strategy, float(lam), int(width), float(fraction), int(seed)) == run_dir
 
 
-def test_documented_plan_configs_read():
+def test_documented_plan_configs_read(tmp_path, monkeypatch):
+    # each documented plan runs under the command it is written for, and the
+    # docstring's plans together name every setting
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    documented = cli.__doc__.split("``--config plan.json``::\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"``(sweep-\w+)`` plan[^:]*::\n\n(.*?)\n\n", cli.__doc__, re.DOTALL)
+    assert [command for command, _ in documented] == ["sweep-size", "sweep-width"]
     in_readme = readme.split("`--config plan.json`:\n\n```json\n", 1)[1].split("\n```", 1)[0]
-    for text in (documented, in_readme):
-        assert PlanConfig.from_dict(json.loads(text)).cells
-    # the docstring's example names every setting
-    assert list(json.loads(documented)) == [f.name for f in fields(PlanConfig)]
+    named = set().union(*(json.loads(text) for _, text in documented))
+    assert named == {f.name for f in fields(PlanConfig)}
+    swept = []
+    monkeypatch.setattr(cli, "_run_sweep", lambda args, cfg, cells, fractions=(1.0,): swept.append(cells))
+    dataset = tmp_path / "desk.csv"
+    dataset.touch()  # a plan names its dataset; the sweep itself is not run
+    for k, (command, text) in enumerate(documented + [("sweep-size", in_readme)]):
+        path = tmp_path / f"plan{k}.json"
+        path.write_text(json.dumps(dict(json.loads(text), dataset=str(dataset))))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "runs")]) == 0
+        assert len(swept) == k + 1 and swept[-1]

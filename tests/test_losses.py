@@ -23,7 +23,7 @@ from backwater.losses import (
     loss_vol,
     physics_constants,
 )
-from backwater.network import dmse_dpred, mse
+from backwater.network import dmse_dpred, mse, mse_grad
 from backwater.solver import GridSpec, solve_profile
 
 import reference_losses
@@ -68,24 +68,30 @@ def random_profile_batch(seed, batch=3, n_pts=7):
     return pred, true, aux
 
 
+def solo(kernel, pred, consts):
+    """A kernel on a stack of one member: its (value, gradient, clamp count)."""
+    value, grad, clamped = kernel(pred[None], tuple(a[None] for a in consts))
+    return float(value[0]), grad[0], int(clamped[0])
+
+
 def en(pred, true, aux):
-    return loss_en(pred, physics_constants("en", aux, true))
+    return solo(loss_en, pred, physics_constants("en", aux, true))
 
 
 def fr(pred, true, aux):
-    return loss_fr(pred, physics_constants("fr", aux, true))
+    return solo(loss_fr, pred, physics_constants("fr", aux, true))
 
 
 def pde(pred, aux):
-    return loss_pde(pred, physics_constants("pde", aux, pred))
+    return solo(loss_pde, pred, physics_constants("pde", aux, pred))
 
 
 def vol(pred, true):
-    return loss_vol(pred, physics_constants("vol", {}, true))
+    return solo(loss_vol, pred, physics_constants("vol", {}, true))
 
 
 def bc(pred, true):
-    return loss_bc(pred, physics_constants("bc", {}, true))
+    return solo(loss_bc, pred, physics_constants("bc", {}, true))
 
 
 def check_gradient(loss_fn, pred, tol=1e-5):
@@ -129,10 +135,10 @@ def test_loss_en_reduces_to_mse_for_still_water():
 def test_loss_en_gradient_pointwise_and_profile():
     pred, true, aux = random_pointwise_batch(3)
     consts = physics_constants("en", aux, true)
-    check_gradient(lambda p: loss_en(p, consts), pred)
+    check_gradient(lambda p: solo(loss_en, p, consts), pred)
     pred2, true2, aux2 = random_profile_batch(4)
     consts2 = physics_constants("en", aux2, true2)
-    check_gradient(lambda p: loss_en(p, consts2), pred2)
+    check_gradient(lambda p: solo(loss_en, p, consts2), pred2)
 
 
 def test_loss_fr_zero_at_exact_prediction():
@@ -144,10 +150,10 @@ def test_loss_fr_zero_at_exact_prediction():
 def test_loss_fr_gradient_pointwise_and_profile():
     pred, true, aux = random_pointwise_batch(6)
     consts = physics_constants("fr", aux, true)
-    check_gradient(lambda p: loss_fr(p, consts), pred)
+    check_gradient(lambda p: solo(loss_fr, p, consts), pred)
     pred2, true2, aux2 = random_profile_batch(7)
     consts2 = physics_constants("fr", aux2, true2)
-    check_gradient(lambda p: loss_fr(p, consts2), pred2)
+    check_gradient(lambda p: solo(loss_fr, p, consts2), pred2)
 
 
 def test_loss_fr_not_scale_invariant():
@@ -237,7 +243,7 @@ def test_loss_pde_zero_on_uniform_flow():
 def test_loss_pde_gradient():
     pred, _, aux = random_profile_batch(13)
     consts = physics_constants("pde", aux, pred)
-    check_gradient(lambda p: loss_pde(p, consts), pred)
+    check_gradient(lambda p: solo(loss_pde, p, consts), pred)
 
 
 def test_loss_pde_needs_interior_stations():
@@ -251,17 +257,18 @@ def test_loss_pde_needs_interior_stations():
 
 
 def test_clamp_depths_counts_and_floors():
-    clamped, count = clamp_depths(np.array([0.5, -1.0, 0.0, 2.0, 1e-6]))
-    assert count == 3
-    np.testing.assert_array_equal(clamped, [0.5, MIN_DEPTH, MIN_DEPTH, 2.0, MIN_DEPTH])
-    same, count0 = clamp_depths(np.array([0.5, 2.0]))
-    assert count0 == 0
+    clamped, low, count = clamp_depths(np.array([[0.5, -1.0, 0.0, 2.0, 1e-6], [0.5, 2.0, 3.0, 4.0, 5.0]]))
+    assert count.tolist() == [3, 0]
+    np.testing.assert_array_equal(clamped[0], [0.5, MIN_DEPTH, MIN_DEPTH, 2.0, MIN_DEPTH])
+    np.testing.assert_array_equal(low[0], [False, True, True, False, True])
+    same, low0, count0 = clamp_depths(np.array([[0.5, 2.0]]))
+    assert count0.tolist() == [0] and low0 is None
 
 
 def test_clamp_depths_accepts_per_entry_floor():
-    clamped, count = clamp_depths(np.array([0.3, 2.0, 0.05]), np.array([0.4, 1.0, 0.1]))
-    assert count == 2
-    np.testing.assert_array_equal(clamped, [0.4, 2.0, 0.1])
+    clamped, _, count = clamp_depths(np.array([[0.3, 2.0, 0.05]]), np.array([0.4, 1.0, 0.1]))
+    assert count.tolist() == [2]
+    np.testing.assert_array_equal(clamped, [[0.4, 2.0, 0.1]])
 
 
 def test_depth_floor_tracks_critical_depth():
@@ -326,12 +333,51 @@ def test_kernels_match_validated_point_functions_bitwise(shape):
             if strategy == "pde" and shape[1] < 3:
                 continue
             consts = physics_constants(strategy, aux, true)
-            got = kernel(pred[rows], tuple(a[rows] for a in consts))
+            got = solo(kernel, pred[rows], tuple(a[rows] for a in consts))
             want = reference_losses.physics_term(strategy, pred[rows], true[rows], aux_b)
             clamped = 0 if strategy in ("vol", "bc") else int(low[rows].sum())
             assert got[2] == want[2] == clamped, strategy
             assert bits(got[0]) == bits(want[0]), strategy
             assert bits(got[1]) == bits(want[1]), strategy
+
+
+@pytest.mark.parametrize(
+    "strategy,shape",
+    [(s, shape) for s in PHYSICS_TERMS for shape in ((10, 1), (6, 7)) if s != "pde" or shape[1] >= 3],
+)
+def test_stacked_kernel_equals_each_members_own_call_bitwise(strategy, shape):
+    # Three members on their own scenarios, so their own floors; the second
+    # predicts a fifth of its depths under its floor.  Mixed with the data
+    # term at each member's own lambda as stack arrays, every member's
+    # objective and gradient equal its own call's, combined in floats.
+    kernel = PHYSICS_TERMS[strategy]
+    preds, trues, consts = [], [], []
+    for member in range(3):
+        pred, true, aux = random_profile_batch(40 + member, batch=shape[0], n_pts=shape[1])
+        if member == 1:
+            rng = np.random.default_rng(50)
+            floor = depth_floor(aux["Q"], aux["b"])[:, None]
+            pred = np.where(rng.random(shape) < 0.2, floor * rng.uniform(-2.0, 0.999, shape), pred)
+        preds.append(pred)
+        trues.append(true)
+        consts.append(physics_constants(strategy, aux, true))
+    stacked = np.stack(preds)
+    values, grads, counts = kernel(stacked, tuple(np.stack(c) for c in zip(*consts)))
+    assert values.shape == counts.shape == (3,) and grads.shape == stacked.shape
+    lam = np.array([0.3, 0.5, 0.9])
+    data, d_data = mse_grad(stacked, np.stack(trues))
+    totals = lam * data + (1.0 - lam) * values
+    d_totals = lam[:, None, None] * d_data + (1.0 - lam)[:, None, None] * grads
+    for k in range(3):
+        value, grad, count = solo(kernel, preds[k], consts[k])
+        assert bits(values[k]) == bits(value) and bits(grads[k]) == bits(grad)
+        assert counts[k] == count
+        lam_k = float(lam[k])
+        total = lam_k * mse(preds[k], trues[k]) + (1.0 - lam_k) * value
+        d_total = lam_k * dmse_dpred(preds[k], trues[k]) + (1.0 - lam_k) * grad
+        assert bits(totals[k]) == bits(total) and bits(d_totals[k]) == bits(d_total)
+    clamps = strategy in ("en", "fr", "pde")
+    assert counts.tolist() == [0, int(counts[1]), 0] and (counts[1] > 0) == clamps
 
 
 def test_physics_constants_shapes():

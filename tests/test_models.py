@@ -1,6 +1,7 @@
 """Tests for architecture specs, training loops, and profile reconstruction."""
 
 import pickle
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -357,21 +358,21 @@ def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
     # Each epoch's minibatches are the rows and targets of the view shuffled by
     # that epoch's seed and then cut into consecutive slices; the strategy's
     # physics term gets the run's physics_constants gathered at the same rows.
-    # train is a stack of one, so its steps feed the network (1, rows, ...)
-    # arrays and the physics term its member's 2-D slice.
+    # train is a stack of one, so its steps feed the network, the data term
+    # and the physics term (1, rows, ...) arrays.
     seen_inputs, seen_targets, seen_consts = [], [], []
-    real_forward, real_dmse = models.forward, models.dmse_dpred
+    real_forward, real_mse_grad = models.forward, models.mse_grad
 
     def spy_forward(params, inputs):
         seen_inputs.append(inputs.copy())
         return real_forward(params, inputs)
 
-    def spy_dmse(pred, targets):  # called once per minibatch, with its targets
+    def spy_mse_grad(pred, targets):  # called once per minibatch, with its targets
         seen_targets.append(targets.copy())
-        return real_dmse(pred, targets)
+        return real_mse_grad(pred, targets)
 
     monkeypatch.setattr(models, "forward", spy_forward)
-    monkeypatch.setattr(models, "dmse_dpred", spy_dmse)
+    monkeypatch.setattr(models, "mse_grad", spy_mse_grad)
     config = TrainConfig(max_epochs=2, batch_size=64, seed=4)
     cases = (
         ("sp", "en", view_sp),
@@ -401,7 +402,7 @@ def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
             for start in range(0, len(full), config.batch_size):
                 sl = slice(start, start + config.batch_size)
                 want_inputs.append(inputs[sl][None])
-                want_physics.append((targets[sl][None], [a[sl] for a in shuffled]))
+                want_physics.append((targets[sl][None], [a[sl][None] for a in shuffled]))
             want_inputs.append(val.inputs)  # the validation pass that ends the epoch, member by member
         assert [bits(a) for a in seen_inputs] == [bits(a) for a in want_inputs]
         assert len(seen_targets) == len(seen_consts) == len(want_physics)
@@ -575,6 +576,85 @@ def test_a_diverging_member_leaves_the_stack_mid_epoch(small_ds, monkeypatch):
     assert_same_run(got_en, train(en, small_ds, config))
     assert got_en.diagnostics["diverged"] is False
     assert got_en.diagnostics["epochs_run"] == 3
+
+
+def test_interleaved_strategies_come_back_in_input_order_bitwise(small_ds):
+    # the stack regroups its members by strategy; each still equals its solo run
+    config = TrainConfig(initial_lr=1e-2, lr_patience=1, early_stop_patience=2, max_epochs=6, batch_size=64)
+    cells = (
+        ModelSpec("sp", "dd", width=8),
+        ModelSpec("sp", "en", 0.5, 8),
+        ModelSpec("sp", "fr", 0.3, 8),
+        ModelSpec("sp", "en", 0.7, 8),
+        ModelSpec("sp", "dd", width=8),
+        ModelSpec("sp", "fr", 0.6, 8),
+    )
+    members = [(cell, small_ds, replace(config, seed=s)) for s, cell in enumerate(cells)]
+    stacked = models.train_stack(members)
+    assert [m.spec for m in stacked] == list(cells)
+    for got, (spec, ds, run_config) in zip(stacked, members):
+        assert_same_run(got, train(spec, ds, run_config))
+    assert all(m.diagnostics["clamp_events"] > 0 for m in stacked if m.spec.strategy != "dd")
+
+
+def test_a_non_finite_data_term_leaves_its_group_before_the_kernel(small_ds, monkeypatch):
+    # From the fifth training step on, the stack's last member (the seed-1
+    # run, alone or beside the seed-0 one) predicts +inf and -inf depths.
+    # Its data term is then non-finite, so it leaves before the residual
+    # kernel runs: that kernel would clamp the -inf entries and warn on
+    # inf / inf in the friction slope.
+    real_forward, real_pde = models.forward, PHYSICS_TERMS["pde"]
+    poison = {"steps": 0, "stack_size": 2}
+    seen = []
+
+    def poisoning_forward(params, inputs):
+        out, cache = real_forward(params, inputs)
+        if inputs.ndim == 3:  # a training step, not a validation pass
+            poison["steps"] += 1
+            if poison["steps"] >= 5 and len(out) == poison["stack_size"]:
+                out[-1, :, ::2], out[-1, :, 1::2] = np.inf, -np.inf
+        return out, cache
+
+    def spy_pde(pred, consts):
+        value, grad, clamped = real_pde(pred, consts)
+        seen.append((np.isfinite(pred).all(), clamped.copy()))
+        return value, grad, clamped
+
+    monkeypatch.setattr(models, "forward", poisoning_forward)
+    monkeypatch.setitem(PHYSICS_TERMS, "pde", spy_pde)
+    spec, config = ModelSpec("vts", "pde", 0.5, 8), TrainConfig(max_epochs=3, batch_size=16, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kept, poisoned = models.train_stack([(spec, small_ds, config), (spec, small_ds, replace(config, seed=1))])
+        assert all(finite for finite, _ in seen)
+        assert poisoned.diagnostics["diverged"] is True
+        assert [row["epoch"] for row in poisoned.history] == [0, 1]  # epoch 1 ended after one step
+        # its clamp count is the kernel's for it over the four steps it took
+        assert poisoned.diagnostics["clamp_events"] == sum(int(c[1]) for _, c in seen if len(c) == 2)
+        poison.update(steps=0, stack_size=1)
+        assert_same_run(poisoned, train(spec, small_ds, replace(config, seed=1)))
+    monkeypatch.setattr(models, "forward", real_forward)
+    assert_same_run(kept, train(spec, small_ds, config))
+    assert kept.diagnostics["epochs_run"] == 3
+
+
+def test_a_step_calls_each_strategy_groups_kernel_once(small_ds, monkeypatch):
+    # a desk-shaped sp stack, 3 dd, 3 en and 3 fr members, interleaved
+    calls = {"en": [], "fr": []}
+    for strategy, seen in calls.items():
+
+        def spy(pred, consts, real=PHYSICS_TERMS[strategy], seen=seen):
+            seen.append(len(pred))
+            return real(pred, consts)
+
+        monkeypatch.setitem(PHYSICS_TERMS, strategy, spy)
+    config = TrainConfig(max_epochs=2, early_stop_patience=5, batch_size=64)
+    cells = (ModelSpec("sp", "dd", width=8), ModelSpec("sp", "en", 0.9, 8), ModelSpec("sp", "fr", 0.9, 8))
+    members = [(cell, small_ds, replace(config, seed=s)) for s in range(3) for cell in cells]
+    trained = models.train_stack(members)
+    steps = -(-len(view_sp(small_ds, "train")) // config.batch_size)
+    assert all(m.diagnostics["epochs_run"] == 2 for m in trained)
+    assert calls == {"en": [3] * (2 * steps), "fr": [3] * (2 * steps)}
 
 
 def test_train_stack_rejects_members_that_cannot_share_a_stack(small_ds):

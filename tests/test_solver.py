@@ -1,7 +1,13 @@
 """Tests for the upstream marching profile solver and jump placement."""
 
+import math
+import struct
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backwater.data import (
     DESK_GRID,
@@ -30,6 +36,7 @@ from backwater.hydraulics import (
 from backwater.solver import (
     GridSpec,
     WaterProfile,
+    _libm_pow,
     classify_regime,
     solve_profile,
     solve_profiles,
@@ -325,3 +332,35 @@ def test_generate_matches_the_per_scenario_loop(wide_reference):
         "test": split.count("test"),
     }
     assert ds.scaler == expected.scaler
+
+
+#: Every exponent the batched march raises an array to.
+MARCH_EXPONENTS = (1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0, 2.0, 3.0)
+
+
+def positive_floats():
+    """Finite positive floats, subnormals and the largest values included."""
+    tiny, huge = 5e-324, sys.float_info.max
+    return st.one_of(
+        st.floats(min_value=tiny, max_value=huge, allow_subnormal=True),
+        st.floats(min_value=tiny, max_value=sys.float_info.min),  # subnormal
+        st.floats(min_value=huge / 16, max_value=huge),  # near overflow
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(positive_floats(), max_size=40), st.sampled_from(MARCH_EXPONENTS))
+def test_libm_pow_is_math_pow_bit_for_bit(values, p):
+    def bits(v):
+        return struct.pack("<d", v)
+
+    x = np.array(values, dtype=float)
+    try:
+        want = [math.pow(v, p) for v in values]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _libm_pow(x, p)
+        return
+    got = _libm_pow(x, p)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
