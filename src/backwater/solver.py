@@ -12,8 +12,11 @@ station by station as arrays (the direct-step method of Chow,
 *Open-Channel Hydraulics*, 1959) and returns bit for bit what
 :func:`solve_profile` returns or raises for each one.  For that it keeps the
 scalar code's operand order, and it takes every fractional or cubic power
-through libm's ``pow`` element by element, as Python and numpy float scalars
-do: numpy's array ``**`` rounds differently on a few percent of inputs.
+through libm's ``pow`` element by element (numpy's ``float_power``), as
+Python and numpy float scalars do: numpy's array ``**`` rounds differently
+on a few percent of inputs.  Its Newton searches iterate on whole arrays
+under a mask of the elements not yet converged, so a station costs a fixed
+number of array operations per iteration however many scenarios finish.
 """
 
 from __future__ import annotations
@@ -178,8 +181,17 @@ _OK, _NOT_FINITE, _INSUFFICIENT, _NO_CONVERGENCE, _OUT_OF_BRACKET, _STALLED = ra
 
 
 def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """``x ** p`` for a 1-D array, element by element through libm's ``pow``
-    (``math.pow``): its bits, and its ``OverflowError`` or ``ValueError``."""
+    """``x ** p`` for a 1-D array with the bits of libm's ``pow`` (``math.pow``).
+
+    numpy's ``float_power`` loop calls ``pow`` on each element; its
+    ``power`` (the array ``**``) has a SIMD path that rounds differently.
+    Where any result is not finite the array goes through ``math.pow``
+    instead, for its bits and its ``OverflowError`` or ``ValueError``.
+    """
+    with np.errstate(all="ignore"):
+        y = np.float_power(x, p)
+    if np.isfinite(y).all():
+        return y
     return np.fromiter(map(math.pow, x.tolist(), repeat(p)), float, count=x.size)
 
 
@@ -188,41 +200,46 @@ def _friction_slopes(h, b, nnqq):
     return _friction_slope(h, b, nnqq, _libm_pow)
 
 
+# The Newton searches below run on whole arrays.  An element that has
+# converged keeps its depth through ``np.where`` while the others iterate,
+# so each one takes exactly the scalar routine's steps.  The scalar bracket
+# update replaces f(lo) only by an f(x) of the same sign, so the sign of
+# f(lo) is fixed at the start.
+
+
 def _normal_depths(s, b, nnqq):
     """normal_depth per element: the depths and a status (_OK or the failure)."""
     lo0, hi0 = 1e-6, 1e4
     f_lo = _friction_slopes(np.full(s.size, lo0), b, nnqq) - s
     f_hi = _friction_slopes(np.full(s.size, hi0), b, nnqq) - s
     status = np.where((f_lo < 0.0) | (f_hi > 0.0), _OUT_OF_BRACKET, _OK)
-    depth = np.empty(s.size)
     idx = np.flatnonzero(status == _OK)
-    f_lo = f_lo[idx]
+    whole = idx.size == s.size
+    if not whole:
+        s, b, nnqq, f_lo = s[idx], b[idx], nnqq[idx], f_lo[idx]
+    lo_pos = f_lo > 0.0
     lo, hi = np.full(idx.size, lo0), np.full(idx.size, hi0)
     x = np.full(idx.size, 0.5 * (lo0 + hi0))
-    for _ in range(300):
-        if not idx.size:
-            break
-        j = _friction_slopes(x, b[idx], nnqq[idx])
-        fx = j - s[idx]
-        root = fx == 0.0
-        if root.any():
-            depth[idx[root]] = x[root]
-            idx, x, j, fx, lo, hi, f_lo = (v[~root] for v in (idx, x, j, fx, lo, hi, f_lo))
-        same = (fx > 0.0) == (f_lo > 0.0)
-        lo, f_lo, hi = np.where(same, x, lo), np.where(same, fx, f_lo), np.where(same, hi, x)
-        dfx = _dfriction_slope(x, b[idx], j)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = x - fx / dfx
-        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
-        done = np.abs(x_new - x) <= 1e-15 * x
-        x = x_new
-        if done.any():
-            depth[idx[done]] = x[done]
-            idx, x, lo, hi, f_lo = (v[~done] for v in (idx, x, lo, hi, f_lo))
+    active = np.ones(idx.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(300):
+            j = _friction_slopes(x, b, nnqq)
+            fx = j - s
+            same = (fx > 0.0) == lo_pos
+            lo, hi = np.where(same, x, lo), np.where(same, hi, x)
+            x_new = x - fx / _dfriction_slope(x, b, j)
+            x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+            step = active & (fx != 0.0)  # a root stays where it is
+            active = step & ~(np.abs(x_new - x) <= 1e-15 * x)
+            x = np.where(step, x_new, x)
+            if not active.any():
+                break
+    residual = np.abs(_friction_slopes(x, b, nnqq) - s)
+    status[idx[residual > 1e-10 * s]] = _STALLED
+    if whole:
+        return x, status
+    depth = np.empty(status.size)
     depth[idx] = x
-    ok = np.flatnonzero(status == _OK)
-    residual = np.abs(_friction_slopes(depth[ok], b[ok], nnqq[ok]) - s[ok])
-    status[ok[residual > 1e-10 * s[ok]]] = _STALLED
     return depth, status
 
 
@@ -231,41 +248,41 @@ def _subcritical_depths(e, a, h_c, e_min, h0):
 
     Returns the depths and a status per element (_OK or the failure).
     """
-    depth = np.empty(e.size)
     status = np.where(
         ~np.isfinite(e),
         _NOT_FINITE,
         np.where(e < e_min * (1.0 - 1e-12), _INSUFFICIENT, _OK),
     )
     idx = np.flatnonzero(status == _OK)
-    E, a, lo, h0 = e[idx], a[idx], h_c[idx], h0[idx]
+    whole = idx.size == e.size
+    E, a, lo, h0 = (e, a, h_c, h0) if whole else (e[idx], a[idx], h_c[idx], h0[idx])
     hi = np.maximum(E, lo)
-    f_lo = lo + a / (lo * lo) - E
+    lo_pos = lo + a / (lo * lo) - E > 0.0
+    a2 = 2.0 * a
     x = np.where((lo < h0) & (h0 < hi), h0, 0.5 * (lo + hi))
-    for _ in range(200):
-        if not idx.size:
-            break
-        fx = x + a / (x * x) - E
-        root = fx == 0.0
-        if root.any():
-            depth[idx[root]] = x[root]
-            idx, x, fx, E, a, lo, hi, f_lo = (
-                v[~root] for v in (idx, x, fx, E, a, lo, hi, f_lo)
-            )
-        same = (fx > 0.0) == (f_lo > 0.0)
-        lo, f_lo, hi = np.where(same, x, lo), np.where(same, fx, f_lo), np.where(same, hi, x)
-        dfx = 1.0 - 2.0 * a / _libm_pow(x, 3.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    active = np.ones(idx.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            fx = x + a / (x * x) - E
+            same = (fx > 0.0) == lo_pos
+            lo, hi = np.where(same, x, lo), np.where(same, hi, x)
+            dfx = 1.0 - a2 / _libm_pow(x, 3.0)
+            # where dfx == 0 the step is not finite, and the finite bracket rejects it
             x_new = x - fx / dfx
-        x_new = np.where((dfx != 0.0) & (lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
-        done = (np.abs(x_new - x) <= 5e-16 * x) | (
-            hi - lo <= 5e-16 * np.minimum(np.abs(lo), np.abs(hi))
-        )
-        x = x_new
-        if done.any():
-            depth[idx[done]] = x[done]
-            idx, x, E, a, lo, hi, f_lo = (v[~done] for v in (idx, x, E, a, lo, hi, f_lo))
-    status[idx] = _NO_CONVERGENCE
+            x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+            # 0 < lo <= hi throughout, so the scalar min(|lo|, |hi|) is lo
+            converged = (np.abs(x_new - x) <= 5e-16 * x) | (hi - lo <= 5e-16 * lo)
+            step = active & (fx != 0.0)  # a root stays where it is
+            active = step & ~converged
+            x = np.where(step, x_new, x)
+            if not active.any():
+                break
+        else:
+            status[idx[active]] = _NO_CONVERGENCE
+    if whole:
+        return x, status
+    depth = np.empty(e.size)
+    depth[idx] = x
     return depth, status
 
 
@@ -313,27 +330,32 @@ def solve_profiles(scenarios, grid: GridSpec) -> list:
     jump = np.zeros(len(scenarios), dtype=int)
     live = np.flatnonzero(status == _OK)  # scenarios still marching
     h = depths[live, 0]
+    # the live scenarios' parameters, gathered once and shrunk with `live`
+    live_columns = np.stack((qq, c2, b, nnqq, s, a, h_c, e_min, q, h_n))[:, live]
+    steep = mixed[live]
     for i in range(1, grid.n_points):
         if not live.size:
             break
-        e_next = _energy(h, qq[live], c2[live]) + grid.dx * (
-            _friction_slopes(h, b[live], nnqq[live]) - s[live]
-        )
-        h_new, err = _subcritical_depths(e_next, a[live], h_c[live], e_min[live], h)
+        qq_, c2_, b_, nnqq_, s_, a_, h_c_, e_min_, q_, h_n_ = live_columns
+        e_next = _energy(h, qq_, c2_) + grid.dx * (_friction_slopes(h, b_, nnqq_) - s_)
+        h_new, err = _subcritical_depths(e_next, a_, h_c_, e_min_, h)
+        ok = err == _OK
         # On a steep channel the march stops at the jump: where it leaves the
         # subcritical branch, or where the marched depth's conjugate reaches h_n.
-        steep = mixed[live]
         jumped = steep & (err == _INSUFFICIENT)
-        test = np.flatnonzero(steep & (err == _OK))
+        test = np.flatnonzero(steep & ok)
         if test.size:
-            y, qt, bt = h_new[test], q[live[test]], b[live[test]]
-            fr2 = _libm_pow(qt / (bt * y), 2.0) / (GRAVITY * y)
-            jumped[test] = 0.5 * y * (np.sqrt(1.0 + 8.0 * fr2) - 1.0) >= h_n[live[test]]
-        jump[live[jumped]] = i
-        for k in np.flatnonzero((err != _OK) & ~jumped):
-            outcomes[live[k]] = _march_error(err[k], e_next[k], e_min[live[k]])
-        keep = (err == _OK) & ~jumped
-        live, h = live[keep], h_new[keep]
+            y = h_new[test]
+            fr2 = _libm_pow(q_[test] / (b_[test] * y), 2.0) / (GRAVITY * y)
+            jumped[test] = 0.5 * y * (np.sqrt(1.0 + 8.0 * fr2) - 1.0) >= h_n_[test]
+        keep = ok & ~jumped
+        if not keep.all():
+            jump[live[jumped]] = i
+            for k in np.flatnonzero(~(ok | jumped)):
+                outcomes[live[k]] = _march_error(err[k], e_next[k], e_min_[k])
+            live, h_new = live[keep], h_new[keep]
+            live_columns, steep = live_columns[:, keep], steep[keep]
+        h = h_new
         depths[live, i] = h
 
     for k, scen in enumerate(scenarios):

@@ -3,6 +3,7 @@
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from backwater.data import (
     DESK_GRID,
     FULL_GRID,
+    PARAM_NAMES,
     ParameterRanges,
     ProfileDataset,
     assign_splits,
@@ -20,12 +22,15 @@ from backwater.data import (
     full_ranges,
     generate,
 )
+from backwater.harness import extrapolation_dataset
 from backwater.hydraulics import (
+    GRAVITY,
     ChannelScenario,
     ConvergenceError,
     InsufficientEnergyError,
     conjugate_depth,
     critical_depth,
+    depth_from_energy,
     friction_slope,
     froude,
     momentum_function,
@@ -34,9 +39,12 @@ from backwater.hydraulics import (
     weir_depth,
 )
 from backwater.solver import (
+    _OK,
     GridSpec,
     WaterProfile,
     _libm_pow,
+    _march_error,
+    _subcritical_depths,
     classify_regime,
     solve_profile,
     solve_profiles,
@@ -306,6 +314,58 @@ def test_batched_march_reports_failures_per_scenario():
     assert solve_profiles([], GRID) == []
 
 
+def box_scenarios():
+    """Scenarios anywhere in the full box, and on its grid."""
+    box = full_ranges()
+    anywhere = st.builds(
+        ChannelScenario, *(st.floats(*getattr(box, k)[:2]) for k in PARAM_NAMES)
+    )
+    return st.one_of(anywhere, st.sampled_from(list(box.scenarios())))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(box_scenarios(), min_size=1, max_size=12).flatmap(st.permutations))
+def test_batched_march_is_the_scalar_march_on_random_batches(scenarios):
+    grid = GridSpec(10.0, 300.0)
+    assert_same_outcomes(solve_profiles(scenarios, grid), scalar_outcomes(scenarios, grid))
+
+
+#: Target energies as multiples of the critical minimum: solvable ones,
+#: ones at the tolerance edge, below-critical ones and non-finite ones.
+ENERGY_FACTORS = st.one_of(
+    st.floats(0.5, 4.0),
+    st.floats(1.0 - 2e-12, 1.0 + 2e-12),
+    st.floats(-1.0, 0.0),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(10.0, 300.0), st.floats(5.0, 50.0), ENERGY_FACTORS, st.floats(0.01, 5.0)),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_subcritical_depths_are_depth_from_energy(cases):
+    q, b, factor, guess = (np.array(column) for column in zip(*cases))
+    a = q * q / (2.0 * GRAVITY * b * b)  # the march's a and h_c
+    h_c = _libm_pow(2.0 * a, 1.0 / 3.0)
+    e_min = 1.5 * h_c
+    e, h0 = factor * e_min, guess * h_c
+    depth, status = _subcritical_depths(e, a, h_c, e_min, h0)
+    for k in range(len(cases)):
+        try:
+            want = depth_from_energy(float(e[k]), float(q[k]), float(b[k]), "subcritical", float(h0[k]))
+        except (InsufficientEnergyError, ConvergenceError, ValueError) as err:
+            got = _march_error(status[k], e[k], e_min[k])
+            assert (type(got), str(got)) == (type(err), str(err))
+        else:
+            assert status[k] == _OK
+            assert struct.pack("<d", depth[k]) == struct.pack("<d", want)
+
+
 def test_generate_matches_the_per_scenario_loop(wide_reference):
     scenarios, reference = wide_reference
     profiles, rejected = [], []
@@ -332,6 +392,21 @@ def test_generate_matches_the_per_scenario_loop(wide_reference):
         "test": split.count("test"),
     }
     assert ds.scaler == expected.scaler
+
+
+def test_corpus_bits_are_pinned():
+    # The content hashes of three corpora the march builds: a change to any
+    # depth bit, regime, jump or split changes one of them.
+    desk = generate(desk_ranges(), DESK_GRID, seed=0)
+    assert desk.content_hash() == (
+        "3d6a1505e14d249a5cbf85aedd45ec8165f54ca7565a790381304aeaabf08d72"
+    )
+    assert generate(WIDE_RANGES, FULL_GRID, seed=3).content_hash() == (
+        "348b1296e9411533c196f17e4d8f161d814351dc27b041c71ff990ba91d2c85a"
+    )
+    assert extrapolation_dataset(desk, count=75, seed=7919).content_hash() == (
+        "64e204a5fbbf9c04763c9138efa918faa9b45a4d993fe2a5a31993a2f69e418c"
+    )
 
 
 #: Every exponent the batched march raises an array to.
@@ -364,3 +439,23 @@ def test_libm_pow_is_math_pow_bit_for_bit(values, p):
     got = _libm_pow(x, p)
     assert got.dtype == np.float64 and got.shape == x.shape
     assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
+
+
+@pytest.mark.parametrize("p", MARCH_EXPONENTS)
+def test_libm_pow_takes_math_pow_where_a_result_is_not_finite(p):
+    def bits(values):
+        return [struct.pack("<d", v) for v in values]
+
+    huge = sys.float_info.max
+    batches = ([0.0, -0.0, 1.0], [-8.0, 2.0], [math.inf, 2.0], [-math.inf], [math.nan, 1.0],
+               [huge, 2.0], [1e200, 1.0], [-1.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in batches:
+            try:
+                want = [math.pow(v, p) for v in values]
+            except (OverflowError, ValueError) as err:
+                with pytest.raises(type(err)):
+                    _libm_pow(np.array(values), p)
+            else:
+                assert bits(_libm_pow(np.array(values), p).tolist()) == bits(want)
