@@ -127,6 +127,7 @@ from .network import (
     adam_step,
     backward,
     forward,
+    forward_buffers,
     init,
     mse,
 )
@@ -135,6 +136,7 @@ from .solver import (
     SUBCRITICAL,
     GridSpec,
     WaterProfile,
+    boundary_depths,
     classify_regime,
     solve_profile,
     solve_profiles,

@@ -22,8 +22,11 @@ array, with one branch per architecture; :func:`reconstruct` is its batch of one
 Its input rows are the training views' rows: ``[x | params]`` (sp), ``[h | params]``
 (int) or ``params`` (vts), with ``params`` the scenarios'
 :meth:`~.data.Scaler.scale_table`; the int march starts from the weir depth of
-:func:`~.solver.weir_and_normal_depths`, which :func:`~.solver.solve_profiles`
-also uses.
+:func:`~.solver.boundary_depths`, the same bits as the
+:func:`~.solver.weir_and_normal_depths` that :func:`~.solver.solve_profiles`
+uses, solved once per scenario.  The sp and int branches run their forwards
+into one set of :func:`~.network.forward_buffers` per call, and training
+validates into one set per stack and validation length.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ from .network import (
     adam_step,
     backward,
     forward,
+    forward_buffers,
     init,
     mse,
     mse_grad,
 )
-from .solver import GridSpec, weir_and_normal_depths
+from .solver import GridSpec, boundary_depths
 
 ARCHITECTURES = ("sp", "int", "vts")
 DEFAULT_WIDTHS = {"sp": 30, "int": 30, "vts": 40}
@@ -168,20 +172,20 @@ class _Member:
         """The strategy group the member trains in; "" for none (no physics term)."""
         return self.spec.strategy if self.term is not None else ""
 
-    def record(self, epoch: int, params: NetworkParams, losses: np.ndarray) -> float:
+    def record(self, epoch: int, params: NetworkParams, losses: np.ndarray, out: list[np.ndarray]) -> float:
         """Append the epoch's history row, its training loss the mean of the
-        epoch's minibatch objectives, scored on the validation view; returns
-        its validation loss."""
-        val_loss = mse(forward(params, self.val_view.inputs)[0], self.val_view.targets)
+        epoch's minibatch objectives, scored on the validation view through
+        the forward buffers ``out``; returns its validation loss."""
+        val_loss = mse(forward(params, self.val_view.inputs, out=out)[0], self.val_view.targets)
         self.history.append(
             {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_loss": val_loss, "lr": self.lr}
         )
         return val_loss
 
-    def end_epoch(self, epoch: int, params: NetworkParams, losses: np.ndarray) -> bool:
+    def end_epoch(self, epoch: int, params: NetworkParams, losses: np.ndarray, out: list[np.ndarray]) -> bool:
         """Close an epoch the member finished with ``params``; True when it
         leaves the stack."""
-        val_loss = self.record(epoch, params, losses)
+        val_loss = self.record(epoch, params, losses, out)
         if not math.isfinite(val_loss):
             self.diverged = True
             return True
@@ -247,8 +251,9 @@ class _Stack:
     Members are sorted into strategy groups, those without a physics term
     first, so each :class:`_Group` is a contiguous slice of every array.
     ``views[k]`` is member k's network as a 2-D view of its row; validation
-    runs member by member through it, so a stack holds one member's
-    validation activations at a time, as a solo run does.  :meth:`shuffle`
+    runs member by member through it, into ``val_out[n]``, the forward
+    buffers for a validation view of n rows: one set per distinct length,
+    kept for all the stack's epochs.  :meth:`shuffle`
     gathers each epoch's training rows and physics constants once, in every
     member's own order, so a minibatch is a contiguous slice of them.
     ``losses`` holds the epoch's minibatch objectives, one column per step
@@ -270,6 +275,9 @@ class _Stack:
         self.epoch_targets = np.empty((len(members), *view.targets.shape))
         self.losses = np.empty((len(members), len(self.batches)))
         self.clamp_events = np.zeros(len(members), dtype=int)
+        self.val_out = {
+            len(m.val_view): forward_buffers(self.views[0], m.val_view.inputs.shape) for m in self.members
+        }
         self.groups = []
         start = 0
         for key, grouped in itertools.groupby(self.members, key=lambda m: m.group):
@@ -327,7 +335,8 @@ class _Stack:
             member = self.members[k]
             member.diverged = True
             if steps:  # none only when the epoch's first step diverged
-                member.record(epoch, self.views[k], self.losses[k, :steps])
+                out = self.val_out[len(member.val_view)]
+                member.record(epoch, self.views[k], self.losses[k, :steps], out)
         self.keep(mask)
 
 
@@ -422,7 +431,10 @@ def train_stack(members) -> list[TrainedModel]:
             break
 
         leaving = np.array(
-            [m.end_epoch(epoch, view, losses) for m, view, losses in zip(stack.members, stack.views, stack.losses)]
+            [
+                m.end_epoch(epoch, view, losses, stack.val_out[len(m.val_view)])
+                for m, view, losses in zip(stack.members, stack.views, stack.losses)
+            ]
         )
         stack.adam.lr[:, 0] = [m.lr for m in stack.members]
         if leaving.any():
@@ -452,15 +464,23 @@ def predict(
     stations a slice of it.  ``vts`` maps all scenarios in one
     forward; its output stations are fixed to the training grid.  ``int``
     marches all profiles upstream together from the analytic weir depth, one
-    forward per station, at the training ``dx`` (any length).
+    forward per station, at the training ``dx`` (any length); its weir and
+    normal depths come from :func:`~.solver.boundary_depths`, so scenario
+    objects reconstructed before skip the normal-depth search.  ``sp`` and ``int``
+    reuse one set of forward buffers for all their forwards.
 
     Fed-back ``int`` depths are clamped into a physical band: at least 1e-3 m
     and at most twice the larger of the boundary pool depth and the normal
     depth.  A correct backwater curve stays strictly inside the band, but the
     recursive march would otherwise amplify a single off-manifold prediction
     through the step net's extrapolating linear pieces and overflow within a
-    few stations.  Floor and ceiling hits are added to ``counters["clamped"]``
-    and ``counters["capped"]``.
+    few stations.  Where the cap lies below the floor, the floor wins.  Floor
+    and ceiling hits are added to ``counters["clamped"]`` and
+    ``counters["capped"]``.
+
+    Raises:
+        ConvergenceError: (``int``) naming the first scenario without a
+            normal depth.
     """
     grid = grid or model.grid
     table = scenario_table(scenarios)
@@ -476,31 +496,42 @@ def predict(
         block = max(1, _SP_BLOCK_ROWS // grid.n_points)
         inputs = np.empty((min(block, len(table)), grid.n_points, INPUT_WIDTHS["sp"]))
         inputs[..., 0] = model.scaler.scale("x", grid.stations)
+        out = forward_buffers(model.params, inputs.shape)
         for start in range(0, len(table), block):
             rows = params[start : start + block]
-            inputs[: len(rows), :, 1:] = rows[:, None, :]
-            depths[start : start + len(rows)] = forward(model.params, inputs[: len(rows)])[0][..., 0]
+            n = len(rows)  # the last block may be short: the buffers' first n profiles
+            inputs[:n, :, 1:] = rows[:, None, :]
+            h = forward(model.params, inputs[:n], out=[layer[:n] for layer in out])[0]
+            depths[start : start + n] = h[..., 0]
         return depths
 
     if grid.dx != model.grid.dx:
         raise ValueError(
             f"int step net was trained for dx = {model.grid.dx:g} m, not dx = {grid.dx:g} m"
         )
-    depths[:, 0], h_n, status = weir_and_normal_depths(table)
+    weir, h_n, status = boundary_depths(scenarios)
     if status.any():
         raise ConvergenceError(f"no normal depth for scenario {np.flatnonzero(status)[0]}")
-    cap = 2.0 * np.maximum(depths[:, 0], h_n)
+    depths[:, 0] = weir
+    cap = 2.0 * np.maximum(weir, h_n)
     inputs = np.empty((len(table), INPUT_WIDTHS["int"]))
     inputs[:, 1:] = params
+    out = forward_buffers(model.params, inputs.shape)
+    low = np.empty(len(table), dtype=bool)
+    high = np.empty_like(low)
     hits = {"clamped": 0, "capped": 0}
     for i in range(1, grid.n_points):
         inputs[:, 0] = model.scaler.scale("h", depths[:, i - 1])
-        h = forward(model.params, inputs)[0][:, 0]
-        low = h < MIN_DEPTH
-        high = ~low & (h > cap)  # NaN is neither, and passes through
-        depths[:, i] = np.where(low, MIN_DEPTH, np.where(high, cap, h))
-        hits["clamped"] += int(low.sum())
-        hits["capped"] += int(high.sum())
+        h = forward(model.params, inputs, out=out)[0][:, 0]
+        np.less(h, MIN_DEPTH, out=low)
+        np.greater(h, cap, out=high)  # NaN is neither, and passes through
+        np.copyto(high, False, where=low)  # the floor wins where the band is inverted
+        column = depths[:, i]
+        np.copyto(column, h)
+        np.copyto(column, cap, where=high)
+        np.copyto(column, MIN_DEPTH, where=low)
+        hits["clamped"] += int(np.count_nonzero(low))
+        hits["capped"] += int(np.count_nonzero(high))
     if counters is not None:
         for key, count in hits.items():
             if count:

@@ -16,7 +16,10 @@ physics kernels share.  Stacked products are ``np.matmul`` over
 slice, so every member's values are bitwise those of its own 2-D call
 (``einsum`` would not be).  For the same reason one network's
 :func:`forward` takes inputs with any leading axes, such as a block of
-profiles, each (rows, fan_in) slice bitwise its own call.
+profiles, each (rows, fan_in) slice bitwise its own call.  A caller that
+runs many forwards of one shape (a reconstruction, a validation pass per
+epoch) passes one set of :func:`forward_buffers` to all of them, as a
+training loop passes one gradient buffer to :func:`backward`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ BETA2 = 0.999
 EPS = 1e-8
 #: How far a validation loss must beat the best so far to reset the plateau.
 PLATEAU_MIN_DELTA = 1e-8
+#: The smallest normal float64; Adam flushes first moments below it to 0.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -110,7 +115,7 @@ def init(layer_sizes: list[int], seed: int) -> NetworkParams:
     return params
 
 
-def forward(params: NetworkParams, inputs: np.ndarray):
+def forward(params: NetworkParams, inputs: np.ndarray, out: list[np.ndarray] | None = None):
     """Batched forward pass.
 
     Args:
@@ -118,11 +123,16 @@ def forward(params: NetworkParams, inputs: np.ndarray):
         inputs: (..., batch, layer_sizes[0]) for one network, which treats
             each (batch, layer_sizes[0]) slice as its own call; or
             (S, batch, layer_sizes[0]) for a stack: member s reads ``inputs[s]``.
+        out: optional per-layer output buffers from :func:`forward_buffers`
+            for these inputs' shape, whose every value is overwritten; a
+            caller that runs many forwards of one shape passes one set for
+            all of them.  ``np.matmul(..., out=)`` makes the same BLAS call,
+            so every value keeps its bits.
 
     Returns:
         (outputs, cache): outputs is (..., batch, layer_sizes[-1]), with the
-        inputs' leading axes; the cache keeps the inputs and
-        every layer's activations for :func:`backward`.  A ReLU passes its
+        inputs' leading axes (``out[-1]`` when buffers are given); the cache
+        keeps the inputs and every layer's activations for :func:`backward`.  A ReLU passes its
         gradient where its output is positive, which is where its
         pre-activation is, so the pre-activations are not kept: each layer
         writes its bias and ReLU into its product's buffer.
@@ -136,12 +146,19 @@ def forward(params: NetworkParams, inputs: np.ndarray):
     activations = [a]
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = np.matmul(a, w)
+        a = np.matmul(a, w, out=None if out is None else out[layer])
         a += b[..., None, :]
         if layer != last:
             np.maximum(a, 0.0, out=a)
         activations.append(a)
     return a, {"activations": activations}
+
+
+def forward_buffers(params: NetworkParams, inputs_shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Empty per-layer outputs for ``forward(params, inputs, out=...)`` on
+    inputs of ``inputs_shape``; a leading slice ``[:rows]`` of each serves
+    inputs with fewer rows on the first axis."""
+    return [np.empty((*inputs_shape[:-1], width)) for width in params.layer_sizes[1:]]
 
 
 def backward(
@@ -261,6 +278,9 @@ class AdamState:
 def adam_step(state: AdamState, params: NetworkParams, grad: np.ndarray) -> None:
     """One in-place Adam update with bias correction on the flat buffer.
 
+    First moments below the smallest normal float are flushed to 0, so a
+    weight whose gradient stays 0 costs no subnormal arithmetic.
+
     Raises:
         ValueError: on a non-finite gradient, before anything is updated.
     """
@@ -272,6 +292,10 @@ def adam_step(state: AdamState, params: NetworkParams, grad: np.ndarray) -> None
     corr2 = 1.0 - BETA2 ** t
     state.m *= BETA1
     state.m += (1.0 - BETA1) * grad
+    # A moment whose gradient stays 0 decays into the subnormal range, where
+    # 0.9 * m rounds back to m and every later step runs slow subnormal
+    # arithmetic; flushed to 0 it moves its parameter by 0, as it nearly did.
+    np.copyto(state.m, 0.0, where=np.abs(state.m) < _TINY)
     state.v *= BETA2
     state.v += (1.0 - BETA2) * grad * grad
     params.flat -= state.lr * (state.m / corr1) / (np.sqrt(state.v / corr2) + EPS)

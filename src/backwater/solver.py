@@ -17,6 +17,12 @@ Python and numpy float scalars do: numpy's array ``**`` rounds differently
 on a few percent of inputs.  Its Newton searches iterate on whole arrays
 under a mask of the elements not yet converged, so a station costs a fixed
 number of array operations per iteration however many scenarios finish.
+
+:func:`weir_and_normal_depths` gives a batch's dam and normal depths, which
+the march and the ``int`` surrogate's reconstruction both start from.  The
+march solves each corpus once and calls it directly;
+:func:`boundary_depths` keeps its results per scenario object, for
+reconstructions that revisit the same scenarios.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+import weakref
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -238,7 +245,7 @@ def _normal_depths(s, b, nnqq):
     status[idx[residual > 1e-10 * s]] = _STALLED
     if whole:
         return x, status
-    depth = np.empty(status.size)
+    depth = np.full(status.size, np.nan)  # no bracket, no depth
     depth[idx] = x
     return depth, status
 
@@ -289,11 +296,47 @@ def _subcritical_depths(e, a, h_c, e_min, h0):
 def weir_and_normal_depths(table: np.ndarray):
     """Per row of a :func:`~.hydraulics.scenario_table`: weir depth, normal
     depth (both bit for bit the scalar routines') and a status, nonzero where
-    the normal-depth search failed."""
+    the normal-depth search failed; the normal depth is NaN where the search
+    found no bracket."""
     s, b, n, z_d, q = table.T.copy()
     h_n, status = _normal_depths(s, b, n * n * q * q)
     head = _libm_pow(3.0 * math.sqrt(3.0) * q / (2.0 * math.sqrt(2.0 * GRAVITY) * b), 2.0 / 3.0)
     return z_d + head, h_n, status
+
+
+#: Each scenario :func:`boundary_depths` has solved: its (weir, h_n, status).
+#: An entry lives as long as the scenario object it was solved for.
+_BOUNDARY_DEPTHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def boundary_depths(scenarios):
+    """:func:`weir_and_normal_depths` of the scenarios' table, each scenario
+    solved once.
+
+    Returns ``(weir, h_n, status)`` exactly as
+    ``weir_and_normal_depths(scenario_table(scenarios))`` does.  Scenarios
+    not seen before are solved in one call to it; the results are kept per
+    :class:`~.hydraulics.ChannelScenario` (frozen, so equal by value) for
+    as long as the scenario object lives.  This pays only where the same
+    scenarios are reconstructed again while they live, such as every
+    ``int`` run of a sweep scored on one dataset's splits; a batch of new
+    scenarios pays a dictionary lookup and store per scenario on top of the
+    kernel.
+    """
+    scenarios = list(scenarios)
+    rows = [_BOUNDARY_DEPTHS.get(scen) for scen in scenarios]
+    new = [scen for scen, row in zip(scenarios, rows) if row is None]
+    if new:
+        # a scenario repeated within the batch is solved twice, to the same bits
+        solved = weir_and_normal_depths(scenario_table(new))
+        fresh = list(zip(*(column.tolist() for column in solved)))
+        _BOUNDARY_DEPTHS.update(zip(new, fresh))
+        if len(new) == len(scenarios):
+            return solved
+        fresh = iter(fresh)
+        rows = [next(fresh) if row is None else row for row in rows]
+    weir, h_n, status = np.array(rows, dtype=float).reshape(-1, 3).T
+    return weir, h_n, status.astype(int)
 
 
 def solve_profiles(scenarios, grid: GridSpec) -> list:
@@ -304,6 +347,8 @@ def solve_profiles(scenarios, grid: GridSpec) -> list:
     raises (same class, same message), e.g. an
     :class:`~.hydraulics.InsufficientEnergyError` for a subcritical march
     that steps across the critical energy.  Nothing is raised per batch.
+    The profiles' depths are rows of one (P, n_points) block, so the march
+    holds each depth once; a kept subset of the profiles keeps the block.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -363,9 +408,9 @@ def solve_profiles(scenarios, grid: GridSpec) -> list:
             continue
         if jump[k]:
             depths[k, jump[k]:] = h_n[k]
-            outcomes[k] = WaterProfile(scen, grid, depths[k].copy(), MIXED, int(jump[k]))
+            outcomes[k] = WaterProfile(scen, grid, depths[k], MIXED, int(jump[k]))
         else:
-            outcomes[k] = WaterProfile(scen, grid, depths[k].copy(), SUBCRITICAL, None)
+            outcomes[k] = WaterProfile(scen, grid, depths[k], SUBCRITICAL, None)
     return outcomes
 
 

@@ -18,9 +18,9 @@ from backwater.data import (
     view_sp,
     view_vts,
 )
-from backwater.hydraulics import normal_depth, weir_depth
+from backwater.hydraulics import ChannelScenario, ConvergenceError, normal_depth, weir_depth
 from backwater.losses import MIN_DEPTH
-from backwater import models
+from backwater import models, solver
 from backwater.models import (
     ModelSpec,
     TrainedModel,
@@ -207,9 +207,9 @@ def test_predict_input_rows_equal_view_rows_bitwise(small_ds, arch, monkeypatch)
     view = {"sp": view_sp, "int": view_int, "vts": view_vts}[arch](small_ds, "test")
     seen = []
 
-    def spy(params, inputs):
+    def spy(params, inputs, out=None):
         seen.append(inputs.copy())
-        return forward(params, inputs)
+        return forward(params, inputs, out=out)
 
     monkeypatch.setattr(models, "forward", spy)
     predict(zero_net_model(small_ds, arch, 1.0), [small_ds.profiles[i].scenario for i in idx])
@@ -229,9 +229,9 @@ def test_predict_sp_blocks_equal_per_profile_calls_bitwise(small_ds, sp_model, m
     monkeypatch.setattr(models, "_SP_BLOCK_ROWS", 3 * small_ds.grid.n_points + 5)
     calls = []
 
-    def spy(params, inputs):
+    def spy(params, inputs, out=None):
         calls.append(inputs.shape)
-        return forward(params, inputs)
+        return forward(params, inputs, out=out)
 
     scens = [p.scenario for p in small_ds.profiles[:11]]
     monkeypatch.setattr(models, "forward", spy)
@@ -287,6 +287,34 @@ def test_reconstruct_int_passes_nan_through(small_ds):
     assert counters == {}
     assert np.isnan(profiles[:, 1:]).all()
     assert np.isfinite(profiles[:, 0]).all()
+
+
+def test_reconstruct_int_floor_wins_where_the_band_is_inverted(small_ds):
+    # a trickle over a low weir: the cap 2 max(weir, h_n) lies below the floor
+    scen = ChannelScenario(1e-3, 10.0, 0.03, 1e-4, 1e-6)
+    cap = 2.0 * max(weir_depth(scen), normal_depth(scen))
+    assert cap < MIN_DEPTH
+    for output, hits, depth in (
+        (0.5 * MIN_DEPTH, "clamped", MIN_DEPTH),  # under the floor and over the cap
+        (1e-2 * cap, "clamped", MIN_DEPTH),  # under both
+        (2.0, "capped", cap),  # over both
+    ):
+        counters = {}
+        profile = predict(zero_net_model(small_ds, "int", output), [scen], counters=counters)[0]
+        assert counters == {hits: 30}
+        assert profile[0] == weir_depth(scen)
+        np.testing.assert_array_equal(profile[1:], depth)
+
+
+def test_predict_int_raises_for_a_failing_scenario_solved_or_cached(small_ds):
+    # J(1e4 m) still exceeds this slope: no normal depth inside the bracket
+    flat = ChannelScenario(s=1e-12, b=1.0, n=0.05, z_d=1.0, Q=300.0)
+    scens = [p.scenario for p in small_ds.profiles[:3]] + [flat]
+    model = zero_net_model(small_ds, "int", 2.0)
+    for _ in range(2):  # the second call reads every boundary depth from the cache
+        with pytest.raises(ConvergenceError, match=r"^no normal depth for scenario 3$"):
+            predict(model, scens)
+        assert all(scen in solver._BOUNDARY_DEPTHS for scen in scens)
 
 
 def test_reconstruct_int_needs_the_training_dx(small_ds):
@@ -363,9 +391,9 @@ def test_epoch_minibatches_are_shuffled_then_sliced_rows(small_ds, monkeypatch):
     seen_inputs, seen_targets, seen_consts = [], [], []
     real_forward, real_mse_grad = models.forward, models.mse_grad
 
-    def spy_forward(params, inputs):
+    def spy_forward(params, inputs, out=None):
         seen_inputs.append(inputs.copy())
-        return real_forward(params, inputs)
+        return real_forward(params, inputs, out=out)
 
     def spy_mse_grad(pred, targets):  # called once per minibatch, with its targets
         seen_targets.append(targets.copy())
@@ -607,8 +635,8 @@ def test_a_non_finite_data_term_leaves_its_group_before_the_kernel(small_ds, mon
     poison = {"steps": 0, "stack_size": 2}
     seen = []
 
-    def poisoning_forward(params, inputs):
-        out, cache = real_forward(params, inputs)
+    def poisoning_forward(params, inputs, out=None):
+        out, cache = real_forward(params, inputs, out=out)
         if inputs.ndim == 3:  # a training step, not a validation pass
             poison["steps"] += 1
             if poison["steps"] >= 5 and len(out) == poison["stack_size"]:

@@ -14,6 +14,7 @@ from backwater.network import (
     backward,
     dmse_dpred,
     forward,
+    forward_buffers,
     init,
     mse,
 )
@@ -132,6 +133,33 @@ def test_forward_over_leading_axes_equals_each_slice_bitwise(shape):
     assert cache["activations"][0] is x
     for index in np.ndindex(*shape[:-1]):
         assert out[index].tobytes() == forward(params, x[index])[0].tobytes()
+
+
+def bits(value):
+    """Shape and bytes of an array, for bitwise comparison."""
+    return value.shape, value.tobytes()
+
+
+@pytest.mark.parametrize("members,shape", [((), (9,)), ((), (3, 7)), ((2,), (5,))])
+def test_forward_into_buffers_equals_a_fresh_forward_bitwise(members, shape):
+    # one buffer set serves every call of its shape, and its leading slices fewer rows
+    params = init([6, 16, 16, 16, 1], seed=4)
+    if members:
+        params = NetworkParams(params.layer_sizes, np.stack([params.flat, params.flat[::-1].copy()]))
+    rng = np.random.default_rng(8)
+    out = forward_buffers(params, (*members, *shape, 6))
+    for layer in out:
+        layer[...] = np.nan
+    for rows in (shape[0], 1):
+        x = rng.normal(size=(*members, *shape, 6))
+        if not members:
+            x = x[:rows]
+        views = out if members else [layer[:rows] for layer in out]
+        got, cache = forward(params, x, out=views)
+        want, want_cache = forward(params, x)
+        assert got is cache["activations"][-1]
+        assert np.shares_memory(got, out[-1])
+        assert [bits(a) for a in cache["activations"]] == [bits(a) for a in want_cache["activations"]]
 
 
 # ---------------------------------------------------------------- #
@@ -290,6 +318,24 @@ def test_adam_rejects_non_finite_gradients():
         adam_step(state, params, bad)
     assert state.step == 0
     np.testing.assert_array_equal(params.flat, before.flat)
+
+
+def test_adam_flushes_subnormal_first_moments_and_moves_no_parameter():
+    # one gradient, then 7500 zero ones: unflushed, m decays into the
+    # subnormal range and stops there; flushed, it is exactly 0
+    params = scalar_params(1.7)
+    weights, biases = [params.weights[0].copy()], [params.biases[0].copy()]
+    ref = {"step": 0, "lr": 0.01, "m_w": [np.zeros((1, 1))], "v_w": [np.zeros((1, 1))],
+           "m_b": [np.zeros(1)], "v_b": [np.zeros(1)]}
+    state = AdamState(params, lr=0.01)
+    for grad in [np.array([0.37, -2.0])] + [np.zeros(2)] * 7500:
+        layered = NetworkParams([1, 1], grad)
+        reference_adam_step(ref, weights, biases, layered.weights, layered.biases)
+        adam_step(state, params, grad)
+    unflushed = np.concatenate([ref["m_w"][0].ravel(), ref["m_b"][0]])
+    assert ((0.0 < np.abs(unflushed)) & (np.abs(unflushed) < np.finfo(float).tiny)).all()
+    assert state.m.tobytes() == np.zeros(2).tobytes()
+    assert params.flat.tobytes() == np.concatenate([weights[0].ravel(), biases[0]]).tobytes()
 
 
 def reference_adam_step(state, weights, biases, d_weights, d_biases, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -1,5 +1,6 @@
 """Tests for the upstream marching profile solver and jump placement."""
 
+import gc
 import math
 import struct
 import sys
@@ -35,9 +36,11 @@ from backwater.hydraulics import (
     froude,
     momentum_function,
     normal_depth,
+    scenario_table,
     specific_energy,
     weir_depth,
 )
+from backwater import solver
 from backwater.solver import (
     _OK,
     GridSpec,
@@ -45,10 +48,12 @@ from backwater.solver import (
     _libm_pow,
     _march_error,
     _subcritical_depths,
+    boundary_depths,
     classify_regime,
     solve_profile,
     solve_profiles,
     step_upstream,
+    weir_and_normal_depths,
 )
 
 MILD = ChannelScenario(s=1e-3, b=10.0, n=0.02, z_d=3.0, Q=44.29)
@@ -312,6 +317,37 @@ def test_batched_march_reports_failures_per_scenario():
     assert "specific energy -0.970815 below critical minimum" in str(reference[3])
     assert_same_outcomes(solve_profiles(scenarios, coarse), reference)
     assert solve_profiles([], GRID) == []
+
+
+def test_boundary_depths_are_weir_and_normal_depths_with_half_the_batch_cached(monkeypatch):
+    flat = ChannelScenario(s=1e-12, b=1.0, n=0.05, z_d=1.0, Q=300.0)  # a failing search
+    scenarios = list(full_ranges().scenarios())[::37] + [flat]
+    batch = [scenarios[k] for k in np.random.default_rng(2).permutation(len(scenarios))]
+    def bits(arrays):
+        return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    first = batch[::2]  # none of it cached yet
+    assert bits(boundary_depths(first)) == bits(weir_and_normal_depths(scenario_table(first)))
+    batch += batch[:5]  # scenarios seen twice in one batch
+    want = weir_and_normal_depths(scenario_table(batch))
+    got = boundary_depths(batch)
+    assert bits(got) == bits(want)
+    assert got[2].any()
+    # equal scenarios built anew read the same entries, with no solve
+    rebuilt = [ChannelScenario(*row) for row in scenario_table(batch).tolist()]
+    monkeypatch.setattr(solver, "weir_and_normal_depths", None)
+    assert [a.tobytes() for a in boundary_depths(rebuilt)] == [a.tobytes() for a in want]
+    assert [a.shape for a in boundary_depths([])] == [(0,)] * 3
+
+
+def test_a_boundary_depth_entry_lives_as_long_as_its_scenario():
+    values = (1.234e-3, 17.5, 0.0234, 2.345, 56.78)
+    scen = ChannelScenario(*values)
+    boundary_depths([scen])
+    assert ChannelScenario(*values) in solver._BOUNDARY_DEPTHS
+    del scen
+    gc.collect()
+    assert ChannelScenario(*values) not in solver._BOUNDARY_DEPTHS
 
 
 def box_scenarios():
