@@ -95,14 +95,10 @@ from .losses import (
     physics_constants,
 )
 from .metrics import (
-    DistributionSummary,
     ProfileMetrics,
     SetEvaluation,
-    UndefinedMetricError,
+    empirical_cdf,
     evaluate_set,
-    nmae,
-    nnse,
-    nse,
     per_station_mae,
     summarize,
 )

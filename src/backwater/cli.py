@@ -35,7 +35,9 @@ Each setting comes from its flag if one is given, else from the config
 file, else from its default.  ``train`` reads only ``dataset`` and
 ``train`` from it, ``lambda-search`` also ``seeds``, ``sweep-size`` every
 key but ``widths``, and ``sweep-width`` every key but ``fractions``; a key
-the command does not read is a usage error.  ``gen-data --config`` instead wants
+the command does not read is a usage error, as is a ``seed`` in ``train``
+(each run's seed is ``--seed`` or an entry of ``seeds``).
+``gen-data --config`` instead wants
 ``{"ranges": {"s": [lo, hi, count], ...}, "grid": {"dx": .., "length": ..}}``.
 
 Every JSON file the program reads follows one rule: an integer is a float,
@@ -140,7 +142,10 @@ class PlanConfig:
         """Read a plan object; a ``ValueError`` names an unknown or mistyped key."""
         d = dict(_checked_keys(d, cls, what))
         d["cells"] = tuple(ModelSpec(**_checked_keys(c, ModelSpec, f"{what} cell")) for c in d.get("cells", ()))
-        d["train"] = TrainConfig(**_checked_keys(d.get("train", {}), TrainConfig, f"{what} 'train'"))
+        train = _checked_keys(d.get("train", {}), TrainConfig, f"{what} 'train'")
+        if "seed" in train:
+            raise ValueError(f"{what} 'train' sets 'seed', which each run's --seed or 'seeds' entry replaces")
+        d["train"] = TrainConfig(**train)
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
@@ -225,15 +230,7 @@ def cmd_evaluate(args) -> None:
         raise ValueError(f"dataset has no {args.split!r} profiles")
     out = evaluate_set(model, profiles, ids=ds.indices(args.split), split=args.split)
     write_metrics_csv(out.records, args.out)
-    print(
-        json.dumps(
-            {
-                "nmae": out.nmae_summary.to_dict(),
-                "nnse": out.nnse_summary.to_dict(),
-                "excluded": out.excluded,
-            }
-        )
-    )
+    print(json.dumps(out.summary))
 
 
 def _run_sweep(args, cfg: PlanConfig, cells, fractions=(1.0,)) -> None:

@@ -270,9 +270,6 @@ class Scaler:
         """
         return np.column_stack([self.scale(k, table[:, j]) for j, k in enumerate(PARAM_NAMES)])
 
-    def inverse(self, name: str, values):
-        return np.asarray(values, dtype=float) * self.std[name] + self.mean[name]
-
     def to_dict(self) -> dict:
         return {"mean": dict(self.mean), "std": dict(self.std)}
 

@@ -297,11 +297,7 @@ def _score(ds, model, config, fraction, ext, checksum, share) -> RunRecord:
         pred = predict(model, [prof.scenario for prof in profiles], counters=counters)
         out = evaluate_set(pred, profiles, ids=ids, split=split)
         all_records.extend(out.records)
-        summaries[split] = {
-            "nmae": out.nmae_summary.to_dict(),
-            "nnse": out.nnse_summary.to_dict(),
-            "excluded": out.excluded,
-        }
+        summaries[split] = out.summary
         if spec.arch == "int":
             summaries[split]["clamped"] = counters.get("clamped", 0)
             summaries[split]["capped"] = counters.get("capped", 0)

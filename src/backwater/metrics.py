@@ -2,11 +2,12 @@
 
 NMAE normalizes mean absolute depth error by the dam height (the natural
 length scale of a backwater profile); NNSE rescales the Nash-Sutcliffe
-efficiency into (0, 1] so badly wrong models stay comparable.  Summaries
-carry the mean (the headline number), box-plot percentiles, skewness, and
-the full empirical CDF.  A set of P profiles is scored with row reductions
-over (P, n_points) arrays; :func:`nmae` and :func:`nnse` are one row of the
-same routine.
+efficiency into (0, 1] so badly wrong models stay comparable.  A set of P
+profiles is scored with row reductions over (P, n_points) arrays, so row k
+is bitwise that profile scored alone.  A summary carries the mean (the
+headline number), box-plot percentiles and skewness; :func:`evaluate_set`
+builds a split's ``summary.json`` object once, and :func:`empirical_cdf`
+gives a sample's CDF on demand.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 from .data import SPLIT_NAMES, _read_csv, _write_csv
 from .models import TrainedModel, predict
 from .solver import MIXED, SUBCRITICAL
-
-
-class UndefinedMetricError(ValueError):
-    """The metric has no value for this input (e.g. constant true profile)."""
 
 
 # ---------------------------------------------------------------------- #
@@ -47,85 +44,29 @@ def _row_scores(preds: np.ndarray, trues: np.ndarray, z_d) -> tuple[np.ndarray, 
     return row_nmae, row_nse, denom == 0.0
 
 
-def _one_row(pred, true) -> tuple[np.ndarray, np.ndarray]:
-    """A single profile pair as the (1, n) rows of :func:`_row_scores`."""
-    pred = np.asarray(pred, dtype=float)
-    true = np.asarray(true, dtype=float)
-    if pred.shape != true.shape:
-        raise ValueError(f"profile shapes differ: {pred.shape} vs {true.shape}")
-    return pred.reshape(1, -1), true.reshape(1, -1)
-
-
-def nmae(pred, true, z_d: float) -> float:
-    """Mean absolute error normalized by the dam height."""
-    return float(_row_scores(*_one_row(pred, true), z_d)[0][0])
-
-
-def nse(pred, true) -> float:
-    """Nash-Sutcliffe efficiency against the true profile's own mean."""
-    _, value, undefined = _row_scores(*_one_row(pred, true), 1.0)
-    if undefined[0]:
-        raise UndefinedMetricError("NSE is undefined for a constant true profile")
-    return float(value[0])
-
-
-def nnse(pred, true) -> float:
-    """NSE rescaled into (0, 1]: 1/(2 - NSE)."""
-    return 1.0 / (2.0 - nse(pred, true))
-
-
 # ---------------------------------------------------------------------- #
 #  Distribution summaries
 # ---------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
-class DistributionSummary:
-    """Mean, box percentiles, skewness, and the empirical CDF of a sample."""
-
-    mean: float
-    p10: float
-    p25: float
-    p50: float
-    p75: float
-    p90: float
-    skewness: float
-    cdf_values: np.ndarray
-    cdf_freq: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "p10": self.p10,
-            "p25": self.p25,
-            "p50": self.p50,
-            "p75": self.p75,
-            "p90": self.p90,
-            "skewness": self.skewness,
-        }
-
-
-def summarize(values) -> DistributionSummary:
+def summarize(values) -> dict:
+    """The mean (the headline number), box percentiles and skewness of a
+    sample: the object a run's ``summary.json`` stores per metric."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot summarize an empty sample")
-    p10, p25, p50, p75, p90 = np.percentile(values, [10, 25, 50, 75, 90])
+    p10, p25, p50, p75, p90 = np.percentile(values, [10, 25, 50, 75, 90]).tolist()
     centered = values - values.mean()
     m2 = float(np.mean(centered**2))
     skew = float(np.mean(centered**3) / m2**1.5) if m2 > 0.0 else 0.0
-    order = np.sort(values)
-    freq = np.arange(1, values.size + 1) / values.size
-    return DistributionSummary(
-        mean=float(values.mean()),
-        p10=float(p10),
-        p25=float(p25),
-        p50=float(p50),
-        p75=float(p75),
-        p90=float(p90),
-        skewness=skew,
-        cdf_values=order,
-        cdf_freq=freq,
-    )
+    return {"mean": float(values.mean()), "p10": p10, "p25": p25, "p50": p50, "p75": p75, "p90": p90,
+            "skewness": skew}
+
+
+def empirical_cdf(values) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted sample and the cumulative frequency of each of its values."""
+    values = np.sort(np.asarray(values, dtype=float))
+    return values, np.arange(1, values.size + 1) / values.size
 
 
 # ---------------------------------------------------------------------- #
@@ -146,10 +87,15 @@ class ProfileMetrics:
 
 @dataclass(frozen=True, eq=False)
 class SetEvaluation:
+    """A split's per-profile records and its ``summary.json`` object,
+    ``{"nmae": summary, "nnse": summary, "excluded": count}``."""
+
     records: list[ProfileMetrics]
-    nmae_summary: DistributionSummary
-    nnse_summary: DistributionSummary
-    excluded: int
+    summary: dict
+
+    @property
+    def excluded(self) -> int:
+        return self.summary["excluded"]
 
 
 def _predictions(model, profiles) -> np.ndarray:
@@ -195,12 +141,9 @@ def evaluate_set(model, profiles, ids=None, split: str = "") -> SetEvaluation:
     ]
     if not records:
         raise ValueError("no profiles could be evaluated")
-    return SetEvaluation(
-        records=records,
-        nmae_summary=summarize([r.nmae for r in records]),
-        nnse_summary=summarize([r.nnse for r in records]),
-        excluded=int(undefined.sum()),
-    )
+    summary = {"nmae": summarize([r.nmae for r in records]), "nnse": summarize([r.nnse for r in records]),
+               "excluded": int(undefined.sum())}
+    return SetEvaluation(records, summary)
 
 
 def per_station_mae(model, profiles) -> np.ndarray:

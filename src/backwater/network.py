@@ -8,10 +8,10 @@ deterministic for a given seed.
 
 Parameters, inputs and gradients may carry a leading member axis: a stack of
 S networks with equal layer sizes is one ``(S, P)`` buffer, and
-:func:`forward`, :func:`backward`, :func:`mse`, :func:`dmse_dpred`,
-:func:`mse_grad` and :func:`adam_step` treat each member as if it were
-alone; :func:`member_means` is the per-member mean they and the stacked
-physics kernels share.  Stacked products are ``np.matmul`` over
+:func:`forward`, :func:`backward`, :func:`dmse_dpred`, :func:`mse_grad`
+and :func:`adam_step` treat each member as if it were alone (:func:`mse`
+scores one network's validation pass); :func:`member_means` is the
+per-member mean they and the stacked physics kernels share.  Stacked products are ``np.matmul`` over
 ``(S, rows, fan_in) x (S, fan_in, fan_out)``, which BLAS computes slice by
 slice, so every member's values are bitwise those of its own 2-D call
 (``einsum`` would not be).  For the same reason one network's
@@ -192,18 +192,12 @@ def backward(
     return grad.flat
 
 
-def mse(pred: np.ndarray, target: np.ndarray):
-    """Mean squared error over all elements of a (batch, outputs) pair.
-
-    Stacked (S, batch, outputs) arrays give one mean per member, an (S,)
-    array; 2-D ones give a float.
-    """
+def mse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean squared error over all elements of a (batch, outputs) pair."""
     pred, target = np.asarray(pred, dtype=float), np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError("pred and target shapes differ")
     diff = pred - target
-    if diff.ndim == 3:
-        return member_means(diff * diff)
     return float(np.mean(diff * diff))
 
 

@@ -105,6 +105,23 @@ def test_evaluate_saved_model(tmp_path, dataset_csv):
     assert len(lines) - 1 == len(ds.indices("test"))
 
 
+def test_summary_json_and_evaluate_stdout_share_one_split_object(tmp_path, dataset_csv, capsys):
+    # the format both outputs keep: per split nmae{...}, nnse{...}, excluded, in that order
+    runs = tmp_path / "runs"
+    assert main(train_args(dataset_csv, runs)) == 0
+    run_dir = next(runs.iterdir())
+    summary = json.loads((run_dir / "summary.json").read_text())
+    stats = ["mean", "p10", "p25", "p50", "p75", "p90", "skewness"]
+    for split in ("val", "test"):
+        assert list(summary[split]) == ["nmae", "nnse", "excluded"]
+        assert list(summary[split]["nmae"]) == stats and list(summary[split]["nnse"]) == stats
+        assert type(summary[split]["excluded"]) is int
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(run_dir / "model.json"), "--dataset", str(dataset_csv),
+                 "--out", str(tmp_path / "metrics.csv")]) == 0
+    assert capsys.readouterr().out == json.dumps(summary["test"]) + "\n"
+
+
 def test_sweep_size_and_report(tmp_path, dataset_csv):
     out = tmp_path / "sweep"
     assert main(
@@ -513,6 +530,14 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         # each sweep reads every plan key but the other sweep's axis
         ("sweep-size", dict(plan, widths=[4]), "cfg.json sets 'widths', which sweep-size does not read"),
         ("sweep-width", dict(plan, fractions=[0.05]), "cfg.json sets 'fractions', which sweep-width does not read"),
+        # a run's seed is --seed or an entry of seeds, so train.seed would be ignored
+        *((command, dict(cfg, train={"max_epochs": 1, "seed": 12345}), "cfg.json 'train' sets 'seed'")
+          for command, cfg in (
+            ("sweep-size", dict(plan, seeds=[0], fractions=[1.0])),
+            ("sweep-width", dict(plan, seeds=[0], widths=[4])),
+            ("train --arch sp", {"dataset": str(dataset_csv)}),
+            ("lambda-search --arch sp --strategy en --grid 0.5", {"dataset": str(dataset_csv), "seeds": [0]}),
+        )),
         # sweep-width has no --width: each of its widths replaces the cells' own
         ("sweep-width --width 8", plan, "unrecognized arguments: --width 8"),
     )

@@ -6,17 +6,15 @@ import pytest
 from backwater.data import ParameterRanges, generate
 from backwater.metrics import (
     ProfileMetrics,
-    UndefinedMetricError,
+    _row_scores,
+    empirical_cdf,
     evaluate_set,
-    nmae,
-    nnse,
-    nse,
     per_station_mae,
     read_metrics_csv,
     summarize,
     write_metrics_csv,
 )
-from backwater.solver import GridSpec
+from backwater.solver import GridSpec, WaterProfile
 
 RANGES = ParameterRanges(
     s=(1e-3, 5e-3, 2),
@@ -35,6 +33,27 @@ def tiny_ds():
 def oracle(tiny_ds):
     """Exact predictions: every true profile, in profile order."""
     return np.array([p.depths for p in tiny_ds.profiles])
+
+
+def batch_of_one(pred, true, z_d=1.0):
+    """(NMAE, NSE, NNSE, NSE undefined) of one profile: the (1, n) rows of ``_row_scores``."""
+    row_nmae, row_nse, undefined = _row_scores(np.reshape(pred, (1, -1)), np.reshape(true, (1, -1)), z_d)
+    nse = float(row_nse[0])
+    return float(row_nmae[0]), nse, 1.0 / (2.0 - nse), bool(undefined[0])
+
+
+def nmae(pred, true, z_d):
+    return batch_of_one(pred, true, z_d)[0]
+
+
+def nnse(pred, true):
+    return batch_of_one(pred, true)[2]
+
+
+def flat_profile(tiny_ds):
+    """A constant-depth fake: its NSE, and so its NNSE, is undefined."""
+    first = tiny_ds.profiles[0]
+    return WaterProfile(first.scenario, first.grid, np.full(tiny_ds.grid.n_points, 2.0))
 
 
 # ---------------------------------------------------------------- #
@@ -62,9 +81,9 @@ def test_nmae_detects_translation():
     assert nmae(true + 0.35, true, 1.4) == pytest.approx(0.35 / 1.4, rel=1e-12)
 
 
-def test_nmae_validation():
+def test_nmae_validation(tiny_ds):
     with pytest.raises(ValueError):
-        nmae(np.ones(3), np.ones(4), 1.0)
+        evaluate_set(oracle(tiny_ds)[:, :-1], tiny_ds.profiles)
     with pytest.raises(ValueError):
         nmae(np.ones(3), np.ones(3), 0.0)
 
@@ -91,15 +110,18 @@ def test_nnse_stays_positive_for_terrible_predictions():
 def test_nnse_increases_with_nse():
     true = np.linspace(1.0, 2.0, 30)
     nnse_values = [nnse(true + delta, true) for delta in (0.5, 0.2, 0.05, 0.0)]
-    nse_values = [nse(true + delta, true) for delta in (0.5, 0.2, 0.05, 0.0)]
+    nse_values = [batch_of_one(true + delta, true)[1] for delta in (0.5, 0.2, 0.05, 0.0)]
     assert nse_values == sorted(nse_values)
     assert nnse_values == sorted(nnse_values)
     assert nnse_values[-1] == 1.0
 
 
-def test_nnse_undefined_for_constant_profile():
-    with pytest.raises(UndefinedMetricError):
-        nnse(np.ones(10), np.full(10, 2.0))
+def test_nnse_undefined_for_constant_profile(tiny_ds):
+    assert batch_of_one(np.ones(10), np.full(10, 2.0))[3]
+    flat = flat_profile(tiny_ds)
+    out = evaluate_set(np.ones((2, tiny_ds.grid.n_points)), [flat, tiny_ds.profiles[0]])
+    assert out.excluded == out.summary["excluded"] == 1
+    assert len(out.records) == 1
 
 
 # ---------------------------------------------------------------- #
@@ -109,31 +131,33 @@ def test_nnse_undefined_for_constant_profile():
 
 def test_summarize_single_value():
     s = summarize([3.2])
-    assert (s.mean, s.p10, s.p25, s.p50, s.p75, s.p90) == (3.2,) * 6
-    assert s.skewness == 0.0
-    np.testing.assert_array_equal(s.cdf_values, [3.2])
-    np.testing.assert_array_equal(s.cdf_freq, [1.0])
+    assert list(s) == ["mean", "p10", "p25", "p50", "p75", "p90", "skewness"]
+    assert tuple(s[k] for k in ("mean", "p10", "p25", "p50", "p75", "p90")) == (3.2,) * 6
+    assert s["skewness"] == 0.0
+    cdf_values, cdf_freq = empirical_cdf([3.2])
+    np.testing.assert_array_equal(cdf_values, [3.2])
+    np.testing.assert_array_equal(cdf_freq, [1.0])
 
 
 def test_summarize_percentile_convention():
     s = summarize(np.arange(1, 101, dtype=float))
-    assert s.p50 == pytest.approx(50.5, rel=1e-12)
-    assert s.p25 == pytest.approx(np.percentile(np.arange(1, 101), 25), rel=1e-12)
-    assert s.mean == pytest.approx(50.5, rel=1e-12)
+    assert s["p50"] == pytest.approx(50.5, rel=1e-12)
+    assert s["p25"] == pytest.approx(np.percentile(np.arange(1, 101), 25), rel=1e-12)
+    assert s["mean"] == pytest.approx(50.5, rel=1e-12)
 
 
 def test_summarize_cdf_monotone_to_one():
     rng = np.random.default_rng(3)
-    s = summarize(rng.uniform(0.0, 1.0, 257))
-    assert np.all(np.diff(s.cdf_values) >= 0.0)
-    assert np.all(np.diff(s.cdf_freq) > 0.0)
-    assert s.cdf_freq[-1] == 1.0
-    assert s.cdf_values[-1] == s.cdf_values.max()
+    cdf_values, cdf_freq = empirical_cdf(rng.uniform(0.0, 1.0, 257))
+    assert np.all(np.diff(cdf_values) >= 0.0)
+    assert np.all(np.diff(cdf_freq) > 0.0)
+    assert cdf_freq[-1] == 1.0
+    assert cdf_values[-1] == cdf_values.max()
 
 
 def test_summarize_skewness_signs():
-    assert summarize([1.0, 2.0, 3.0]).skewness == pytest.approx(0.0, abs=1e-12)
-    assert summarize([1.0, 1.0, 1.0, 10.0]).skewness > 0.0
+    assert summarize([1.0, 2.0, 3.0])["skewness"] == pytest.approx(0.0, abs=1e-12)
+    assert summarize([1.0, 1.0, 1.0, 10.0])["skewness"] > 0.0
 
 
 def test_summarize_empty_errors():
@@ -148,8 +172,8 @@ def test_summarize_empty_errors():
 
 def test_evaluate_set_perfect_oracle(tiny_ds):
     out = evaluate_set(oracle(tiny_ds), tiny_ds.profiles, split="test")
-    assert out.nmae_summary.mean == 0.0
-    assert out.nnse_summary.mean == 1.0
+    assert out.summary["nmae"]["mean"] == 0.0
+    assert out.summary["nnse"]["mean"] == 1.0
     assert out.excluded == 0
     assert len(out.records) == len(tiny_ds.profiles)
     assert {r.split for r in out.records} == {"test"}
@@ -158,19 +182,11 @@ def test_evaluate_set_perfect_oracle(tiny_ds):
 def test_evaluate_set_mean_predictor_baseline(tiny_ds):
     pred = np.array([np.full_like(p.depths, p.depths.mean()) for p in tiny_ds.profiles])
     out = evaluate_set(pred, tiny_ds.profiles)
-    assert out.nnse_summary.mean == pytest.approx(0.5, abs=1e-12)
+    assert out.summary["nnse"]["mean"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_evaluate_set_counts_exclusions(tiny_ds):
-    # a constant-depth fake makes its own metrics undefined
-    from backwater.solver import WaterProfile
-
-    flat = WaterProfile(
-        tiny_ds.profiles[0].scenario,
-        tiny_ds.profiles[0].grid,
-        np.full(tiny_ds.grid.n_points, 2.0),
-    )
-    profiles = list(tiny_ds.profiles) + [flat]
+    profiles = list(tiny_ds.profiles) + [flat_profile(tiny_ds)]
     pred = np.vstack([oracle(tiny_ds), np.ones(tiny_ds.grid.n_points)])
     out = evaluate_set(pred, profiles)
     assert out.excluded == 1
@@ -198,11 +214,7 @@ def bits(value: float) -> bytes:
 
 
 def test_evaluate_set_rows_equal_per_profile_scores_bitwise(tiny_ds):
-    from backwater.solver import WaterProfile
-
-    first = tiny_ds.profiles[0]
-    flat = WaterProfile(first.scenario, first.grid, np.full(tiny_ds.grid.n_points, 2.0))
-    profiles = [flat] + list(tiny_ds.profiles)
+    profiles = [flat_profile(tiny_ds)] + list(tiny_ds.profiles)
     rng = np.random.default_rng(11)
     pred = np.array([p.depths + rng.normal(0.0, 0.2, p.depths.size) for p in profiles])
     pred[3, 5] = np.nan
@@ -261,8 +273,8 @@ def test_metrics_csv_round_trip(tmp_path, tiny_ds):
     loaded = read_metrics_csv(path)
     assert loaded == out.records
     # summaries recomputed from the file match the originals exactly
-    assert summarize([r.nmae for r in loaded]).mean == out.nmae_summary.mean
-    assert summarize([r.nnse for r in loaded]).p90 == out.nnse_summary.p90
+    assert summarize([r.nmae for r in loaded])["mean"] == out.summary["nmae"]["mean"]
+    assert summarize([r.nnse for r in loaded])["p90"] == out.summary["nnse"]["p90"]
 
 
 def test_metrics_csv_header_guard(tmp_path):

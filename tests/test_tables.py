@@ -42,7 +42,7 @@ def record(tiny_ds):
         {"epoch": e, "train_loss": float(rng.random()), "val_loss": float(rng.random()), "lr": 1e-3 / (e + 1)}
         for e in range(5)
     ]
-    summary = {"nmae": out.nmae_summary.to_dict(), "nnse": out.nnse_summary.to_dict()}
+    summary = {"nmae": out.summary["nmae"], "nnse": out.summary["nnse"]}
     return RunRecord("sp", "dd", 1.0, 8, 1.0, 0, tiny_ds.content_hash(), {}, 0.0,
                      history, out.records, {"test": summary})
 
