@@ -3,8 +3,9 @@
 A corpus is built by solving every combination of a uniform 5-parameter grid
 (slope, width, roughness, dam height, discharge), split 70/15/15 into
 train/val/test by a seeded shuffle, and standardized with statistics from the
-training split only.  Three "views" rearrange the same depths into the sample
-layouts the surrogate architectures train on.
+training split only; a :class:`ProfileDataset` fits that scaler, indexes its
+splits and tables its scenarios once, as it is built.  Three "views"
+rearrange the same depths into the sample layouts the networks train on.
 
 Scenario parameters are read in one place, :func:`~.hydraulics.scenario_table`,
 and standardized in one, :meth:`Scaler.scale_table`.  A network input row is
@@ -24,7 +25,7 @@ import json
 import math
 import reprlib
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -291,22 +292,40 @@ def fit_scaler(profiles: list[WaterProfile]) -> Scaler:
 
 @dataclass
 class ProfileDataset:
-    """Solved profiles plus split tags, scaler, and a generation manifest."""
+    """Solved profiles on one grid, their split tags and a generation manifest.
+
+    Derived once, as it is built: each split's indices and the scenario
+    ``table`` (both read-only), and the ``scaler``, fit on the training split
+    or, in an eval-only corpus whose scaler nothing reads, on every profile.
+    A profile off ``grid`` raises.
+    """
 
     profiles: list[WaterProfile]
     split: list[str]
-    scaler: Scaler
     grid: GridSpec
     manifest: dict
+    scaler: Scaler = field(init=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    _indices: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.split) != len(self.profiles):
             raise ValueError("one split tag per profile required")
+        grid = self.grid  # usually the profiles' own object: `is` skips the field compare
+        off = next((k for k, p in enumerate(self.profiles) if p.grid is not grid and p.grid != grid), None)
+        if off is not None:
+            raise ValueError(f"profile {off} lies on {self.profiles[off].grid}, not the dataset's {grid}")
+        tags = np.array(self.split, dtype=str)
+        self._indices = {name: np.flatnonzero(tags == name) for name in SPLIT_NAMES}
+        self.table = scenario_table([p.scenario for p in self.profiles])
+        for array in (self.table, *self._indices.values()):
+            array.flags.writeable = False
+        self.scaler = fit_scaler(self.profiles_in("train") or self.profiles)
 
     def indices(self, split: str) -> np.ndarray:
         if split not in SPLIT_NAMES:
             raise ValueError(f"unknown split {split!r}")
-        return np.array([i for i, tag in enumerate(self.split) if tag == split], dtype=int)
+        return self._indices[split]
 
     def profiles_in(self, split: str) -> list[WaterProfile]:
         return [self.profiles[i] for i in self.indices(split)]
@@ -314,8 +333,7 @@ class ProfileDataset:
     def content_hash(self) -> str:
         """Checksum of scenario parameters, depths, and split tags."""
         digest = hashlib.sha256()
-        table = scenario_table([p.scenario for p in self.profiles])
-        for row, profile, tag in zip(table, self.profiles, self.split):
+        for row, profile, tag in zip(self.table, self.profiles, self.split):
             digest.update(row.tobytes())
             digest.update(profile.depths.tobytes())
             digest.update(tag.encode())
@@ -348,7 +366,7 @@ def _sort_outcomes(scenarios, outcomes) -> tuple[list[WaterProfile], list[dict]]
 
 
 def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDataset:
-    """Solve the full scenario grid in one batched march, split it, and fit the scaler.
+    """Solve the full scenario grid in one batched march and split it.
 
     Scenarios whose subcritical march fails are rejected and logged in the
     manifest; more than 10% rejections means the ranges are poorly chosen
@@ -363,8 +381,6 @@ def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDatas
         )
 
     split = assign_splits(len(profiles), seed)
-    train = [p for p, tag in zip(profiles, split) if tag == "train"]
-    scaler = fit_scaler(train)
     manifest = {
         "format_version": FORMAT_VERSION,
         "seed": seed,
@@ -373,15 +389,10 @@ def generate(ranges: ParameterRanges, grid: GridSpec, seed: int) -> ProfileDatas
         "dx": grid.dx,
         "length": grid.length,
         "rejected": rejected,
-        "counts": {
-            "grid": total,
-            "retained": len(profiles),
-            "train": len(train),
-            "val": split.count("val"),
-            "test": split.count("test"),
-        },
+        "counts": {"grid": total, "retained": len(profiles),
+                   **{tag: split.count(tag) for tag in SPLIT_NAMES}},
     }
-    return ProfileDataset(profiles, split, scaler, grid, manifest)
+    return ProfileDataset(profiles, split, grid, manifest)
 
 
 def assign_splits(n: int, seed: int) -> list[str]:
@@ -426,7 +437,7 @@ def _scenario_samples(ds: ProfileDataset, split: str, repeats: int):
     """A split's profile indices, then its standardized scenario rows and its
     unscaled parameter columns (plus ``dx``), each repeated once per sample."""
     idx = ds.indices(split)
-    table = scenario_table([ds.profiles[i].scenario for i in idx])
+    table = ds.table[idx]
     aux = {k: np.repeat(col, repeats) for k, col in zip(PARAM_NAMES, table.T)}
     aux["dx"] = ds.grid.dx
     return idx, np.repeat(ds.scaler.scale_table(table), repeats, axis=0), aux
@@ -451,9 +462,6 @@ def view_int(ds: ProfileDataset, split: str = "train") -> SampleBatch:
 def view_vts(ds: ProfileDataset, split: str = "train") -> SampleBatch:
     """Whole-profile samples ([s, b, n, zd, Q] -> depth vector of n_points)."""
     idx, params, aux = _scenario_samples(ds, split, 1)
-    for i in idx:
-        if ds.profiles[i].grid != ds.grid:
-            raise ValueError("all profiles in a VTS view must share one grid")
     targets = np.vstack([ds.profiles[i].depths for i in idx]) if len(idx) else np.empty((0, ds.grid.n_points))
     return SampleBatch(params, targets, aux)
 
@@ -466,8 +474,8 @@ def view_vts(ds: ProfileDataset, split: str = "train") -> SampleBatch:
 def subsample_training(ds: ProfileDataset, fraction: float, seed: int) -> ProfileDataset:
     """Keep ceil(fraction * n_train) whole training profiles; val/test untouched.
 
-    The scaler is refitted on the reduced training split so the view pipeline
-    behaves exactly as if the smaller corpus had been generated directly.
+    Kept profiles stay in order and the scaler is refitted on the reduced
+    training split, as if the smaller corpus had been generated directly.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
@@ -476,22 +484,12 @@ def subsample_training(ds: ProfileDataset, fraction: float, seed: int) -> Profil
     if keep < 2:
         raise ValueError("subsample would retain fewer than 2 training profiles")
     chosen = np.random.default_rng(seed).permutation(len(train_idx))[:keep]
-    kept = set(train_idx[np.sort(chosen)].tolist())
-
-    profiles, split = [], []
-    for i, (profile, tag) in enumerate(zip(ds.profiles, ds.split)):
-        if tag == "train" and i not in kept:
-            continue
-        profiles.append(profile)
-        split.append(tag)
-    scaler = fit_scaler([p for p, tag in zip(profiles, split) if tag == "train"])
-    manifest = dict(ds.manifest)
-    manifest["subsample"] = {"fraction": fraction, "seed": seed, "kept_train": keep}
-    counts = dict(manifest.get("counts", {}))
-    counts["train"] = keep
-    counts["retained"] = len(profiles)
-    manifest["counts"] = counts
-    return ProfileDataset(profiles, split, scaler, ds.grid, manifest)
+    rows = np.delete(np.arange(len(ds.profiles)), np.delete(train_idx, chosen)).tolist()
+    profiles, split = [ds.profiles[i] for i in rows], [ds.split[i] for i in rows]
+    counts = {**ds.manifest.get("counts", {}), "train": keep, "retained": len(profiles)}
+    subsample = {"fraction": fraction, "seed": seed, "kept_train": keep}
+    manifest = {**ds.manifest, "subsample": subsample, "counts": counts}
+    return ProfileDataset(profiles, split, ds.grid, manifest)
 
 
 # ---------------------------------------------------------------------- #
@@ -511,8 +509,7 @@ def save(ds: ProfileDataset, path) -> None:
     """Write the corpus as a CSV of profiles, `s,b,n,zd,Q,h0..h{N-1}`, plus a
     JSON manifest of generation settings, splits, regimes, and the CSV checksum."""
     path = Path(path)
-    table = scenario_table([p.scenario for p in ds.profiles]).tolist()
-    rows = (params + profile.depths.tolist() for params, profile in zip(table, ds.profiles))
+    rows = (params + profile.depths.tolist() for params, profile in zip(ds.table.tolist(), ds.profiles))
     _write_csv(path, _dataset_header(ds.grid), rows)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -587,13 +584,8 @@ def load(path) -> ProfileDataset:
     for k, ((scenario, depths), *tags) in enumerate(zip(rows, *(manifest[key] for key in per_profile))):
         _check_manifest_row(k, *tags, grid.n_points)
         profiles.append(WaterProfile(scenario, grid, depths, *tags[1:]))
-    split = list(manifest["split"])
-    # eval-only corpora (e.g. extrapolation sets) carry no train profiles;
-    # their scaler is never consulted, so fit it on everything
-    train_profiles = [p for p, tag in zip(profiles, split) if tag == "train"]
-    scaler = fit_scaler(train_profiles or profiles)
     loaded = {k: v for k, v in manifest.items() if k not in (*per_profile, "csv_sha256")}
-    return ProfileDataset(profiles, split, scaler, grid, loaded)
+    return ProfileDataset(profiles, list(manifest["split"]), grid, loaded)
 
 
 def desk_ranges() -> ParameterRanges:

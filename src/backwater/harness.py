@@ -35,7 +35,6 @@ from .data import (
     _read_json,
     _sort_outcomes,
     _write_csv,
-    fit_scaler,
     subsample_training,
 )
 from .hydraulics import ChannelScenario
@@ -46,7 +45,7 @@ from .metrics import (
     read_metrics_csv,
     write_metrics_csv,
 )
-from .models import ModelSpec, predict, train_stack
+from .models import ModelSpec, train_stack
 from .network import TrainConfig
 from .solver import GridSpec, WaterProfile, solve_profiles
 
@@ -203,9 +202,7 @@ def extrapolation_dataset(ds: ProfileDataset, count: int | None = None, seed: in
         "rejected": rejected,
         "counts": {"grid": count + len(rejected), "retained": count, "train": 0, "val": 0, "test": count},
     }
-    return ProfileDataset(
-        profiles, ["test"] * count, fit_scaler(profiles), ds.grid, manifest
-    )
+    return ProfileDataset(profiles, ["test"] * count, ds.grid, manifest)
 
 
 # ---------------------------------------------------------------------- #
@@ -259,15 +256,17 @@ def _run_stack(ds, runs, config, ext, model_sink=None) -> list[RunRecord]:
     """Train (cell, fraction, seed) runs as one :func:`~.models.train_stack`
     and score each.
 
-    A record's ``wall_time`` is its share of the stack's subsampling and
-    training time plus its own scoring time.
+    Runs that share a fraction and a seed share one subsample.  A record's
+    ``wall_time`` is its share of the stack's subsampling and training time
+    plus its own scoring time.
     """
     config = config or TrainConfig()
     started = time.perf_counter()
-    members = []
+    subsamples, members = {}, []
     for spec, fraction, seed in runs:
-        ds_run = ds if fraction >= 1.0 else subsample_training(ds, fraction, seed)
-        members.append((spec, ds_run, replace(config, seed=seed)))
+        if fraction < 1.0 and (fraction, seed) not in subsamples:
+            subsamples[fraction, seed] = subsample_training(ds, fraction, seed)
+        members.append((spec, subsamples.get((fraction, seed), ds), replace(config, seed=seed)))
     trained = train_stack(members)
     share = (time.perf_counter() - started) / len(runs)
     if model_sink is not None:
@@ -293,17 +292,12 @@ def _score(ds, model, config, fraction, ext, checksum, share) -> RunRecord:
     all_records: list[ProfileMetrics] = []
     summaries: dict = {}
     for split, profiles, ids in splits:
-        counters: dict = {}
-        pred = predict(model, [prof.scenario for prof in profiles], counters=counters)
-        out = evaluate_set(pred, profiles, ids=ids, split=split)
+        out = evaluate_set(model, profiles, ids=ids, split=split)
         all_records.extend(out.records)
         summaries[split] = out.summary
-        if spec.arch == "int":
-            summaries[split]["clamped"] = counters.get("clamped", 0)
-            summaries[split]["capped"] = counters.get("capped", 0)
-            if split == "test":
-                curve = per_station_mae(pred, profiles)
-    if spec.arch == "int":
+        if spec.arch == "int" and split == "test":
+            curve = per_station_mae(out.preds, profiles)
+    if spec.arch == "int":  # after the splits, keeping summary.json's key order
         summaries["station_mae"] = [float(v) for v in curve]
     summaries["diagnostics"] = model.diagnostics
 

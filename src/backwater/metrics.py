@@ -87,30 +87,34 @@ class ProfileMetrics:
 
 @dataclass(frozen=True, eq=False)
 class SetEvaluation:
-    """A split's per-profile records and its ``summary.json`` object,
-    ``{"nmae": summary, "nnse": summary, "excluded": count}``."""
+    """A split's per-profile records, its ``summary.json`` object,
+    ``{"nmae": summary, "nnse": summary, "excluded": count}`` (plus an ``int``
+    model's ``clamped``/``capped`` counts), and the (P, n_points) predictions scored."""
 
     records: list[ProfileMetrics]
     summary: dict
+    preds: np.ndarray
 
     @property
     def excluded(self) -> int:
         return self.summary["excluded"]
 
 
-def _predictions(model, profiles) -> np.ndarray:
-    """The (P, n_points) predictions for ``profiles``: a model's, or a given array."""
+def _predictions(model, profiles) -> tuple[np.ndarray, dict]:
+    """The (P, n_points) predictions for ``profiles``, a model's or a given array,
+    and the floor and cap hits of an ``int`` model's march (else no counts)."""
     if not profiles:
         raise ValueError("need at least one profile")
     if isinstance(model, TrainedModel):
         if any(prof.grid != model.grid for prof in profiles):
             raise ValueError("evaluation profiles must share the model grid")
-        return predict(model, [prof.scenario for prof in profiles])
+        hits = {"clamped": 0, "capped": 0} if model.spec.arch == "int" else {}
+        return predict(model, [prof.scenario for prof in profiles], counters=hits), hits
     pred = np.asarray(model, dtype=float)
     expected = (len(profiles), profiles[0].grid.n_points)
     if pred.shape != expected:
         raise ValueError(f"prediction array has shape {pred.shape}, expected {expected}")
-    return pred
+    return pred, {}
 
 
 def _truths(profiles) -> np.ndarray:
@@ -121,14 +125,16 @@ def _truths(profiles) -> np.ndarray:
 def evaluate_set(model, profiles, ids=None, split: str = "") -> SetEvaluation:
     """Score every profile's prediction; summaries over the whole set.
 
-    ``model`` is a TrainedModel (one :func:`~.models.predict` call) or a
-    (P, n_points) prediction array in profile order, e.g. an exact oracle or a
-    prediction shared with :func:`per_station_mae`.  Profiles whose metrics
-    are undefined are dropped from the summaries and counted in ``excluded``.
+    ``model`` is a TrainedModel (one :func:`~.models.predict` call, whose
+    ``int`` floor and cap hits the summary adds) or a (P, n_points) prediction
+    array in profile order, e.g. an exact oracle.  ``ids`` holds one id per
+    profile.  Profiles with undefined metrics are counted in ``excluded``.
     """
-    preds = _predictions(model, profiles)
     if ids is None:
-        ids = list(range(len(profiles)))
+        ids = range(len(profiles))
+    if len(ids) != len(profiles):
+        raise ValueError(f"{len(ids)} ids for {len(profiles)} profiles")
+    preds, hits = _predictions(model, profiles)
     z_d = [prof.scenario.z_d for prof in profiles]
     scores_nmae, scores_nse, undefined = _row_scores(preds, _truths(profiles), z_d)
     scores_nnse = 1.0 / (2.0 - scores_nse)
@@ -142,8 +148,8 @@ def evaluate_set(model, profiles, ids=None, split: str = "") -> SetEvaluation:
     if not records:
         raise ValueError("no profiles could be evaluated")
     summary = {"nmae": summarize([r.nmae for r in records]), "nnse": summarize([r.nnse for r in records]),
-               "excluded": int(undefined.sum())}
-    return SetEvaluation(records, summary)
+               "excluded": int(undefined.sum()), **hits}
+    return SetEvaluation(records, summary, preds)
 
 
 def per_station_mae(model, profiles) -> np.ndarray:
@@ -151,7 +157,7 @@ def per_station_mae(model, profiles) -> np.ndarray:
 
     ``model`` is a TrainedModel or a prediction array, as in :func:`evaluate_set`.
     """
-    preds = _predictions(model, profiles)
+    preds, _ = _predictions(model, profiles)
     # a reduction over the leading axis adds the rows in order, one at a time
     return np.add.reduce(np.abs(preds - _truths(profiles)), axis=0) / len(profiles)
 

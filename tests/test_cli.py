@@ -13,7 +13,7 @@ from backwater import cli
 from backwater.cli import PlanConfig, build_parser, main, parse_cell
 from backwater.data import load
 from backwater.harness import _dir_name, discover_records, record_dir_name
-from backwater.models import ModelSpec
+from backwater.models import ARCHITECTURES, ModelSpec
 from backwater.network import init
 
 TINY_CONFIG = {
@@ -106,20 +106,25 @@ def test_evaluate_saved_model(tmp_path, dataset_csv):
 
 
 def test_summary_json_and_evaluate_stdout_share_one_split_object(tmp_path, dataset_csv, capsys):
-    # the format both outputs keep: per split nmae{...}, nnse{...}, excluded, in that order
-    runs = tmp_path / "runs"
-    assert main(train_args(dataset_csv, runs)) == 0
-    run_dir = next(runs.iterdir())
-    summary = json.loads((run_dir / "summary.json").read_text())
+    # the format both outputs keep: per split nmae{...}, nnse{...}, excluded, in that
+    # order, then an int model's floor and cap counts
     stats = ["mean", "p10", "p25", "p50", "p75", "p90", "skewness"]
-    for split in ("val", "test"):
-        assert list(summary[split]) == ["nmae", "nnse", "excluded"]
-        assert list(summary[split]["nmae"]) == stats and list(summary[split]["nnse"]) == stats
-        assert type(summary[split]["excluded"]) is int
-    capsys.readouterr()
-    assert main(["evaluate", "--model", str(run_dir / "model.json"), "--dataset", str(dataset_csv),
-                 "--out", str(tmp_path / "metrics.csv")]) == 0
-    assert capsys.readouterr().out == json.dumps(summary["test"]) + "\n"
+    for arch in ARCHITECTURES:
+        runs = tmp_path / arch
+        argv = train_args(dataset_csv, runs)
+        argv[argv.index("--arch") + 1] = arch
+        assert main(argv) == 0
+        run_dir = next(runs.iterdir())
+        summary = json.loads((run_dir / "summary.json").read_text())
+        counts = ["excluded", "clamped", "capped"] if arch == "int" else ["excluded"]
+        for split in ("val", "test"):
+            assert list(summary[split]) == ["nmae", "nnse", *counts]
+            assert list(summary[split]["nmae"]) == stats and list(summary[split]["nnse"]) == stats
+            assert all(type(summary[split][key]) is int for key in counts)
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(run_dir / "model.json"), "--dataset", str(dataset_csv),
+                     "--out", str(tmp_path / "metrics.csv")]) == 0
+        assert capsys.readouterr().out == json.dumps(summary["test"]) + "\n"
 
 
 def test_sweep_size_and_report(tmp_path, dataset_csv):

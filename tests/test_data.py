@@ -14,7 +14,9 @@ from backwater.cli import PlanConfig
 from backwater.data import (
     DESK_GRID,
     PARAM_NAMES,
+    SPLIT_NAMES,
     ParameterRanges,
+    ProfileDataset,
     _checked_keys,
     assign_splits,
     desk_ranges,
@@ -32,7 +34,7 @@ from backwater.hydraulics import ChannelScenario, scenario_table
 from backwater.losses import STRATEGIES
 from backwater.models import ARCHITECTURES, ModelSpec
 from backwater.network import TrainConfig
-from backwater.solver import GridSpec
+from backwater.solver import GridSpec, WaterProfile
 
 SMALL_RANGES = ParameterRanges(
     s=(1e-3, 2e-2, 3),
@@ -336,6 +338,27 @@ def test_subsample_full_fraction_is_identity(small_ds):
     sub = subsample_training(small_ds, 1.0, seed=9)
     assert [id(p) for p in sub.profiles] == [id(p) for p in small_ds.profiles]
     assert sub.scaler == small_ds.scaler
+
+
+def test_indices_are_the_split_tag_walk(small_ds, tmp_path):
+    save(small_ds, tmp_path / "corpus.csv")
+    sub = subsample_training(small_ds, 0.5, seed=3)
+    for ds in (small_ds, load(tmp_path / "corpus.csv"), sub):
+        for split in SPLIT_NAMES:
+            assert ds.indices(split).tolist() == [i for i, tag in enumerate(ds.split) if tag == split]
+    # the subsample keeps its chosen training profiles and every other one, in corpus order
+    train = small_ds.indices("train")
+    chosen = set(train[np.random.default_rng(3).permutation(len(train))[: len(sub.indices("train"))]].tolist())
+    kept = [p for i, (p, tag) in enumerate(zip(small_ds.profiles, small_ds.split)) if tag != "train" or i in chosen]
+    assert [id(p) for p in sub.profiles] == [id(p) for p in kept]
+
+
+def test_a_profile_off_the_dataset_grid_raises_at_construction(small_ds):
+    other = GridSpec(dx=10.0, length=200.0)
+    profiles = list(small_ds.profiles)
+    profiles[3] = WaterProfile(profiles[3].scenario, other, profiles[3].depths[: other.n_points])
+    with pytest.raises(ValueError, match="profile 3 lies on"):
+        ProfileDataset(profiles, small_ds.split, small_ds.grid, {})
 
 
 def test_subsample_guards(small_ds):

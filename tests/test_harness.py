@@ -267,7 +267,6 @@ def test_run_one_int_reports_station_curve(ds):
 
 
 def test_run_one_predicts_each_split_once(ds, monkeypatch):
-    import backwater.harness
     import backwater.metrics
     from backwater.models import predict
 
@@ -277,7 +276,7 @@ def test_run_one_predicts_each_split_once(ds, monkeypatch):
         calls.append(len(scenarios))
         return predict(model, scenarios, *args, **kwargs)
 
-    monkeypatch.setattr(backwater.harness, "predict", counting_predict)
+    # scoring predicts through metrics.evaluate_set only
     monkeypatch.setattr(backwater.metrics, "predict", counting_predict)
     ext = extrapolation_dataset(ds, count=5, seed=11)
     sink = []
@@ -354,6 +353,27 @@ def test_execute_plan_stacks_runs_and_keeps_plan_order(ds, tmp_path, monkeypatch
         assert record.wall_time > 0.0
         assert replace(record, wall_time=0.0) == replace(solo, wall_time=0.0)
     assert stacks == [[run] for run in ((c, s) for c, _, s in plan.runs())]
+
+
+def test_a_stack_subsamples_once_per_seed(ds, monkeypatch):
+    import backwater.harness
+
+    calls = []
+    real_subsample = backwater.harness.subsample_training
+
+    def spy_subsample(base, fraction, seed):
+        calls.append((fraction, seed))
+        return real_subsample(base, fraction, seed)
+
+    monkeypatch.setattr(backwater.harness, "subsample_training", spy_subsample)
+    cells = (ModelSpec("sp", width=8), ModelSpec("sp", "en", 0.5, 8), ModelSpec("sp", "fr", 0.5, 8))
+    plan = ExperimentPlan(cells=cells, seeds=(0, 1), fractions=(0.5,))
+    records = execute_plan(ds, plan, FAST)
+    # one stack of six members, two distinct seeds
+    assert calls == [(0.5, 0), (0.5, 1)]
+    for record, (cell, fraction, seed) in zip(records, plan.runs()):
+        solo = run_one(ds, cell, seed, FAST, fraction)
+        assert replace(record, wall_time=0.0) == replace(solo, wall_time=0.0)
 
 
 def test_execute_plan_with_extrapolation(ds, tmp_path):

@@ -200,6 +200,14 @@ def test_evaluate_set_ids_and_regimes(tiny_ds):
     assert all(r.regime == p.regime for r, p in zip(out.records, tiny_ds.profiles))
 
 
+def test_evaluate_set_needs_one_id_per_profile(tiny_ds):
+    # a short id list would silently drop the profiles it does not reach
+    profiles = tiny_ds.profiles[:4]
+    for ids in ([0], list(range(5))):
+        with pytest.raises(ValueError, match=f"{len(ids)} ids for 4 profiles"):
+            evaluate_set(oracle(tiny_ds)[:4], profiles, ids=ids)
+
+
 def per_profile_scores(pred, true, z_d):
     """(NMAE, NNSE) of one profile, one 1-D reduction at a time; NNSE is None when undefined."""
     score_nmae = float(np.sum(np.abs(true - pred)) / (true.size * z_d))

@@ -415,7 +415,7 @@ def test_generate_matches_the_per_scenario_loop(wide_reference):
             )
     split = assign_splits(len(profiles), 3)
     train = [p for p, tag in zip(profiles, split) if tag == "train"]
-    expected = ProfileDataset(profiles, split, fit_scaler(train), DESK_GRID, {})
+    expected = ProfileDataset(profiles, split, DESK_GRID, {})
 
     ds = generate(WIDE_RANGES, DESK_GRID, seed=3)
     assert ds.content_hash() == expected.content_hash()
@@ -427,7 +427,7 @@ def test_generate_matches_the_per_scenario_loop(wide_reference):
         "val": split.count("val"),
         "test": split.count("test"),
     }
-    assert ds.scaler == expected.scaler
+    assert ds.scaler == fit_scaler(train)
 
 
 def test_corpus_bits_are_pinned():
