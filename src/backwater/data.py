@@ -290,14 +290,15 @@ def fit_scaler(profiles: list[WaterProfile]) -> Scaler:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProfileDataset:
     """Solved profiles on one grid, their split tags and a generation manifest.
 
     Derived once, as it is built: each split's indices and the scenario
     ``table`` (both read-only), and the ``scaler``, fit on the training split
     or, in an eval-only corpus whose scaler nothing reads, on every profile.
-    A profile off ``grid`` raises.
+    A profile off ``grid`` raises.  Its fields cannot be reassigned, so what
+    is derived stays true; ``dataclasses.replace`` builds a new dataset.
     """
 
     profiles: list[WaterProfile]
@@ -316,11 +317,13 @@ class ProfileDataset:
         if off is not None:
             raise ValueError(f"profile {off} lies on {self.profiles[off].grid}, not the dataset's {grid}")
         tags = np.array(self.split, dtype=str)
-        self._indices = {name: np.flatnonzero(tags == name) for name in SPLIT_NAMES}
-        self.table = scenario_table([p.scenario for p in self.profiles])
-        for array in (self.table, *self._indices.values()):
+        indices = {name: np.flatnonzero(tags == name) for name in SPLIT_NAMES}
+        table = scenario_table([p.scenario for p in self.profiles])
+        for array in (table, *indices.values()):
             array.flags.writeable = False
-        self.scaler = fit_scaler(self.profiles_in("train") or self.profiles)
+        object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "scaler", fit_scaler(self.profiles_in("train") or self.profiles))
 
     def indices(self, split: str) -> np.ndarray:
         if split not in SPLIT_NAMES:

@@ -46,7 +46,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .models import ModelSpec, train_stack
-from .network import TrainConfig
+from .network import MIN_LR, PLATEAU_FACTOR, TrainConfig
 from .solver import GridSpec, WaterProfile, solve_profiles
 
 DEFAULT_SEEDS = (0, 1, 2)
@@ -358,10 +358,14 @@ def replay(record: RunRecord, ds: ProfileDataset) -> RunRecord:
     """Re-run a record's cell+seed against the same dataset.
 
     The dataset is identified by checksum; the rebuilt run must reproduce the
-    stored metrics bitwise (the determinism contract).
+    stored metrics bitwise (the determinism contract).  A record whose config
+    echoes a plateau factor or floor other than the constants raises.
     """
     if ds.content_hash() != record.dataset_checksum:
         raise ValueError("dataset checksum does not match the record")
+    for key, value in (("lr_factor", PLATEAU_FACTOR), ("min_lr", MIN_LR)):  # echoed by older runs
+        if record.config.get(key, value) != value:
+            raise ValueError(f"record trained with {key} {record.config[key]}, not the constant {value}")
     config_fields = {f.name for f in TrainConfig.__dataclass_fields__.values()}
     config = TrainConfig(**{k: v for k, v in record.config.items() if k in config_fields})
     spec = ModelSpec(record.arch, record.strategy, record.lam, record.width)
@@ -443,9 +447,15 @@ def _checked_summary(path) -> dict:
 
 
 def discover_records(root) -> list[RunRecord]:
-    """Load every run directory (any folder holding a manifest.json) under root."""
-    root = Path(root)
-    return [load_record(p.parent) for p in sorted(root.glob("**/manifest.json"))]
+    """Load every run directory (any folder holding a manifest.json) under root;
+    two that hold one run (cell, fraction and seed) raise a ``ValueError`` naming both."""
+    records, dirs = [], {}
+    for path in sorted(Path(root).glob("**/manifest.json")):
+        records.append(load_record(path.parent))
+        first = dirs.setdefault(record_dir_name(records[-1]), path.parent)
+        if first != path.parent:
+            raise ValueError(f"run directories {first} and {path.parent} hold the same run")
+    return records
 
 
 # ---------------------------------------------------------------------- #

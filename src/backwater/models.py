@@ -26,7 +26,7 @@ Its input rows are the training views' rows: ``[x | params]`` (sp), ``[h | param
 :func:`~.solver.weir_and_normal_depths` that :func:`~.solver.solve_profiles`
 uses, solved once per scenario.  The sp and int branches run their forwards
 into one set of :func:`~.network.forward_buffers` per call, and training
-validates into one set per stack and validation length.
+validates into one set per stack.
 """
 
 from __future__ import annotations
@@ -142,14 +142,12 @@ def train(spec: ModelSpec, ds: ProfileDataset, config: TrainConfig | None = None
 class _Member:
     """One run of a training stack: its views, physics term and bookkeeping."""
 
-    def __init__(self, spec: ModelSpec, ds: ProfileDataset, config: TrainConfig):
+    def __init__(self, spec: ModelSpec, ds: ProfileDataset, config: TrainConfig, train_view, val_view):
         self.spec, self.ds, self.config = spec, ds, config
-        self.train_view = _VIEW_BUILDERS[spec.arch](ds, "train")
-        self.val_view = _VIEW_BUILDERS[spec.arch](ds, "val")
-        if len(self.train_view) == 0:
-            raise ValueError("training split is empty")
-        if len(self.val_view) == 0:
-            raise ValueError("validation split is empty")
+        self.train_view, self.val_view = train_view, val_view
+        for split, view in (("training", train_view), ("validation", val_view)):
+            if len(view) == 0:
+                raise ValueError(f"{split} split is empty")
         self.layer_sizes = spec.layer_sizes(ds.grid.n_points)
         self.epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs)
         # The physics term vanishes from the objective at lam == 1, so skipping it
@@ -159,7 +157,7 @@ class _Member:
             self.term = PHYSICS_TERMS[spec.strategy]
             # the term's per-sample constants, built and checked once per run
             self.consts = physics_constants(spec.strategy, self.train_view.aux, self.train_view.targets)
-        self.plateau = ReduceLROnPlateau(config.lr_factor, config.lr_patience, config.min_lr)
+        self.plateau = ReduceLROnPlateau(config.lr_patience)
         self.lr = config.initial_lr
         # the initial weights, which the stack copies, are the checkpoint until an epoch beats them
         self.best_params = init(self.layer_sizes, config.seed)
@@ -251,14 +249,13 @@ class _Stack:
     Members are sorted into strategy groups, those without a physics term
     first, so each :class:`_Group` is a contiguous slice of every array.
     ``views[k]`` is member k's network as a 2-D view of its row; validation
-    runs member by member through it, into ``val_out[n]``, the forward
-    buffers for a validation view of n rows: one set per distinct length,
-    kept for all the stack's epochs.  :meth:`shuffle`
-    gathers each epoch's training rows and physics constants once, in every
-    member's own order, so a minibatch is a contiguous slice of them.
-    ``losses`` holds the epoch's minibatch objectives, one column per step
-    (its slice of rows in ``batches``), and ``clamp_events`` each member's
-    clamp count so far.
+    runs member by member through it, into ``val_out``, the forward buffers
+    for the members' one validation-view shape, kept for all the stack's
+    epochs.  :meth:`shuffle` gathers each epoch's training rows and physics
+    constants once, in every member's own order, so a minibatch is a
+    contiguous slice of them.  ``losses`` holds the epoch's minibatch
+    objectives, one column per step (its slice of rows in ``batches``), and
+    ``clamp_events`` each member's clamp count so far.
     """
 
     def __init__(self, members: list[_Member], batch_size: int):
@@ -275,9 +272,7 @@ class _Stack:
         self.epoch_targets = np.empty((len(members), *view.targets.shape))
         self.losses = np.empty((len(members), len(self.batches)))
         self.clamp_events = np.zeros(len(members), dtype=int)
-        self.val_out = {
-            len(m.val_view): forward_buffers(self.views[0], m.val_view.inputs.shape) for m in self.members
-        }
+        self.val_out = forward_buffers(self.views[0], members[0].val_view.inputs.shape)
         self.groups = []
         start = 0
         for key, grouped in itertools.groupby(self.members, key=lambda m: m.group):
@@ -335,8 +330,7 @@ class _Stack:
             member = self.members[k]
             member.diverged = True
             if steps:  # none only when the epoch's first step diverged
-                out = self.val_out[len(member.val_view)]
-                member.record(epoch, self.views[k], self.losses[k, :steps], out)
+                member.record(epoch, self.views[k], self.losses[k, :steps], self.val_out)
         self.keep(mask)
 
 
@@ -351,8 +345,8 @@ def train_stack(members) -> list[TrainedModel]:
     """Fit S runs together, one stacked network per step, bitwise as if alone.
 
     ``members`` are ``(spec, dataset, config)`` triples that share one
-    architecture, one layer-size list, one training-view length, and a
-    ``TrainConfig`` equal in every field except ``seed``.
+    architecture, layer-size list, training- and validation-view length, and
+    a ``TrainConfig`` equal in every field except ``seed``.
     Returns one :class:`TrainedModel` per member, in the order given.
 
     Each member keeps its own state: every epoch visits its training samples
@@ -378,15 +372,19 @@ def train_stack(members) -> list[TrainedModel]:
         ValueError: on an empty list, members that cannot share one stack,
             or an empty training or validation split.
     """
-    runs = [_Member(spec, ds, config) for spec, ds, config in members]
+    views = {}  # the training and validation views of each (dataset, architecture), built once
+    for spec, ds, _ in members:
+        if (id(ds), spec.arch) not in views:
+            views[id(ds), spec.arch] = [_VIEW_BUILDERS[spec.arch](ds, split) for split in ("train", "val")]
+    runs = [_Member(spec, ds, config, *views[id(ds), spec.arch]) for spec, ds, config in members]
     if not runs:
         raise ValueError("train_stack needs at least one member")
     first = runs[0]
-    shape = (first.spec.arch, first.layer_sizes, len(first.train_view))
+    shape = (first.spec.arch, first.layer_sizes, len(first.train_view), len(first.val_view))
     for run in runs[1:]:
         for what, mine, theirs in zip(
-            ("architectures", "layer sizes", "training-view lengths"),
-            (run.spec.arch, run.layer_sizes, len(run.train_view)),
+            ("architectures", "layer sizes", "training-view lengths", "validation-view lengths"),
+            (run.spec.arch, run.layer_sizes, len(run.train_view), len(run.val_view)),
             shape,
         ):
             if mine != theirs:
@@ -432,7 +430,7 @@ def train_stack(members) -> list[TrainedModel]:
 
         leaving = np.array(
             [
-                m.end_epoch(epoch, view, losses, stack.val_out[len(m.val_view)])
+                m.end_epoch(epoch, view, losses, stack.val_out)
                 for m, view, losses in zip(stack.members, stack.views, stack.losses)
             ]
         )

@@ -2,7 +2,8 @@
 
 Hidden layers use ReLU (subgradient 0 at 0), the output layer is linear.
 Training utilities are Adam with bias correction and a ReduceLROnPlateau
-scheduler; early stopping and the best-weights checkpoint live in
+scheduler, whose factor and floor are the constants :data:`PLATEAU_FACTOR`
+and :data:`MIN_LR`; early stopping and the best-weights checkpoint live in
 :func:`backwater.models.train_stack`.  Everything is plain numpy and
 deterministic for a given seed.
 
@@ -35,6 +36,9 @@ BETA2 = 0.999
 EPS = 1e-8
 #: How far a validation loss must beat the best so far to reset the plateau.
 PLATEAU_MIN_DELTA = 1e-8
+#: What a plateau multiplies the learning rate by, and the floor it stops at.
+PLATEAU_FACTOR = 0.5
+MIN_LR = 1e-5
 #: The smallest normal float64; Adam flushes first moments below it to 0.
 _TINY = np.finfo(float).tiny
 
@@ -233,27 +237,22 @@ class TrainConfig:
     """Optimization settings shared by all architectures."""
 
     initial_lr: float = 1e-3
-    lr_factor: float = 0.5
     lr_patience: int = 10
-    min_lr: float = 1e-5
     early_stop_patience: int = 20
     max_epochs: int = 1000
     batch_size: int | None = None  # None: per-architecture default
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.lr_factor < 1.0:
-            raise ValueError("lr_factor must be in (0, 1)")
         if self.lr_patience < 1 or self.early_stop_patience < 1:
             raise ValueError("patiences must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for the default)")
-        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0.0):
-            raise ValueError("initial_lr must be positive and finite")
-        if not (math.isfinite(self.min_lr) and 0.0 <= self.min_lr <= self.initial_lr):
-            raise ValueError("min_lr must be finite and lie in [0, initial_lr]")
+        # a rate below the floor would make a plateau raise it
+        if not (math.isfinite(self.initial_lr) and self.initial_lr >= MIN_LR):
+            raise ValueError(f"initial_lr must be finite and at least MIN_LR = {MIN_LR:g}")
 
 
 class AdamState:
@@ -296,17 +295,15 @@ def adam_step(state: AdamState, params: NetworkParams, grad: np.ndarray) -> None
 
 
 class ReduceLROnPlateau:
-    """Halve the learning rate after `patience` epochs without improvement.
+    """Scale the learning rate by `PLATEAU_FACTOR` after `patience` epochs without improvement.
 
     Improvement means the validation loss beats the best seen by more than
     `PLATEAU_MIN_DELTA`; a reduction resets the stall counter, and the rate
-    never drops below `min_lr`.
+    never drops below `MIN_LR`.
     """
 
-    def __init__(self, factor=0.5, patience=10, min_lr=1e-5):
-        self.factor = factor
+    def __init__(self, patience=10):
         self.patience = patience
-        self.min_lr = min_lr
         self.best = math.inf
         self.wait = 0
 
@@ -318,5 +315,5 @@ class ReduceLROnPlateau:
         self.wait += 1
         if self.wait >= self.patience:
             self.wait = 0
-            return max(lr * self.factor, self.min_lr)
+            return max(lr * PLATEAU_FACTOR, MIN_LR)
         return lr

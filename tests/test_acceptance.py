@@ -334,7 +334,7 @@ def test_adam_converges_on_scalar_quadratic():
 
 
 def test_plateau_schedule_arithmetic():
-    sched = ReduceLROnPlateau(factor=0.5, patience=10, min_lr=1e-5)
+    sched = ReduceLROnPlateau(patience=10)
     lr = 0.1
     for val in (1.0, 0.9, 0.8):  # improving: untouched
         lr = sched.update(val, lr)
@@ -346,7 +346,7 @@ def test_plateau_schedule_arithmetic():
     lr = 0.05
     lr = sched.update(0.8 - 5e-9, lr)  # below the improvement threshold
     assert sched.wait == 1
-    for _ in range(500):  # repeated plateaus floor at min_lr
+    for _ in range(500):  # repeated plateaus floor at MIN_LR
         lr = sched.update(0.8, lr)
     assert lr == 1e-5
 

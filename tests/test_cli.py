@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -518,9 +519,10 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
         ("sweep-size", dict(plan, train=[1]), "'train' must be an object, not [1]"),
         ("sweep-size", dict(plan, dataset=7), "'dataset' must be a string or null, not 7"),
         ("sweep-size", dict(plan, cells=[{"arch": "sp", "strategy": "en", "lam": "0.5"}]), "'lam'"),
-        # a floor rate that is not finite or lies outside [0, initial_lr]
+        # the plateau's factor and floor are constants, not keys of 'train'
         *(("sweep-size", dict(plan, train={"min_lr": v}), "min_lr")
           for v in (1.0, -1.0, math.nan, math.inf)),
+        ("sweep-size", dict(plan, train={"lr_factor": 0.5}), "'lr_factor'"),
         # a mistyped or unknown key, named with its file
         ("sweep-size", dict(plan, fraction=[0.5]), "cfg.json has unexpected 'fraction'"),
         ("gen-data", dict(TINY_CONFIG, seed=5), "cfg.json has unexpected 'seed'"),
@@ -561,6 +563,20 @@ def test_report_with_no_records_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--runs", str(tmp_path / "empty"), "--out", str(tmp_path / "r.csv")])
     assert exc.value.code == 2
+
+
+def test_report_refuses_a_run_held_by_two_directories(tmp_path, dataset_csv, capsys):
+    runs = tmp_path / "runs"
+    assert main(train_args(dataset_csv, runs / "first")) == 0
+    shutil.copytree(runs / "first", runs / "again")  # the same (cell, fraction, seed) saved twice
+    (name,) = [p.name for p in (runs / "first").iterdir()]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(runs / "first" / name) in err and str(runs / "again" / name) in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def readme_commands() -> list[str]:

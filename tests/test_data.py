@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -359,6 +359,17 @@ def test_a_profile_off_the_dataset_grid_raises_at_construction(small_ds):
     profiles[3] = WaterProfile(profiles[3].scenario, other, profiles[3].depths[: other.n_points])
     with pytest.raises(ValueError, match="profile 3 lies on"):
         ProfileDataset(profiles, small_ds.split, small_ds.grid, {})
+
+
+def test_a_dataset_cannot_be_reassigned(small_ds):
+    ds, n = replace(small_ds), len(small_ds.profiles)
+    for name, value in (("split", ["test"] * n), ("profiles", []), ("scaler", None), ("table", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ds, name, value)
+    assert ds.split.count("train") == len(ds.indices("train")) > 0
+    # replace builds a new dataset, whose derived state describes it
+    retagged = replace(ds, split=["test"] * n)
+    assert len(retagged.indices("train")) == 0 and len(retagged.indices("test")) == n
 
 
 def test_subsample_guards(small_ds):

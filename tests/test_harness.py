@@ -1,6 +1,7 @@
 """Tests for experiment plans, run records, extrapolation sets, and reports."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ WIDE_RANGES = ParameterRanges(
     s=(5e-4, 2e-2, 5), b=(5.0, 50.0, 5), n=(0.01, 0.05, 5), zd=(1.0, 5.0, 2), Q=(100.0, 300.0, 2)
 )
 FAST = TrainConfig(max_epochs=4, batch_size=64)
+#: ``run_one(ds, ModelSpec("sp", "en", 0.5, 8), 1, FAST, 0.5, extrapolation_dataset(ds))``
+#: saved when ``TrainConfig`` still held the plateau's ``lr_factor`` and ``min_lr``
+OLD_RUN = Path(__file__).parent / "data" / "sp-en-lam0.5-w8-fraction0.5-seed1"
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +380,36 @@ def test_a_stack_subsamples_once_per_seed(ds, monkeypatch):
         assert replace(record, wall_time=0.0) == replace(solo, wall_time=0.0)
 
 
+def test_a_stack_builds_each_datasets_views_once(ds, monkeypatch):
+    import backwater.harness
+    from backwater import models
+
+    calls, results = [], []
+    real_view, real_execute = models._VIEW_BUILDERS["vts"], backwater.harness.execute_plan
+
+    def spy_view(base, split):
+        calls.append((id(base), split))
+        return real_view(base, split)
+
+    def spy_execute(*args, **kwargs):
+        records = real_execute(*args, **kwargs)
+        results.extend(records)
+        return records
+
+    monkeypatch.setitem(models._VIEW_BUILDERS, "vts", spy_view)
+    monkeypatch.setattr(backwater.harness, "execute_plan", spy_execute)
+    spec = ModelSpec("vts", "en", width=8)
+    lambda_search(ds, spec, [0.3, 0.6, 1.0], seeds=(0, 1), config=FAST, fraction=0.25)
+    # one stack of six members on two subsamples (one per seed), not a view pair per member
+    assert len(calls) == len(set(calls)) == 4
+    assert sorted(split for _, split in calls) == ["train", "train", "val", "val"]
+    assert len(results) == 6
+    for record in results:
+        cell = ModelSpec(record.arch, record.strategy, record.lam, record.width)
+        solo = run_one(ds, cell, record.seed, FAST, record.fraction)
+        assert replace(record, wall_time=0.0) == replace(solo, wall_time=0.0)
+
+
 def test_execute_plan_with_extrapolation(ds, tmp_path):
     plan = ExperimentPlan(
         cells=(ModelSpec("sp", width=8),),
@@ -427,6 +461,26 @@ def test_replay_with_extrapolation_is_bitwise_on_both_axes(ds):
         assert again.records == record.records
         assert again.summaries == record.summaries
         assert "extrapolation" in again.summaries
+
+
+def test_a_run_saved_with_the_plateau_keys_replays_bitwise(ds):
+    stored = load_record(OLD_RUN)
+    assert (stored.config["lr_factor"], stored.config["min_lr"]) == (0.5, 1e-05)
+    again = replay(stored, ds)
+
+    def without_plateau(config):
+        return {k: v for k, v in config.items() if k not in ("lr_factor", "min_lr")}
+
+    assert again.config == without_plateau(stored.config)
+    assert again.history == stored.history
+    assert again.records == stored.records
+    diagnostics = stored.summaries["diagnostics"]
+    diagnostics = {**diagnostics, "config": without_plateau(diagnostics["config"])}
+    assert again.summaries == {**stored.summaries, "diagnostics": diagnostics}
+    # a plateau other than the constant one cannot be replayed
+    for key, value in (("lr_factor", 0.25), ("min_lr", 0.0)):
+        with pytest.raises(ValueError, match=key):
+            replay(replace(stored, config={**stored.config, key: value}), ds)
 
 
 def test_replay_checks_dataset_checksum(ds):

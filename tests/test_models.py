@@ -447,7 +447,7 @@ def reference_train(spec, ds, config):
     n = len(train_view)
     params = init(spec.layer_sizes(ds.grid.n_points), config.seed)
     adam = AdamState(params, config.initial_lr)
-    plateau = ReduceLROnPlateau(config.lr_factor, config.lr_patience, config.min_lr)
+    plateau = ReduceLROnPlateau(config.lr_patience)
     epoch_seeds = np.random.SeedSequence(config.seed).generate_state(config.max_epochs)
     best_params, best_val, best_epoch = params.copy(), np.inf, 0
     lr, history, clamp_events, stopped_epoch = config.initial_lr, [], 0, None
@@ -689,9 +689,13 @@ def test_train_stack_rejects_members_that_cannot_share_a_stack(small_ds):
     config = TrainConfig(max_epochs=1, batch_size=64)
     spec = ModelSpec("sp", width=8)
     half = subsample_training(small_ds, 0.5, 0)
+    split = list(small_ds.split)
+    split[small_ds.indices("val")[0]] = "test"  # one validation profile fewer, the same training split
+    fewer_val = replace(small_ds, split=split)
     cases = (
         ((ModelSpec("sp", width=6), small_ds, config), "layer sizes"),
         ((spec, half, config), "training-view lengths"),
+        ((spec, fewer_val, config), "validation-view lengths"),
         ((ModelSpec("int", width=8), small_ds, config), "architectures"),
         ((spec, small_ds, replace(config, initial_lr=2e-3)), "more than the seed"),
     )

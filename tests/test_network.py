@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from backwater.network import (
+    MIN_LR,
     AdamState,
     NetworkParams,
     ReduceLROnPlateau,
@@ -392,7 +393,7 @@ def test_flat_adam_matches_per_layer_reference_bitwise(sizes):
 
 
 def test_plateau_keeps_lr_while_improving():
-    sched = ReduceLROnPlateau(factor=0.5, patience=10)
+    sched = ReduceLROnPlateau(patience=10)
     lr = 1e-3
     for loss in np.linspace(1.0, 0.1, 30):
         lr = sched.update(loss, lr)
@@ -400,7 +401,7 @@ def test_plateau_keeps_lr_while_improving():
 
 
 def test_plateau_halves_after_ten_flat_epochs():
-    sched = ReduceLROnPlateau(factor=0.5, patience=10)
+    sched = ReduceLROnPlateau(patience=10)
     lr = sched.update(1.0, 1e-3)  # baseline best
     for _ in range(9):
         lr = sched.update(1.0, lr)
@@ -410,7 +411,7 @@ def test_plateau_halves_after_ten_flat_epochs():
 
 
 def test_plateau_floors_at_min_lr():
-    sched = ReduceLROnPlateau(factor=0.5, patience=2, min_lr=1e-5)
+    sched = ReduceLROnPlateau(patience=2)
     lr = 1e-3
     for _ in range(100):
         lr = sched.update(1.0, lr)
@@ -418,8 +419,6 @@ def test_plateau_floors_at_min_lr():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(lr_factor=1.5)
     with pytest.raises(ValueError):
         TrainConfig(lr_patience=0)
     with pytest.raises(ValueError):
@@ -431,12 +430,10 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match="initial_lr"):
             TrainConfig(initial_lr=lr)
     assert TrainConfig(batch_size=1, initial_lr=1e80).batch_size == 1
-    # a floor rate above the initial one would make a plateau raise the rate
-    for min_lr in (1.0, 2e-3, -1.0, -1e-300, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="min_lr"):
-            TrainConfig(min_lr=min_lr)
-    for min_lr in (0.0, 1e-5, 1e-3):
-        assert TrainConfig(min_lr=min_lr).min_lr == min_lr
+    # a rate below the plateau's floor would make a plateau raise it
+    with pytest.raises(ValueError, match="initial_lr"):
+        TrainConfig(initial_lr=MIN_LR / 2)
+    assert TrainConfig(initial_lr=MIN_LR).initial_lr == MIN_LR
 
 
 def test_params_dict_round_trip():
