@@ -245,6 +245,8 @@ class Scaler:
     Features are named physical quantities, not column positions, so each
     view can pick the statistics for the columns it actually uses:
     ``x`` station coordinate, ``h`` depth, and the five scenario parameters.
+    Every statistic is finite and every std non-negative; a std of 0 is
+    refused only when :meth:`scale` divides by it.
     """
 
     mean: dict[str, float]
@@ -255,6 +257,12 @@ class Scaler:
         for name, stats in (("mean", self.mean), ("std", self.std)):
             wrong = [f"lacks feature {k!r}" for k in features if k not in stats]
             wrong += [f"has unexpected feature {k!r}" for k in stats if k not in features]
+            bound = "a finite, non-negative number" if name == "std" else "a finite number"
+            wrong += [
+                f"feature {k!r} is {v!r}, not {bound}"
+                for k, v in stats.items()
+                if not (math.isfinite(v) and (name == "mean" or v >= 0.0))
+            ]
             if wrong:
                 raise ValueError(f"scaler {name!r} {wrong[0]}")
 
@@ -276,13 +284,16 @@ class Scaler:
 
 
 def fit_scaler(profiles: list[WaterProfile]) -> Scaler:
-    """Fit standardization statistics on a set of (training) profiles."""
+    """Fit standardization statistics on a set of (training) profiles.
+
+    The profiles share one grid, so the ``x`` statistics are its stations'.
+    """
     if not profiles:
         raise ValueError("cannot fit a scaler on an empty training split")
-    series = {
-        "x": np.concatenate([p.grid.stations for p in profiles]),
-        "h": np.concatenate([p.depths for p in profiles]),
-    }
+    grid = profiles[0].grid
+    if any(p.grid is not grid and p.grid != grid for p in profiles):
+        raise ValueError("cannot fit a scaler on profiles from more than one grid")
+    series = {"x": grid.stations, "h": np.concatenate([p.depths for p in profiles])}
     series.update(zip(PARAM_NAMES, scenario_table([p.scenario for p in profiles]).T.copy()))
     return Scaler(
         mean={k: float(np.mean(v)) for k, v in series.items()},

@@ -2,24 +2,27 @@
 
 All quantities are SI: depths and widths in metres, discharge in m^3/s,
 slopes dimensionless, Manning coefficient in s/m^(1/3).  Point relations
-(specific energy, friction slope, Froude number, momentum function and
-their depth derivatives) accept scalars or numpy arrays; the root-finding
-routines here (normal depth, depth from energy) take one scenario at a time.
-:func:`backwater.solver.solve_profiles` carries array versions of them, of
-the weir depth and of the jump test for its batched march; those round
-exactly like the scalar routines because every fractional or cubic power
-goes through libm's ``pow``, as a Python float's ``**`` does.
+(specific energy, friction slope, Froude number, momentum function,
+conjugate depth) accept scalars or numpy arrays; the root-finding routines
+here (normal depth, depth from energy) take one scenario at a time.
+:func:`backwater.solver.solve_profiles` carries array versions of them for
+its batched march; those round exactly like the scalar routines because
+every fractional or cubic power goes through libm's ``pow``, as a Python
+float's ``**`` does.
 :func:`scenario_table` is where scenarios become the (P, 5) parameter array
 that the batched march, the corpus and the surrogates' inputs all read.
 
-Each point relation is written once, as a private kernel (``_energy``,
+Each relation is written once, as a private kernel (``_energy``,
 ``_denergy``, ``_friction_slope``, ``_dfriction_slope``, ``_froude``,
-``_dfroude``) that takes the sub-expressions not involving the depth
-precomputed, e.g. ``_energy(h, qq, g2bb)`` with ``qq = Q * Q`` and
+``_dfroude``, ``_conjugate``, ``_weir_depth``) that takes the
+sub-expressions not involving the depth precomputed, e.g.
+``_energy(h, qq, g2bb)`` with ``qq = Q * Q`` and
 ``g2bb = 2.0 * GRAVITY * b * b``.  Those are the products the left-to-right
 textbook expression forms anyway, so a kernel rounds exactly like it.  The
-public functions check the depth and call their kernel; the training losses
-and the batched march call the kernels on inputs they checked once.
+public functions check their inputs and call their kernel.  Everything else
+calls the kernels on inputs checked once where they entered: the training
+losses, both marches and :func:`normal_depth`, whose scenario was checked
+when it was built.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def _energy(h, qq, g2bb):
 
 
 def _denergy(h, qq, gbb):
-    """denergy_dh with qq = Q * Q and gbb = GRAVITY * b * b."""
+    """dE/dh = 1 - Q^2 / (g b^2 h^3) with qq = Q * Q and gbb = GRAVITY * b * b."""
     return 1.0 - qq / (gbb * h ** 3)
 
 
@@ -109,7 +112,11 @@ def _friction_slope(h, b, nnqq, power=operator.pow):
 
 
 def _dfriction_slope(h, b, j):
-    """dfriction_slope_dh given the friction slope ``j`` at ``h``."""
+    """dJ/dh given the friction slope ``j`` at ``h``.
+
+    Differentiating J = n^2 Q^2 (b + 2h)^(4/3) / (b^(10/3) h^(10/3)) gives
+    dJ/dh = J * (8 / (3 (b + 2h)) - 10 / (3 h)).
+    """
     return j * (8.0 / (3.0 * (b + 2.0 * h)) - 10.0 / (3.0 * h))
 
 
@@ -119,18 +126,25 @@ def _froude(h, Q, b):
 
 
 def _dfroude(h, m15q, bsg):
-    """dfroude_dh with m15q = -1.5 * Q and bsg = b * math.sqrt(GRAVITY)."""
+    """dFr/dh = -(3/2) Q / (b sqrt(g) h^(5/2)) with m15q = -1.5 * Q and
+    bsg = b * math.sqrt(GRAVITY)."""
     return m15q / (bsg * h ** 2.5)
+
+
+def _conjugate(y, Q, b, power=operator.pow):
+    """conjugate_depth without the checks; ``power`` takes the square of Q / (b y)."""
+    fr2 = power(Q / (b * y), 2.0) / (GRAVITY * y)
+    return 0.5 * y * (np.sqrt(1.0 + 8.0 * fr2) - 1.0)
+
+
+def _weir_depth(z_d, Q, b, power=operator.pow):
+    """weir_depth of the parameters; ``power`` takes the 2/3 power of the head term."""
+    return z_d + power(3.0 * math.sqrt(3.0) * Q / (2.0 * math.sqrt(2.0 * GRAVITY) * b), 2.0 / 3.0)
 
 
 def specific_energy(h, Q, b):
     """Specific energy E = h + Q^2 / (2 g b^2 h^2) for a rectangular section."""
     return _energy(_validated_depth(h), Q * Q, 2.0 * GRAVITY * b * b)
-
-
-def denergy_dh(h, Q, b):
-    """Depth derivative of specific energy, dE/dh = 1 - Q^2 / (g b^2 h^3)."""
-    return _denergy(_validated_depth(h), Q * Q, GRAVITY * b * b)
 
 
 def friction_slope(h, Q, b, n):
@@ -141,24 +155,9 @@ def friction_slope(h, Q, b, n):
     return _friction_slope(_validated_depth(h), b, n * n * Q * Q)
 
 
-def dfriction_slope_dh(h, Q, b, n):
-    """Depth derivative of the Manning friction slope.
-
-    Differentiating J = n^2 Q^2 (b + 2h)^(4/3) / (b^(10/3) h^(10/3)) gives
-    dJ/dh = J * (8 / (3 (b + 2h)) - 10 / (3 h)).
-    """
-    h = _validated_depth(h)
-    return _dfriction_slope(h, b, _friction_slope(h, b, n * n * Q * Q))
-
-
 def froude(h, Q, b):
     """Froude number Fr = Q / (b h sqrt(g h)); < 1 subcritical, > 1 supercritical."""
     return _froude(_validated_depth(h), Q, b)
-
-
-def dfroude_dh(h, Q, b):
-    """Depth derivative of the Froude number, dFr/dh = -(3/2) Q / (b sqrt(g) h^(5/2))."""
-    return _dfroude(_validated_depth(h), -1.5 * Q, b * math.sqrt(GRAVITY))
 
 
 def critical_depth(Q, b):
@@ -189,8 +188,7 @@ def conjugate_depth(y, Q, b):
     y = _validated_depth(y)
     if np.any(np.asarray(Q) <= 0.0) or np.any(np.asarray(b) <= 0.0):
         raise ValueError("conjugate depth requires positive discharge and width")
-    fr2 = (Q / (b * y)) ** 2 / (GRAVITY * y)
-    return 0.5 * y * (np.sqrt(1.0 + 8.0 * fr2) - 1.0)
+    return _conjugate(y, Q, b)
 
 
 def weir_depth(scen: ChannelScenario) -> float:
@@ -200,52 +198,33 @@ def weir_depth(scen: ChannelScenario) -> float:
     equals 1.5 h_c, the minimum-energy head of critical flow on the crest,
     so the depth is always subcritical.
     """
-    head = (
-        3.0
-        * math.sqrt(3.0)
-        * scen.Q
-        / (2.0 * math.sqrt(2.0 * GRAVITY) * scen.b)
-    ) ** (2.0 / 3.0)
-    return scen.z_d + head
+    return _weir_depth(scen.z_d, scen.Q, scen.b)
 
 
-def depth_from_energy(E, Q, b, branch="subcritical", h0=None):
-    """Invert the specific-energy relation on one flow branch.
+def depth_from_energy(E, Q, b, h0=None):
+    """Invert the specific-energy relation on the subcritical (deep) branch.
 
     Args:
         E: target specific energy [m], must be at least the critical minimum.
-        Q: discharge [m^3/s] (non-negative).
+        Q: discharge [m^3/s] (positive).
         b: channel width [m].
-        branch: ``"subcritical"`` for the deep root (h > h_c) or
-            ``"supercritical"`` for the shallow one (h < h_c).
         h0: optional warm-start guess, e.g. the depth at the previous station
             of a marching solver.
 
     Returns:
-        The depth h with specific_energy(h, Q, b) == E on the requested branch.
+        The depth h > h_c with specific_energy(h, Q, b) == E.
 
     Raises:
         InsufficientEnergyError: if E falls below the critical energy 1.5 h_c
-            (a finite E <= 0 included, when Q > 0).
-        ValueError: on invalid arguments: a non-finite E, or E <= 0 in still
-            water (Q = 0).
+            (a finite E <= 0 included).
+        ValueError: on a non-finite E, or a discharge or width that is not
+            positive.
         ConvergenceError: if the safeguarded Newton iteration stalls.
     """
-    if branch not in ("subcritical", "supercritical"):
-        raise ValueError(f"unknown branch {branch!r}")
     if not math.isfinite(E):
         raise ValueError("specific energy must be positive and finite")
-    if Q < 0.0 or b <= 0.0:
-        raise ValueError("discharge must be non-negative and width positive")
-
-    if Q == 0.0:
-        # E(h) = h: only the subcritical (deep) branch survives, and there is
-        # no critical minimum to fall below.
-        if E <= 0.0:
-            raise ValueError("specific energy must be positive and finite")
-        if branch == "supercritical":
-            raise ValueError("still water has no supercritical branch")
-        return E
+    if Q <= 0.0 or b <= 0.0:
+        raise ValueError("discharge and width must be positive")
 
     a = Q * Q / (2.0 * GRAVITY * b * b)  # E(h) = h + a / h^2
     h_c = (2.0 * a) ** (1.0 / 3.0)
@@ -255,10 +234,7 @@ def depth_from_energy(E, Q, b, branch="subcritical", h0=None):
             f"specific energy {E:.6g} below critical minimum {e_min:.6g}"
         )
 
-    if branch == "subcritical":
-        lo, hi = h_c, max(E, h_c)  # f(lo) <= 0 <= f(hi)
-    else:
-        lo, hi = math.sqrt(a / E), h_c  # f(lo) >= 0 >= f(hi)
+    lo, hi = h_c, max(E, h_c)  # f(lo) <= 0 <= f(hi)
 
     def f(h):
         return h + a / (h * h) - E
@@ -281,7 +257,7 @@ def depth_from_energy(E, Q, b, branch="subcritical", h0=None):
             step_ok = lo < x_new < hi
         if not step_ok:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 5e-16 * x or (hi - lo) <= 5e-16 * min(abs(lo), abs(hi)):
+        if abs(x_new - x) <= 5e-16 * x or (hi - lo) <= 5e-16 * lo:  # 0 < lo <= hi
             return x_new
         x = x_new
     raise ConvergenceError("depth_from_energy did not converge")
@@ -297,11 +273,12 @@ def normal_depth(scen: ChannelScenario) -> float:
     Raises:
         ConvergenceError: if no root lies inside the search bracket.
     """
-    s, b, n, Q = scen.s, scen.b, scen.n, scen.Q
+    s, b = scen.s, scen.b
+    nnqq = scen.n * scen.n * scen.Q * scen.Q
     lo, hi = 1e-6, 1e4
 
     def f(h):
-        return friction_slope(h, Q, b, n) - s
+        return _friction_slope(h, b, nnqq) - s
 
     f_lo = f(lo)
     if f_lo < 0.0 or f(hi) > 0.0:
@@ -311,15 +288,15 @@ def normal_depth(scen: ChannelScenario) -> float:
 
     x = 0.5 * (lo + hi)
     for _ in range(300):
-        fx = f(x)
+        j = _friction_slope(x, b, nnqq)
+        fx = j - s
         if fx == 0.0:
             break
         if (fx > 0.0) == (f_lo > 0.0):
             lo, f_lo = x, fx
         else:
             hi = x
-        dfx = dfriction_slope_dh(x, Q, b, n)
-        x_new = x - fx / dfx
+        x_new = x - fx / _dfriction_slope(x, b, j)
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= 1e-15 * x:

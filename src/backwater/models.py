@@ -567,10 +567,16 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def _read_network(d: dict) -> NetworkParams:
-    """A checkpoint's ``network``, each value type-checked before it is read."""
+    """A checkpoint's ``network``, each value type-checked before it is read
+    and every weight and bias finite."""
     for key, hint in (("layer_sizes", list[int]), ("weights", list[list[float]]), ("biases", list[list[float]])):
         _checked_type("network", key, d.get(key), hint)
-    return NetworkParams.from_dict(d)
+    params = NetworkParams.from_dict(d)
+    for key, arrays in (("weights", params.weights), ("biases", params.biases)):
+        bad = next((layer for layer, a in enumerate(arrays) if not np.isfinite(a).all()), None)
+        if bad is not None:
+            raise ValueError(f"network {key}[{bad}] holds a non-finite value")
+    return params
 
 
 def load_model(path) -> TrainedModel:

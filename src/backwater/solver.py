@@ -6,17 +6,19 @@ relation.  On steep channels the march is terminated by a hydraulic jump,
 located where momentum balance against the uniform supercritical inflow
 first becomes possible; upstream of the jump the depth is the normal depth.
 
-:func:`solve_profile` marches one scenario with the scalar routines of
-:mod:`.hydraulics`.  :func:`solve_profiles` marches a batch of scenarios
-station by station as arrays (the direct-step method of Chow,
-*Open-Channel Hydraulics*, 1959) and returns bit for bit what
-:func:`solve_profile` returns or raises for each one.  For that it keeps the
-scalar code's operand order, and it takes every fractional or cubic power
-through libm's ``pow`` element by element (numpy's ``float_power``), as
-Python and numpy float scalars do: numpy's array ``**`` rounds differently
-on a few percent of inputs.  Its Newton searches iterate on whole arrays
-under a mask of the elements not yet converged, so a station costs a fixed
-number of array operations per iteration however many scenarios finish.
+:func:`solve_profile` marches one scenario on Python floats;
+:func:`solve_profiles` marches a batch of scenarios station by station as
+arrays (the direct-step method of Chow, *Open-Channel Hydraulics*, 1959)
+and returns bit for bit what :func:`solve_profile` returns or raises for
+each one.  Both call the same :mod:`.hydraulics` kernels, on parameters
+checked once when each :class:`~.hydraulics.ChannelScenario` was built.
+The batched march keeps the scalar root finders' operand order, and it
+takes every fractional or cubic power through libm's ``pow`` element by
+element (numpy's ``float_power``), as Python and numpy float scalars do:
+numpy's array ``**`` rounds differently on a few percent of inputs.  Its
+Newton searches iterate on whole arrays under a mask of the elements not
+yet converged, so a station costs a fixed number of array operations per
+iteration however many scenarios finish.
 
 :func:`weir_and_normal_depths` gives a batch's dam and normal depths, which
 the march and the ``int`` surrogate's reconstruction both start from.  The
@@ -41,16 +43,15 @@ from .hydraulics import (
     ChannelScenario,
     ConvergenceError,
     InsufficientEnergyError,
+    _conjugate,
     _dfriction_slope,
     _energy,
     _friction_slope,
-    conjugate_depth,
+    _weir_depth,
     critical_depth,
     depth_from_energy,
-    friction_slope,
     normal_depth,
     scenario_table,
-    specific_energy,
     weir_depth,
 )
 
@@ -127,10 +128,11 @@ def step_upstream(h_i, scen: ChannelScenario, dx: float):
             (no depth exists on the branch), signalling the caller that the
             subcritical march cannot continue.
     """
-    e_next = specific_energy(h_i, scen.Q, scen.b) + dx * (
-        friction_slope(h_i, scen.Q, scen.b, scen.n) - scen.s
+    Q, b = scen.Q, scen.b
+    e_next = _energy(h_i, Q * Q, 2.0 * GRAVITY * b * b) + dx * (
+        _friction_slope(h_i, b, scen.n * scen.n * Q * Q) - scen.s
     )
-    return depth_from_energy(float(e_next), scen.Q, scen.b, SUBCRITICAL, h0=float(h_i))
+    return depth_from_energy(e_next, Q, b, h0=h_i)
 
 
 def solve_profile(scen: ChannelScenario, grid: GridSpec) -> WaterProfile:
@@ -149,34 +151,31 @@ def solve_profile(scen: ChannelScenario, grid: GridSpec) -> WaterProfile:
             scenarios instead of patching them.
     """
     regime = classify_regime(scen)
-    n = grid.n_points
+    n, dx = grid.n_points, grid.dx
     depths = np.empty(n, dtype=float)
-    depths[0] = weir_depth(scen)
+    h = depths[0] = weir_depth(scen)
 
     if regime == MIXED:
         h_n = normal_depth(scen)
-        jump = None
         for i in range(1, n):
             try:
-                h_sub = step_upstream(depths[i - 1], scen, grid.dx)
+                h = step_upstream(h, scen, dx)
             except InsufficientEnergyError:
                 # The step left the subcritical branch, so the conjugate
                 # crossing happened inside this interval: jump here.
-                jump = i
                 break
-            if conjugate_depth(h_sub, scen.Q, scen.b) >= h_n:
-                jump = i
+            if _conjugate(h, scen.Q, scen.b) >= h_n:
                 break
-            depths[i] = h_sub
-        if jump is None:
+            depths[i] = h
+        else:
             # The dam backwater drowns the whole reach; the realized profile
             # is subcritical even though the channel is steep.
             return WaterProfile(scen, grid, depths, SUBCRITICAL, None)
-        depths[jump:] = h_n
-        return WaterProfile(scen, grid, depths, MIXED, jump)
+        depths[i:] = h_n
+        return WaterProfile(scen, grid, depths, MIXED, i)
 
     for i in range(1, n):
-        depths[i] = step_upstream(depths[i - 1], scen, grid.dx)
+        h = depths[i] = step_upstream(h, scen, dx)
     return WaterProfile(scen, grid, depths, SUBCRITICAL, None)
 
 
@@ -251,7 +250,7 @@ def _normal_depths(s, b, nnqq):
 
 
 def _subcritical_depths(e, a, h_c, e_min, h0):
-    """depth_from_energy(e, Q, b, "subcritical", h0) per element, a = Q^2/(2 g b^2).
+    """depth_from_energy(e, Q, b, h0) per element, a = Q^2/(2 g b^2).
 
     Returns the depths and a status per element (_OK or the failure).
     """
@@ -277,7 +276,6 @@ def _subcritical_depths(e, a, h_c, e_min, h0):
             # where dfx == 0 the step is not finite, and the finite bracket rejects it
             x_new = x - fx / dfx
             x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
-            # 0 < lo <= hi throughout, so the scalar min(|lo|, |hi|) is lo
             converged = (np.abs(x_new - x) <= 5e-16 * x) | (hi - lo <= 5e-16 * lo)
             step = active & (fx != 0.0)  # a root stays where it is
             active = step & ~converged
@@ -300,8 +298,7 @@ def weir_and_normal_depths(table: np.ndarray):
     found no bracket."""
     s, b, n, z_d, q = table.T.copy()
     h_n, status = _normal_depths(s, b, n * n * q * q)
-    head = _libm_pow(3.0 * math.sqrt(3.0) * q / (2.0 * math.sqrt(2.0 * GRAVITY) * b), 2.0 / 3.0)
-    return z_d + head, h_n, status
+    return _weir_depth(z_d, q, b, _libm_pow), h_n, status
 
 
 #: Each scenario :func:`boundary_depths` has solved: its (weir, h_n, status).
@@ -390,9 +387,7 @@ def solve_profiles(scenarios, grid: GridSpec) -> list:
         jumped = steep & (err == _INSUFFICIENT)
         test = np.flatnonzero(steep & ok)
         if test.size:
-            y = h_new[test]
-            fr2 = _libm_pow(q_[test] / (b_[test] * y), 2.0) / (GRAVITY * y)
-            jumped[test] = 0.5 * y * (np.sqrt(1.0 + 8.0 * fr2) - 1.0) >= h_n_[test]
+            jumped[test] = _conjugate(h_new[test], q_[test], b_[test], _libm_pow) >= h_n_[test]
         keep = ok & ~jumped
         if not keep.all():
             jump[live[jumped]] = i

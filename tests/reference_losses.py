@@ -1,24 +1,40 @@
 """Oracle physics losses written with the validated ``hydraulics`` point functions.
 
 These are the energy, Froude and residual terms on per-batch aux dicts, each
-quantity computed through the public, depth-checking functions, and the
-volume and boundary terms on the batch's targets.  The library's kernels on
+quantity computed through the public, depth-checking functions and each
+depth derivative written out as its textbook formula, and the volume and
+boundary terms on the batch's targets.  The library's kernels on
 :func:`backwater.losses.physics_constants` must match them bit for bit, and so
 must a training run that uses the kernels.
 """
 
+import math
+
 import numpy as np
 
 from backwater.hydraulics import (
+    GRAVITY,
     critical_depth,
-    denergy_dh,
-    dfriction_slope_dh,
-    dfroude_dh,
     friction_slope,
     froude,
     specific_energy,
 )
 from backwater.losses import CRITICAL_FRACTION, MIN_DEPTH
+
+
+def denergy_dh(h, q, b):
+    """dE/dh of E = h + Q^2 / (2 g b^2 h^2)."""
+    return 1.0 - q * q / (GRAVITY * b * b * h ** 3)
+
+
+def dfroude_dh(h, q, b):
+    """dFr/dh of Fr = Q / (b h sqrt(g h))."""
+    return -1.5 * q / (b * math.sqrt(GRAVITY) * h ** 2.5)
+
+
+def dfriction_slope_dh(h, b, slope):
+    """dJ/dh of J = n^2 Q^2 (b + 2h)^(4/3) / (b h)^(10/3), given J at h."""
+    return slope * (8.0 / (3.0 * (b + 2.0 * h)) - 10.0 / (3.0 * h))
 
 
 def per_sample(aux, name, pred):
@@ -57,7 +73,7 @@ def loss_pde(pred, aux):
     r = (energy[:, 2:] - energy[:, :-2]) / (2.0 * dx) + s - slope[:, 1:-1]
     batch, interior = r.shape
     de = denergy_dh(h, q, b)
-    dj = dfriction_slope_dh(h, q, b, n)
+    dj = dfriction_slope_dh(h, b, slope)
     grad = np.zeros_like(pred)
     w = 2.0 * r / (batch * interior)
     grad[:, 2:] += w * de[:, 2:] / (2.0 * dx)

@@ -454,6 +454,16 @@ def test_usage_errors_exit_2(tmp_path, dataset_csv, capsys):
     err = capsys.readouterr().err
     assert "network 'biases' must be a list of lists of numbers, not [['0.1234567890123'," in err
     assert len(err) < 800, err
+    # a NaN weight is refused, not scored into NaN metrics
+    nan_weight = json.loads(json.dumps(stored))
+    nan_weight["network"]["weights"][0][0] = math.nan
+    checkpoint.write_text(json.dumps(nan_weight))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--model", str(checkpoint), "--dataset", str(dataset_csv),
+              "--out", str(tmp_path / "m.csv")])
+    assert exc.value.code == 2
+    assert "network weights[0] holds a non-finite value" in capsys.readouterr().err
     checkpoint.write_text(json.dumps(stored))
 
     # a grid value that is not a number

@@ -17,6 +17,7 @@ from backwater.data import (
     SPLIT_NAMES,
     ParameterRanges,
     ProfileDataset,
+    Scaler,
     _checked_keys,
     assign_splits,
     desk_ranges,
@@ -241,6 +242,30 @@ def test_scaler_uses_training_rows_only(small_ds):
     # Validation columns scaled with training statistics are off-center.
     val = view_sp(small_ds, "val")
     assert abs(np.mean(val.inputs[:, 1])) > 1e-6
+
+
+def test_scaler_x_statistics_are_the_grid_stations(small_ds):
+    # one grid's stations give the statistics of every training profile's
+    # stations concatenated, bit for bit on the desk grid
+    ds = generate(desk_ranges(), DESK_GRID, seed=0)
+    stations = np.concatenate([p.grid.stations for p in ds.profiles_in("train")])
+    assert ds.scaler.mean["x"] == float(np.mean(stations))
+    assert ds.scaler.std["x"] == float(np.std(stations))
+    other = GridSpec(dx=10.0, length=200.0)
+    off = WaterProfile(small_ds.profiles[0].scenario, other, small_ds.profiles[0].depths[: other.n_points])
+    with pytest.raises(ValueError, match="more than one grid"):
+        fit_scaler([small_ds.profiles[0], off])
+
+
+def test_scaler_rejects_non_finite_or_negative_statistics(small_ds):
+    good = small_ds.scaler.to_dict()
+    for name, value in (("mean", math.nan), ("mean", -math.inf), ("std", math.inf), ("std", -1.0)):
+        with pytest.raises(ValueError, match=f"scaler '{name}' feature 'Q' is {value!r}, not a finite"):
+            Scaler(**{**good, name: {**good[name], "Q": value}})
+    # a constant feature is legal until it is scaled
+    constant = Scaler(**{**good, "std": {**good["std"], "Q": 0.0}})
+    with pytest.raises(ValueError, match="constant"):
+        constant.scale("Q", [1.0])
 
 
 def test_scaler_round_trip(small_ds):

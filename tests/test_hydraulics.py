@@ -10,12 +10,12 @@ from backwater.hydraulics import (
     ChannelScenario,
     ConvergenceError,
     InsufficientEnergyError,
+    _denergy,
+    _dfriction_slope,
+    _dfroude,
     conjugate_depth,
     critical_depth,
-    denergy_dh,
     depth_from_energy,
-    dfriction_slope_dh,
-    dfroude_dh,
     friction_slope,
     froude,
     momentum_function,
@@ -188,16 +188,7 @@ def test_normal_depth_unreachable_slope():
 
 def test_depth_from_energy_recovers_subcritical_depth():
     Q = discharge_for_froude(0.5, 2.0, 10.0)
-    assert depth_from_energy(2.25, Q, 10.0, "subcritical") == pytest.approx(
-        2.0, rel=1e-12
-    )
-
-
-def test_depth_from_energy_supercritical_branch():
-    Q = discharge_for_froude(0.5, 2.0, 10.0)
-    h_sup = depth_from_energy(2.25, Q, 10.0, "supercritical")
-    assert h_sup < critical_depth(Q, 10.0)
-    assert specific_energy(h_sup, Q, 10.0) == pytest.approx(2.25, rel=1e-12)
+    assert depth_from_energy(2.25, Q, 10.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_depth_from_energy_round_trip():
@@ -206,8 +197,9 @@ def test_depth_from_energy_round_trip():
         Q = rng.uniform(1.0, 400.0)
         b = rng.uniform(2.0, 60.0)
         h = rng.uniform(0.02, 12.0)
-        branch = "subcritical" if h > critical_depth(Q, b) else "supercritical"
-        back = depth_from_energy(specific_energy(h, Q, b), Q, b, branch)
+        if h <= critical_depth(Q, b):
+            continue  # the supercritical root is not inverted
+        back = depth_from_energy(specific_energy(h, Q, b), Q, b)
         assert back == pytest.approx(h, rel=1e-10)
 
 
@@ -217,30 +209,22 @@ def test_depth_from_energy_below_minimum_raises():
     # a finite energy at or below zero lies below the critical minimum too
     for energy in (0.99 * e_min, 0.0, -1.0):
         with pytest.raises(InsufficientEnergyError):
-            depth_from_energy(energy, Q, b, "subcritical")
+            depth_from_energy(energy, Q, b)
     for energy in (math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            depth_from_energy(energy, Q, b, "subcritical")
+            depth_from_energy(energy, Q, b)
 
 
-def test_depth_from_energy_still_water():
-    assert depth_from_energy(2.5, 0.0, 10.0, "subcritical") == 2.5
-    with pytest.raises(ValueError):
-        depth_from_energy(2.5, 0.0, 10.0, "supercritical")
-    # still water has no critical minimum: a non-positive energy is invalid
-    for energy in (0.0, -1.0):
-        with pytest.raises(ValueError, match="positive and finite") as err:
-            depth_from_energy(energy, 0.0, 10.0, "subcritical")
+def test_depth_from_energy_requires_flow():
+    # still water or reversed flow has no subcritical branch to invert
+    for Q in (0.0, -1.0):
+        with pytest.raises(ValueError, match="discharge and width must be positive") as err:
+            depth_from_energy(2.5, Q, 10.0)
         assert not isinstance(err.value, InsufficientEnergyError)
 
 
-def test_depth_from_energy_rejects_unknown_branch():
-    with pytest.raises(ValueError):
-        depth_from_energy(2.5, 10.0, 10.0, "transcritical")
-
-
 # ---------------------------------------------------------------- #
-#  Analytic depth derivatives vs central differences
+#  Analytic depth derivatives (the losses' kernels) vs central differences
 # ---------------------------------------------------------------- #
 
 
@@ -253,11 +237,11 @@ def test_depth_derivatives_match_finite_differences():
         n = rng.uniform(0.01, 0.05)
         h = rng.uniform(0.1, 10.0)
         for fn, dfn in (
-            (lambda x: specific_energy(x, Q, b), lambda x: denergy_dh(x, Q, b)),
-            (lambda x: froude(x, Q, b), lambda x: dfroude_dh(x, Q, b)),
+            (lambda x: specific_energy(x, Q, b), lambda x: _denergy(x, Q * Q, GRAVITY * b * b)),
+            (lambda x: froude(x, Q, b), lambda x: _dfroude(x, -1.5 * Q, b * math.sqrt(GRAVITY))),
             (
                 lambda x: friction_slope(x, Q, b, n),
-                lambda x: dfriction_slope_dh(x, Q, b, n),
+                lambda x: _dfriction_slope(x, b, friction_slope(x, Q, b, n)),
             ),
         ):
             fd = (fn(h + eps) - fn(h - eps)) / (2.0 * eps)
@@ -266,8 +250,9 @@ def test_depth_derivatives_match_finite_differences():
 
 def test_point_functions_keep_their_operand_order():
     # Each relation is written once, as a kernel on hoisted sub-expressions;
-    # the public functions must round exactly like the textbook expression
-    # evaluated left to right, on arrays and on Python floats alike.
+    # the public functions and the derivative kernels must round exactly like
+    # the textbook expression evaluated left to right, on arrays and on
+    # Python floats alike.
     rng = np.random.default_rng(29)
     Q, b, n = (rng.uniform(lo, hi, (40, 1)) for lo, hi in ((1.0, 400.0), (2.0, 60.0), (0.01, 0.05)))
     h = rng.uniform(0.05, 10.0, (40, 9))
@@ -277,11 +262,11 @@ def test_point_functions_keep_their_operand_order():
         j = n * n * Q * Q / (area * area * radius ** (4.0 / 3.0))
         pairs = (
             (specific_energy(h, Q, b), h + Q * Q / (2.0 * GRAVITY * b * b * h * h)),
-            (denergy_dh(h, Q, b), 1.0 - Q * Q / (GRAVITY * b * b * h ** 3)),
+            (_denergy(h, Q * Q, GRAVITY * b * b), 1.0 - Q * Q / (GRAVITY * b * b * h ** 3)),
             (friction_slope(h, Q, b, n), j),
-            (dfriction_slope_dh(h, Q, b, n), j * (8.0 / (3.0 * (b + 2.0 * h)) - 10.0 / (3.0 * h))),
+            (_dfriction_slope(h, b, friction_slope(h, Q, b, n)), j * (8.0 / (3.0 * (b + 2.0 * h)) - 10.0 / (3.0 * h))),
             (froude(h, Q, b), Q / (b * h * np.sqrt(GRAVITY * h))),
-            (dfroude_dh(h, Q, b), -1.5 * Q / (b * math.sqrt(GRAVITY) * h ** 2.5)),
+            (_dfroude(h, -1.5 * Q, b * math.sqrt(GRAVITY)), -1.5 * Q / (b * math.sqrt(GRAVITY) * h ** 2.5)),
         )
         for got, want in pairs:
             assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()

@@ -1,5 +1,6 @@
 """Tests for architecture specs, training loops, and profile reconstruction."""
 
+import math
 import pickle
 import warnings
 from dataclasses import asdict, replace
@@ -841,6 +842,15 @@ def test_load_model_names_the_bad_field(tmp_path, sp_model):
     string_biases = dict(good["network"], biases=[list(map(str, b)) for b in good["network"]["biases"]])
     # int() would read these sizes as the [6, 8, 8, 8, 1] a width-8 sp spec needs
     float_sizes = dict(init([6, 8, 8, 8, 1], 0).to_dict(), layer_sizes=[6.9, 8, 8, 8, True])
+
+    def edited(value, *keys):
+        payload = json.loads(json.dumps(good))
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return payload
+
     cases = (
         ({"format_version": 1, "spec": {}}, "malformed checkpoint field 'spec'"),
         ({k: v for k, v in good.items() if k != "grid"}, "'grid' is missing"),
@@ -855,9 +865,17 @@ def test_load_model_names_the_bad_field(tmp_path, sp_model):
         ({**good, "spec": {**good["spec"], "width": 8}, "network": float_sizes},
          r"network 'layer_sizes' must be a list of integers, not \[6.9, 8, 8, 8, True\]"),
         ({**good, "scaler": {"mean": {"x": 1.0}, "std": {"x": 1.0}}}, "scaler 'mean' lacks feature 'h'"),
+        (edited(math.nan, "network", "weights", 1, 3), r"'network': network weights\[1\] holds a non-finite value"),
+        (edited(-math.inf, "network", "biases", 2, 0), r"'network': network biases\[2\] holds a non-finite value"),
+        (edited(math.inf, "scaler", "std", "Q"), "'scaler': scaler 'std' feature 'Q' is inf, not a finite"),
+        (edited(-1.0, "scaler", "std", "Q"), "'scaler': scaler 'std' feature 'Q' is -1.0, not a finite, non-negative"),
+        (edited(math.nan, "scaler", "mean", "h"), "'scaler': scaler 'mean' feature 'h' is nan, not a finite number"),
         (json.dumps(good)[:100], "model.json is not valid JSON"),  # a truncated file
     )
     for payload, message in cases:
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         with pytest.raises(ValueError, match=message):
             load_model(path)
+    # a diverged run's history may hold a NaN loss; that is no bad field
+    path.write_text(json.dumps(edited(math.nan, "history", 0, "val_loss")))
+    assert math.isnan(load_model(path).history[0]["val_loss"])

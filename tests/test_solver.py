@@ -40,7 +40,7 @@ from backwater.hydraulics import (
     specific_energy,
     weir_depth,
 )
-from backwater import solver
+from backwater import hydraulics, solver
 from backwater.solver import (
     _OK,
     GridSpec,
@@ -169,6 +169,26 @@ def test_mild_profile_shape_and_boundary():
     assert np.all(np.diff(prof.depths) < 0.0)  # monotone decay toward h_n
     assert np.all(prof.depths > normal_depth(MILD))
     assert np.all(prof.depths > critical_depth(MILD.Q, MILD.b))
+
+
+def test_scalar_march_checks_no_depth_per_station(monkeypatch):
+    # The scenario was checked when it was built; the march calls the
+    # kernels, so the depth checks it makes do not grow with the grid.
+    calls = []
+    validated = hydraulics._validated_depth
+
+    def spy(h):
+        calls.append(h)
+        return validated(h)
+
+    monkeypatch.setattr(hydraulics, "_validated_depth", spy)
+    for scen in (MILD, STEEP):
+        counts = []
+        for grid in (GRID, GridSpec(dx=10.0, length=5000.0)):
+            calls.clear()
+            solve_profile(scen, grid)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (scen, counts)
 
 
 def test_discrete_energy_balance_is_exact():
@@ -393,7 +413,7 @@ def test_subcritical_depths_are_depth_from_energy(cases):
     depth, status = _subcritical_depths(e, a, h_c, e_min, h0)
     for k in range(len(cases)):
         try:
-            want = depth_from_energy(float(e[k]), float(q[k]), float(b[k]), "subcritical", float(h0[k]))
+            want = depth_from_energy(float(e[k]), float(q[k]), float(b[k]), float(h0[k]))
         except (InsufficientEnergyError, ConvergenceError, ValueError) as err:
             got = _march_error(status[k], e[k], e_min[k])
             assert (type(got), str(got)) == (type(err), str(err))
